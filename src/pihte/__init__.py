@@ -32,7 +32,9 @@ from .engine import (
     TableTracker,
     brute_force_eval,
     cte,
+    execute,
     pi_hte,
+    plan,
     predicted_bounds,
     run_metrics,
 )
@@ -56,7 +58,7 @@ __all__ = [
     "decompose", "gyo_acyclic", "hypertree_cover", "load_decomposition",
     "min_fill_order", "select_root", "tree_decomposition", "validate",
     "EvalOptions", "EvalReport", "TableTracker", "brute_force_eval", "cte",
-    "pi_hte", "predicted_bounds", "run_metrics",
+    "execute", "pi_hte", "plan", "predicted_bounds", "run_metrics",
     "CBN", "interventional_truth", "random_cbn", "sample_dataset",
     "total_variation",
 ]

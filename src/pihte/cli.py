@@ -10,14 +10,7 @@ import sys
 import time
 
 from . import engine, simulate, suite
-from .decomposition import (
-    Hypergraph,
-    cover_width_excluding_outputs,
-    decompose,
-    gyo_acyclic,
-    load_decomposition,
-    validate,
-)
+from .decomposition import load_decomposition
 from .errors import (
     DenseLimitExceeded,
     DivisionByZero,
@@ -27,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .estimand import flatten, parse
-from .model import base_name, load_dataset, load_graph
+from .model import load_dataset, load_graph
 
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
@@ -75,54 +68,35 @@ def _emit(text: str, out_path):
             sys.stdout.write("\n")
 
 
-def _level_hypergraph(level, graph) -> Hypergraph:
-    """Structural hypergraph for analyze: scopes from the flattened terms,
-    domain sizes looked up through the graph (primes read the base name)."""
-    edges = []
-    domains = {}
-    for i, term in enumerate(level.factors):
-        edges.append((f"f{i}", term.scope))
-        for n in term.scope:
-            domains[n] = graph.domain_size(base_name(n))
-    for child_id, scope in level.child_outputs:
-        edges.append((f"g{child_id}", tuple(scope)))
-        for n in scope:
-            domains[n] = graph.domain_size(base_name(n))
-    return Hypergraph(tuple(edges), domains, empty=not edges)
+def _plan(args, hier, graph):
+    """The one plan every subcommand runs or reports: the graph's domains,
+    --seed, --restarts, and --decomposition for the root level."""
+    supplied = {}
+    if args.decomposition:
+        supplied[hier.root] = load_decomposition(args.decomposition)
+    domains = {v.name: v.domain_size for v in graph.variables}
+    return engine.plan(hier, domains, args.seed, args.restarts, supplied)
 
 
 def cmd_analyze(args) -> int:
     hier = flatten(parse(_read_estimand(args)))
     graph = load_graph(args.graph)
-    supplied = None
-    levels_out = []
     start = time.monotonic()
-    for level in hier.levels:
-        hg = _level_hypergraph(level, graph)
-        if args.decomposition and level.level_id == hier.root:
-            supplied = load_decomposition(args.decomposition, hg)
-            td = supplied
-        else:
-            td = decompose(hg, seed=args.seed, restarts=args.restarts)
-        levels_out.append(
-            {
-                "level": level.level_id,
-                "n_factors": len(level.factor_scopes),
-                "n_vars": len(hg.nodes),
-                "factors": [t.key() for t in level.factors]
-                + [f"output(level {c})" for c, _ in level.child_outputs],
-                "sum_vars": list(level.sum_vars),
-                "free_vars": list(level.free_vars),
-                "rename_map": [list(p) for p in level.rename_map],
-                "children": list(level.children),
-                "w": td.treewidth,
-                "hw": td.hyperwidth,
-                "hw_no_outputs": cover_width_excluding_outputs(td, hg),
-                "is_hypertree": gyo_acyclic(hg)["is_hypertree"],
-                "n_clusters": td.n_clusters,
-                "supplied_decomposition": td is supplied,
-            }
-        )
+    levels_out = [
+        {
+            "level": lp.level.level_id,
+            **lp.widths(),
+            "factors": [t.key() for t in lp.level.factors]
+            + [f"output(level {c})" for c, _ in lp.level.child_outputs],
+            "sum_vars": list(lp.level.sum_vars),
+            "free_vars": list(lp.level.free_vars),
+            "rename_map": [list(pair) for pair in lp.level.rename_map],
+            "children": list(lp.level.children),
+            "n_clusters": lp.td.n_clusters,
+            "supplied_decomposition": lp.supplied,
+        }
+        for lp in _plan(args, hier, graph).levels.values()
+    ]
     t = 1
     if args.data:
         data = load_dataset(args.data, graph)
@@ -148,33 +122,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _run_estimate(args):
+def cmd_estimate(args) -> int:
     graph = load_graph(args.graph)
     data = load_dataset(args.data, graph)
     hier = flatten(parse(_read_estimand(args)))
-    decomps = {}
-    if args.decomposition:
-        level = hier.level(hier.root)
-        do = _parse_do(args.do)
-        hg = _structural_for_data(level, graph, data, do)
-        decomps[hier.root] = load_decomposition(args.decomposition, hg)
-    opts = engine.EvalOptions(
-        seed=args.seed,
-        restarts=args.restarts,
-        do=_parse_do(args.do),
-        decompositions=decomps,
-    )
-    return engine.pi_hte(hier, data, opts), hier, graph, data
-
-
-def _structural_for_data(level, graph, data, do):
-    # validation target for a user-supplied decomposition; scopes are the
-    # term scopes (bound factors share them), child outputs their free vars
-    return _level_hypergraph(level, graph)
-
-
-def cmd_estimate(args) -> int:
-    report, *_ = _run_estimate(args)
+    report = engine.execute(_plan(args, hier, graph), data, _parse_do(args.do))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -220,7 +172,7 @@ def cmd_oracle(args) -> int:
         for i in range(args.suite):
             inst = suite.make_instance(args.seed + i)
             expr = parse(inst.estimand)
-            got = engine.pi_hte(flatten(expr), inst.data).result
+            got = engine.execute(_plan(args, flatten(expr), inst.graph), inst.data).result
             want = engine.brute_force_eval(expr, inst.data, args.dense_limit)
             _, rel = _max_discrepancy(got, want)
             worst = max(worst, rel)
@@ -240,11 +192,11 @@ def cmd_oracle(args) -> int:
     graph = load_graph(args.graph)
     data = load_dataset(args.data, graph)
     expr = parse(_read_estimand(args))
-    opts = engine.EvalOptions(seed=args.seed, restarts=args.restarts, do=_parse_do(args.do))
-    got = engine.pi_hte(flatten(expr), data, opts).result
+    do = _parse_do(args.do)
+    got = engine.execute(_plan(args, flatten(expr), graph), data, do).result
     want = engine.brute_force_eval(expr, data, args.dense_limit)
-    if opts.do:
-        want = want.restrict(opts.do)
+    if do:
+        want = want.restrict(do)
     max_abs, max_rel = _max_discrepancy(got, want)
     ok = max_rel <= args.tolerance
     report = {
@@ -279,21 +231,13 @@ def cmd_bench(args) -> int:
         raise ValueError("--sizes must list at least one sample size")
     graph = load_graph(args.graph)
     hier = flatten(parse(_read_estimand(args)))
+    p = _plan(args, hier, graph)
+    do = _parse_do(args.do)
     cbn = simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
     rows = []
     for i, size in enumerate(sizes):
         data = simulate.sample_dataset(cbn, n=size, seed=args.seed + 1 + i)
-        decomps = {}
-        if args.decomposition:
-            level = hier.level(hier.root)
-            hg = _level_hypergraph(level, graph)
-            decomps[hier.root] = load_decomposition(args.decomposition, hg)
-        opts = engine.EvalOptions(
-            seed=args.seed, restarts=args.restarts,
-            do=_parse_do(args.do), decompositions=decomps,
-        )
-        report = engine.pi_hte(hier, data, opts)
-        rows.append(engine.run_metrics(report))
+        rows.append(engine.run_metrics(engine.execute(p, data, do)))
     if args.format == "json":
         _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
     else:
@@ -313,18 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, data=False, graph=True):
+    def common(p, graph=True):
         p.add_argument("--graph", required=graph)
-        if data:
-            p.add_argument("--data", required=True)
         p.add_argument("--estimand")
         p.add_argument("--estimand-file")
         p.add_argument("--decomposition")
-        p.add_argument("--do", default="")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=0)
-        p.add_argument("--dense-limit", type=int, default=10**6)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out")
 
     p = sub.add_parser("analyze", help="widths and predicted bounds, no evaluation")
@@ -333,12 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("estimate", help="evaluate the estimand against a dataset")
-    common(p, data=True)
+    common(p)
+    p.add_argument("--data", required=True)
+    p.add_argument("--do", default="")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("oracle", help="cross-check against brute-force evaluation")
     common(p, graph=False)
     p.add_argument("--data")
+    p.add_argument("--do", default="")
+    p.add_argument("--dense-limit", type=int, default=10**6)
     p.add_argument("--suite", type=int, default=0, help="run N random instances")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_oracle)
@@ -356,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="Table-style rows across sample sizes")
     common(p)
+    p.add_argument("--do", default="")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--sizes", default="")
     p.add_argument("--dist", choices=("uniform", "dirichlet", "deterministic", "mixture"),
                    default="dirichlet")

@@ -76,14 +76,13 @@ class TreeDecomposition:
     def separator(self, u, v):
         return self.clusters[u].chi & self.clusters[v].chi
 
-    def neighbors(self, u):
-        out = []
+    def adjacency(self):
+        """Sorted neighbour ids of every cluster."""
+        adj = {u: [] for u in self.clusters}
         for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
+            adj[a].append(b)
+            adj[b].append(a)
+        return {u: sorted(nbrs) for u, nbrs in adj.items()}
 
     @property
     def treewidth(self):
@@ -94,20 +93,8 @@ class TreeDecomposition:
         return max(len(c.cover) for c in self.clusters.values())
 
     @property
-    def max_degree(self):
-        return max((len(self.neighbors(u)) for u in self.clusters), default=0)
-
-    @property
     def n_clusters(self):
         return len(self.clusters)
-
-    def stats(self):
-        return {
-            "w": self.treewidth,
-            "hw": self.hyperwidth,
-            "deg": self.max_degree,
-            "m": self.n_clusters,
-        }
 
     def canonical_bytes(self) -> bytes:
         parts = []
@@ -256,42 +243,25 @@ def tree_decomposition(h: Hypergraph, order) -> TreeDecomposition:
 
 
 def _merge_subsumed(td: TreeDecomposition) -> TreeDecomposition:
-    clusters = {cid: replace(c) for cid, c in td.clusters.items()}
-    edges = set(td.edges)
-    root = td.root
-    changed = True
-    while changed:
-        changed = False
-        for cid in sorted(clusters):
-            for nbr in sorted(_neighbors(edges, cid)):
-                if clusters[cid].chi <= clusters[nbr].chi:
-                    clusters[nbr] = Cluster(
-                        chi=clusters[nbr].chi,
-                        psi=clusters[nbr].psi | clusters[cid].psi,
-                        cover=clusters[nbr].cover,
-                    )
-                    for other in _neighbors(edges, cid):
-                        edges.discard(tuple(sorted((cid, other))))
-                        if other != nbr:
-                            edges.add(tuple(sorted((nbr, other))))
-                    del clusters[cid]
-                    if root == cid:
-                        root = nbr
-                    changed = True
-                    break
-            if changed:
-                break
-    return TreeDecomposition(clusters=clusters, edges=sorted(edges), root=root)
-
-
-def _neighbors(edges, u):
-    out = set()
-    for a, b in edges:
-        if a == u:
-            out.add(b)
-        elif b == u:
-            out.add(a)
-    return out
+    """Fold each cluster whose chi lies inside a neighbour's into that neighbour,
+    lowest cluster id and then lowest neighbour id first, until none is left."""
+    while True:
+        adj = td.adjacency()
+        pair = next(
+            ((cid, nbr) for cid in sorted(td.clusters) for nbr in adj[cid]
+             if td.clusters[cid].chi <= td.clusters[nbr].chi),
+            None,
+        )
+        if pair is None:
+            return td
+        cid, nbr = pair
+        clusters = dict(td.clusters)
+        gone = clusters.pop(cid)
+        clusters[nbr] = replace(clusters[nbr], psi=clusters[nbr].psi | gone.psi)
+        edges = [e for e in td.edges if cid not in e]
+        edges += [tuple(sorted((nbr, other))) for other in adj[cid] if other != nbr]
+        root = nbr if td.root == cid else td.root
+        td = TreeDecomposition(clusters=clusters, edges=sorted(edges), root=root)
 
 
 # -- hypertree covers ------------------------------------------------------
@@ -429,13 +399,15 @@ def _connected(nodes, edges):
 # -- pipeline --------------------------------------------------------------
 
 
-def decompose(h: Hypergraph, seed: int = 0, restarts: int = 0) -> TreeDecomposition:
+def decompose(h: Hypergraph, seed: int = 0, restarts: int = 0, gyo=None) -> TreeDecomposition:
     """GYO join tree when acyclic; otherwise min-fill + cover, best of restarts.
 
     Restarts permute min-fill tie-breaking; the best (hw, w) result wins, with
     the deterministic (non-randomized) attempt as the tie-break baseline.
+    `gyo` is `gyo_acyclic(h)` when the caller has already computed it.
     """
-    gyo = gyo_acyclic(h)
+    if gyo is None:
+        gyo = gyo_acyclic(h)
     if gyo["is_hypertree"] and gyo["join_tree"] is not None:
         td = gyo["join_tree"]
         issues = validate(td, h)
@@ -470,8 +442,9 @@ def select_root(td: TreeDecomposition, free_vars) -> int:
 # -- decomposition text format --------------------------------------------
 
 
-def load_decomposition(path, h: Hypergraph) -> TreeDecomposition:
-    """Parse `cluster <id>: chi={..} psi={..} cover={..}` / `edge <u> <v>` lines."""
+def load_decomposition(path, h: Hypergraph | None = None) -> TreeDecomposition:
+    """Parse `cluster <id>: chi={..} psi={..} cover={..}` / `edge <u> <v>` lines,
+    and validate the result against `h` when it is given."""
     clusters = {}
     edges = []
     with open(path, encoding="utf-8") as fh:
@@ -506,7 +479,7 @@ def load_decomposition(path, h: Hypergraph) -> TreeDecomposition:
     if not clusters:
         raise ParseError("no clusters defined", path)
     td = TreeDecomposition(clusters=clusters, edges=sorted(edges), root=min(clusters))
-    issues = validate(td, h)
+    issues = validate(td, h) if h is not None else []
     if issues:
         raise ValidationError(issues)
     return td

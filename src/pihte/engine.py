@@ -1,10 +1,12 @@
 """Cluster-tree elimination and the level-by-level plug-in evaluator.
 
-Each hierarchy level becomes an empirical graphical model: its probability
-terms bind to frequency tables extracted from the dataset (primed variables
-read their base column), child denominator outputs are inverted and injected
-as ordinary factors, and CTE runs leaves-to-root over a hypertree
-decomposition of the level.
+Evaluation has two steps. `plan` fixes the structure of each hierarchy level
+from the estimand alone: its hypergraph, a tree decomposition (supplied or
+computed), the root cluster and the width statistics. `execute` then binds
+each level's probability terms to frequency tables extracted from a dataset
+(primed variables read their base column), injects child denominator outputs
+inverted as ordinary factors, and runs CTE leaves-to-root over the planned
+decomposition. One plan serves any number of datasets.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 from . import factor as sf
 from .decomposition import (
+    Hypergraph,
     TreeDecomposition,
     build_hypergraph,
     cover_width_excluding_outputs,
@@ -29,16 +32,18 @@ from .errors import (
     DenseLimitExceeded,
     ResourceLimitExceeded,
     UnboundFactor,
+    UnknownVariable,
     ValidationError,
 )
-from .estimand import dense_expr_eval, free_vars, prob_terms
+from .estimand import FlatLevel, Hierarchy, dense_expr_eval, free_vars, prob_terms
 from .model import Variable, base_name, empirical_prob, name_key
 
 MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
 
 
 class TableTracker:
-    """Accounts for every factor materialized during a run."""
+    """Accounts for every factor materialized during a run: the largest table
+    with its cell count, and the entries summed over all tables."""
 
     def __init__(self, cap=None):
         if cap is None:
@@ -46,31 +51,19 @@ class TableTracker:
             cap = int(env) if env else None
         self.cap = cap
         self.max_entries = 0
+        self.max_cells = 1
         self.total_entries = 0
 
     def record(self, f: sf.SparseFactor):
         t = f.tightness
-        self.max_entries = max(self.max_entries, t)
+        if t > self.max_entries:
+            self.max_entries = t
+            self.max_cells = math.prod(v.domain_size for v in f.scope)
         self.total_entries += t
         if self.cap is not None and t > self.cap:
             raise ResourceLimitExceeded(
                 f"table with {t} entries exceeds cap {self.cap}"
             )
-        return f
-
-
-class _ScopedTracker:
-    """Per-level view that forwards every record to the global tracker."""
-
-    def __init__(self, parent: TableTracker):
-        self.parent = parent
-        self.max_entries = 0
-        self.total_entries = 0
-
-    def record(self, f):
-        self.parent.record(f)
-        self.max_entries = max(self.max_entries, f.tightness)
-        self.total_entries += f.tightness
         return f
 
 
@@ -89,36 +82,26 @@ def cte(td: TreeDecomposition, factors, free_vars_out, tracker=None, root=None):
     if root is None:
         root = select_root(td, free)
 
-    # BFS orientation away from the root
+    adj = td.adjacency()
     parent = {root: None}
     order = [root]
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in td.neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    order.append(v)
-                    nxt.append(v)
-        frontier = nxt
+    for u in order:  # BFS away from the root; `order` grows as it is walked
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
 
-    messages = {}
+    messages = {}  # child cluster -> its message to the parent
     for u in reversed(order):
-        h = sf.unit_factor()
-        for fid in sorted(td.clusters[u].psi, key=name_key):
-            h = tracker.record(sf.product(h, factors[fid]))
-        for v in td.neighbors(u):
-            if v != parent[u] and (v, u) in messages:
-                h = tracker.record(sf.product(h, messages[(v, u)]))
+        tables = [factors[fid] for fid in sorted(td.clusters[u].psi, key=name_key)]
+        tables += [messages[v] for v in adj[u] if v != parent[u]]
+        h = tables[0] if tables else sf.unit_factor()
+        for g in tables[1:]:
+            h = tracker.record(sf.product(h, g))
         if parent[u] is None:
-            drop = set(h.names) - free
-            result = tracker.record(sf.marginalize(h, drop & set(h.names)))
-            return result
-        sep = td.separator(u, parent[u])
-        drop = set(h.names) - sep - free
-        messages[(u, parent[u])] = tracker.record(sf.marginalize(h, drop))
-    raise AssertionError("unreachable: tree has no root")
+            return tracker.record(sf.marginalize(h, set(h.names) - free))
+        drop = set(h.names) - td.separator(u, parent[u]) - free
+        messages[u] = tracker.record(sf.marginalize(h, drop))
 
 
 def validate_psi_bound(td, factors):
@@ -177,7 +160,7 @@ class EvalReport:
     max_table_entries: int
     total_entries: int
     wall_time: float
-    largest_scope_cells: float
+    density: float  # the largest table's entries over its own cell count
     bounds: dict = field(default_factory=dict)
 
     @property
@@ -187,10 +170,6 @@ class EvalReport:
     @property
     def tightness(self):
         return max(lv.t for lv in self.levels)
-
-    @property
-    def density(self):
-        return self.max_table_entries / self.largest_scope_cells
 
     def result_table(self, normalized=True):
         if normalized and self.normalized is not None:
@@ -248,121 +227,169 @@ def run_metrics(report: EvalReport):
 class EvalOptions:
     seed: int = 0
     restarts: int = 0
-    dense_limit: int = 10**6
     do: dict = field(default_factory=dict)
-    outcome_vars: tuple = ()
     decompositions: dict = field(default_factory=dict)  # level_id -> TreeDecomposition
     max_entries: object = None  # None -> read PIHTE_MAX_ENTRIES
 
 
-# -- PI-HTE driver ---------------------------------------------------------
+# -- plan ------------------------------------------------------------------
 
 
-def pi_hte(hier, data, opts: EvalOptions | None = None) -> EvalReport:
-    """Evaluate a flattened hierarchy bottom-up against a dataset."""
-    opts = opts or EvalOptions()
-    tracker = TableTracker(cap=opts.max_entries)
-    level_stats = []
-    largest_cells = [1.0]
-    start = time.monotonic()
+@dataclass(frozen=True)
+class LevelPlan:
+    """One level's structure, fixed by the estimand before any data is read."""
 
-    def eval_level(level_id):
-        level = hier.level(level_id)
-        t0 = time.monotonic()
-        scoped = _ScopedTracker(tracker)
+    level: FlatLevel
+    hypergraph: Hypergraph
+    td: TreeDecomposition
+    root: int  # the cluster CTE collects the level's output at
+    hw_no_outputs: object  # int or None when outputs are needed for coverage
+    is_hypertree: bool
+    supplied: bool  # td was given by the caller, not computed by decompose
 
-        factors = {}
-        for i, term in enumerate(level.factors):
-            f = empirical_term_factor(term, data)
-            if opts.do:
-                f = f.restrict({k: v for k, v in opts.do.items() if k in f.names})
-            factors[f"f{i}"] = scoped.record(f)
-        for child_id, scope in level.child_outputs:
-            child_out = eval_level(child_id)
-            inv = sf.invert(child_out)
-            inv.require_support = True
-            factors[f"g{child_id}"] = scoped.record(inv)
+    def widths(self):
+        """The structural statistics `analyze` and `execute` both report."""
+        return {
+            "n_vars": len(self.hypergraph.nodes),
+            "n_factors": len(self.hypergraph.edges),
+            "w": self.td.treewidth,
+            "hw": self.td.hyperwidth,
+            "hw_no_outputs": self.hw_no_outputs,
+            "is_hypertree": self.is_hypertree,
+        }
 
-        domains = {}
-        for fid, f in factors.items():
-            for v in f.scope:
-                domains[v.name] = v.domain_size
-        hg = build_hypergraph_bound(level, factors, domains)
-        for _, scope in hg.edges:
-            cells = 1.0
-            for n in scope:
-                cells *= domains[n]
-            largest_cells[0] = max(largest_cells[0], cells)
 
-        if level_id in opts.decompositions:
-            td = opts.decompositions[level_id]
+@dataclass(frozen=True)
+class Plan:
+    hier: Hierarchy
+    levels: dict  # level_id -> LevelPlan, in hierarchy order
+
+
+def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
+    """Build each level's hypergraph once and decompose it once.
+
+    `domains` maps variable names to domain sizes; a primed name reads its
+    base name. `decompositions` maps a level id to a supplied
+    TreeDecomposition, which is validated here instead of decomposing that
+    level. Raises UnknownVariable for an estimand variable with no domain.
+    """
+    decompositions = decompositions or {}
+    levels = {}
+    for level in hier.levels:
+        names = sorted({n for scope in level.factor_scopes for n in scope}, key=name_key)
+        for n in names:
+            if base_name(n) not in domains:
+                raise UnknownVariable(f"estimand variable {base_name(n)!r} is not declared")
+        hg = build_hypergraph(level, {n: domains[base_name(n)] for n in names})
+        gyo = gyo_acyclic(hg)
+        td = decompositions.get(level.level_id)
+        if td is None:
+            td = decompose(hg, seed=seed, restarts=restarts, gyo=gyo)
+        else:
             issues = validate(td, hg)
             if issues:
                 raise ValidationError(issues)
-        else:
-            td = decompose(hg, seed=opts.seed, restarts=opts.restarts)
+        levels[level.level_id] = LevelPlan(
+            level=level,
+            hypergraph=hg,
+            td=td,
+            root=select_root(td, level.free_vars),
+            hw_no_outputs=cover_width_excluding_outputs(td, hg),
+            is_hypertree=gyo["is_hypertree"],
+            supplied=level.level_id in decompositions,
+        )
+    return Plan(hier=hier, levels=levels)
 
-        out = cte(td, factors, level.free_vars, tracker=scoped)
 
+# -- execute ---------------------------------------------------------------
+
+
+def _check_do(p: Plan, do):
+    """`do` may fix only free variables of the root level, inside their domains."""
+    root = p.levels[p.hier.root]
+    free = root.level.free_vars
+    for name, value in do.items():
+        if name not in free:
+            raise UnknownVariable(
+                f"do variable {name!r} is not a free variable of the estimand "
+                f"(free: {', '.join(free)})"
+            )
+        k = root.hypergraph.domains[name]
+        if not 0 <= value < k:
+            raise ValueError(f"do value {name}={value} is outside the domain 0..{k - 1}")
+
+
+def execute(p: Plan, data, do=None, max_entries=None) -> EvalReport:
+    """Evaluate a plan against a dataset, children before parents.
+
+    `do` fixes free variables of the root level to values; the result is
+    then also renormalized over the remaining outputs. `max_entries` caps
+    every table (None reads PIHTE_MAX_ENTRIES).
+    """
+    do = dict(do or {})
+    _check_do(p, do)
+    level_stats = []
+    trackers = []
+    start = time.monotonic()
+
+    def eval_level(level_id):
+        lp = p.levels[level_id]
+        t0 = time.monotonic()
+        tracker = TableTracker(cap=max_entries)
+        trackers.append(tracker)
+
+        factors = {}
+        for i, term in enumerate(lp.level.factors):
+            factors[f"f{i}"] = tracker.record(empirical_term_factor(term, data).restrict(do))
+        for child_id, _ in lp.level.child_outputs:
+            factors[f"g{child_id}"] = tracker.record(sf.invert(eval_level(child_id)))
+
+        out = cte(lp.td, factors, lp.level.free_vars, tracker=tracker, root=lp.root)
         level_stats.append(
             LevelStats(
                 level_id=level_id,
-                n_vars=len(hg.nodes),
-                n_factors=len(hg.edges),
-                w=td.treewidth,
-                hw=td.hyperwidth,
-                hw_no_outputs=cover_width_excluding_outputs(td, hg),
-                is_hypertree=gyo_acyclic(hg)["is_hypertree"],
+                **lp.widths(),
                 t=max(f.tightness for f in factors.values()),
-                k=max(domains.values()),
-                max_table_entries=scoped.max_entries,
-                total_entries=scoped.total_entries,
+                k=max(lp.hypergraph.domains.values()),
+                max_table_entries=tracker.max_entries,
+                total_entries=tracker.total_entries,
                 wall_time=time.monotonic() - t0,
             )
         )
         return out
 
-    result = eval_level(hier.root)
+    result = eval_level(p.hier.root)
     wall = time.monotonic() - start
 
-    normalized = None
-    outcome = tuple(opts.outcome_vars) or (
-        tuple(n for n in result.names if n not in opts.do) if opts.do else ()
-    )
-    if outcome:
-        normalized = _renormalize(result, outcome)
+    outcome = tuple(n for n in result.names if n not in do) if do else ()
+    normalized = _renormalize(result, outcome) if outcome else None
 
     level_stats.sort(key=lambda lv: lv.level_id)
-    report = EvalReport(
+    top = max(trackers, key=lambda tr: tr.max_entries)
+    return EvalReport(
         result=result,
         normalized=normalized,
         levels=level_stats,
         n_rows=data.n_rows,
-        max_table_entries=tracker.max_entries,
-        total_entries=tracker.total_entries,
+        max_table_entries=top.max_entries,
+        total_entries=sum(tr.total_entries for tr in trackers),
         wall_time=wall,
-        largest_scope_cells=largest_cells[0],
+        density=top.max_entries / top.max_cells,
+        bounds=predicted_bounds(
+            [lv.as_dict() for lv in level_stats],
+            t=max(lv.t for lv in level_stats),
+            k=max(lv.k for lv in level_stats),
+            n=max(lv.n_vars for lv in level_stats),
+        ),
     )
-    stats_by_level = [lv.as_dict() for lv in level_stats]
-    report.bounds = predicted_bounds(
-        stats_by_level,
-        t=report.tightness,
-        k=max(lv.k for lv in level_stats),
-        n=max(lv.n_vars for lv in level_stats),
-    )
-    return report
 
 
-def build_hypergraph_bound(level, factors, domains):
-    """Hypergraph whose edge scopes match the actual bound factor scopes."""
-    edges = []
-    for i, term in enumerate(level.factors):
-        edges.append((f"f{i}", factors[f"f{i}"].names))
-    for child_id, _ in level.child_outputs:
-        edges.append((f"g{child_id}", factors[f"g{child_id}"].names))
-    from .decomposition import Hypergraph
-
-    return Hypergraph(tuple(edges), domains, empty=not edges)
+def pi_hte(hier, data, opts: EvalOptions | None = None) -> EvalReport:
+    """Evaluate a flattened hierarchy bottom-up against a dataset: plan, then
+    execute, with domains read from the dataset."""
+    opts = opts or EvalOptions()
+    p = plan(hier, data.domains, opts.seed, opts.restarts, opts.decompositions)
+    return execute(p, data, opts.do, opts.max_entries)
 
 
 def _renormalize(result, outcome):

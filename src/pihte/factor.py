@@ -76,9 +76,6 @@ class SparseFactor:
     def total(self) -> float:
         return math.fsum(self._entries.values())
 
-    def stats(self):
-        return {"tightness": self.tightness, "density": self.density}
-
     def __eq__(self, other):
         if not isinstance(other, SparseFactor):
             return NotImplemented
@@ -236,16 +233,11 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
 
 
 def invert(f: SparseFactor) -> SparseFactor:
-    """Entrywise reciprocal over the same support."""
-    return SparseFactor(f.scope, {k: 1.0 / v for k, v in f._entries.items()})
-
-
-def dense_eval(f: SparseFactor, assignment) -> float:
-    return f.dense_eval(assignment)
-
-
-def stats(f: SparseFactor):
-    return f.stats()
+    """Entrywise reciprocal over the same support, flagged `require_support`:
+    a partner entry outside that support is a nonzero over a zero."""
+    return SparseFactor(
+        f.scope, {k: 1.0 / v for k, v in f._entries.items()}, require_support=True
+    )
 
 
 # -- debug serialization (test fixtures) ----------------------------------

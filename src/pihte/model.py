@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     CycleError,
@@ -246,10 +245,10 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
             rkey = tuple(key[i] for i in right_pos)
             cond_counts[rkey] = cond_counts.get(rkey, 0) + c
         entries = {
-            key: float(Fraction(c, cond_counts[tuple(key[i] for i in right_pos)]))
+            key: c / cond_counts[tuple(key[i] for i in right_pos)]
             for key, c in joint_counts.items()
         }
     else:
         n = data.n_rows
-        entries = {key: float(Fraction(c, n)) for key, c in joint_counts.items()}
+        entries = {key: c / n for key, c in joint_counts.items()}
     return SparseFactor(scope, entries)

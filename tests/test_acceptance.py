@@ -8,11 +8,12 @@ import time
 import pytest
 
 from pihte.cli import main
-from pihte.decomposition import build_hypergraph, decompose, load_decomposition
+from pihte.decomposition import decompose, load_decomposition
 from pihte.engine import (
     EvalOptions,
     brute_force_eval,
     pi_hte,
+    plan,
     predicted_bounds,
 )
 from pihte.estimand import flatten, parse
@@ -129,12 +130,8 @@ def test_criterion_6_cone_cloud_tightness_law(fixture_path, monkeypatch):
     start = time.monotonic()
     graph = load_graph(fixture_path("cone_cloud.graph"))
     hier = flatten(parse(open(fixture_path("cone_cloud.estimand")).read()))
-    level = hier.level(hier.root)
-    domains = {}
-    for scope in level.factor_scopes:
-        for n in scope:
-            domains[n] = graph.domain_size(base_name(n))
-    hg = build_hypergraph(level, domains)
+    structure = plan(hier, {v.name: v.domain_size for v in graph.variables})
+    hg = structure.levels[hier.root].hypergraph
     td = load_decomposition(fixture_path("cone_cloud.td"), hg)
     cbn = random_cbn(graph, dist="dirichlet", alpha=10.0, seed=0)
     max_tables = {}

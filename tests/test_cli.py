@@ -172,3 +172,79 @@ def test_bad_decomposition_exit2(capsys, napkin, tmp_path):
     code, _, _ = run(capsys, "estimate", "--graph", graph, "--data", data,
                      "--estimand-file", estimand, "--decomposition", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("estimate", "--do", "W=0"), "W"),   # W is summed out at the root
+    (("oracle", "--do", "W=0"), "W"),
+    (("estimate", "--do", "Q=0"), "Q"),   # not a variable of the estimand
+    (("oracle", "--do", "Q=0"), "Q"),
+    (("estimate", "--do", "X=7"), "X"),   # X has domain 0..2
+])
+def test_do_outside_contract_exit2(capsys, napkin, argv, name):
+    graph, estimand, data = napkin
+    code, _, err = run(capsys, argv[0], "--graph", graph, "--data", data,
+                       "--estimand-file", estimand, *argv[1:])
+    assert code == 2
+    assert repr(name) in err or f"{name}=" in err
+
+
+def test_analyze_has_no_do_option(capsys, fixture_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--graph", fixture_path("napkin.graph"),
+              "--estimand-file", fixture_path("napkin.estimand"), "--do", "Q=0"])
+    assert exc.value.code == 2
+    assert "--do" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "analyze"])
+def test_undeclared_estimand_variable_exit2(capsys, napkin, cmd):
+    graph, _, data = napkin
+    extra = ("--data", data) if cmd == "estimate" else ()
+    code, _, err = run(capsys, cmd, "--graph", graph, "--estimand", "P(Z|X)", *extra)
+    assert code == 2
+    assert "'Z'" in err and "not declared" in err
+
+
+@pytest.mark.parametrize("stem, td", [("napkin", None), ("cone_cloud", "cone_cloud.td")])
+def test_analyze_reports_the_plan_estimate_runs(capsys, fixture_path, tmp_path, stem, td):
+    graph = fixture_path(f"{stem}.graph")
+    data = str(tmp_path / "d.csv")
+    assert main(["simulate", "--graph", graph, "--rows", "100", "--out", data]) == 0
+    common = ["--graph", graph, "--estimand-file", fixture_path(f"{stem}.estimand")]
+    if td:
+        common += ["--decomposition", fixture_path(td)]
+    code, analyzed, _ = run(capsys, "analyze", *common)
+    assert code == 0
+    code, estimated, _ = run(capsys, "estimate", "--data", data, *common)
+    assert code == 0
+    keys = ("w", "hw", "hw_no_outputs", "is_hypertree", "n_vars", "n_factors")
+    by_level = {lv["level_id"]: lv for lv in json.loads(estimated)["levels"]}
+    for lv in json.loads(analyzed)["levels"]:
+        assert {k: lv[k] for k in keys} == {k: by_level[lv["level"]][k] for k in keys}
+
+
+@pytest.mark.parametrize("td", [None, "cone_cloud.td"])
+def test_bench_plans_once_per_run(capsys, fixture_path, monkeypatch, td):
+    from pihte import cli, engine
+
+    calls = {"plan": 0, "load_decomposition": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "plan", counted("plan", engine.plan))
+    monkeypatch.setattr(cli, "load_decomposition",
+                        counted("load_decomposition", cli.load_decomposition))
+    argv = ["bench", "--graph", fixture_path("cone_cloud.graph"),
+            "--estimand-file", fixture_path("cone_cloud.estimand"),
+            "--sizes", "50,100,200", "--format", "json"]
+    if td:
+        argv += ["--decomposition", fixture_path(td)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [row["samples"] for row in json.loads(out)] == [50, 100, 200]
+    assert calls == {"plan": 1, "load_decomposition": 1 if td else 0}

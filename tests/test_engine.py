@@ -11,15 +11,18 @@ from pihte.engine import (
     brute_force_eval,
     cte,
     empirical_term_factor,
+    execute,
     pi_hte,
+    plan,
     predicted_bounds,
     run_metrics,
 )
-from pihte.errors import ResourceLimitExceeded, UnboundFactor
+from pihte.errors import ResourceLimitExceeded, UnboundFactor, UnknownVariable
 from pihte.estimand import ProbTerm, flatten, parse
 from pihte.factor import SparseFactor, product, unit_factor
 from pihte.model import CausalGraph, Dataset, Variable, empirical_prob
 from pihte.simulate import random_cbn, sample_dataset
+from pihte.suite import make_instance
 
 
 def chain_graph(n, k=2):
@@ -194,6 +197,44 @@ def test_level_stats_reported():
     assert lv.hw == 1 and lv.is_hypertree
     assert lv.t <= data.n_rows
     assert rep.max_table_entries >= lv.max_table_entries
+
+
+def test_one_plan_executes_like_pi_hte_on_each_dataset(fixture_path):
+    from pihte.model import load_graph
+
+    g = load_graph(fixture_path("napkin.graph"))
+    hier = flatten(parse(open(fixture_path("napkin.estimand")).read()))
+    structure = plan(hier, {v.name: v.domain_size for v in g.variables})
+    for seed in range(3):
+        cbn = random_cbn(g, dist="dirichlet", alpha=1.0, seed=seed)
+        data = sample_dataset(cbn, 300 + 100 * seed, seed=seed + 10)
+        got = execute(structure, data)
+        want = pi_hte(hier, data)
+        assert dict(got.result.items()) == dict(want.result.items())  # bitwise
+        assert got.to_json(include_timing=False) == want.to_json(include_timing=False)
+
+
+def test_plan_names_undeclared_variable():
+    with pytest.raises(UnknownVariable, match="'Z'"):
+        plan(flatten(parse("P(V0|Z)")), {"V0": 2})
+
+
+@pytest.mark.parametrize("do, error, name", [
+    ({"V1": 0}, UnknownVariable, "V1"),   # summed out, not free
+    ({"Q": 0}, UnknownVariable, "Q"),     # not in the estimand
+    ({"V0": 2}, ValueError, "V0"),        # outside the domain 0..1
+])
+def test_execute_rejects_do_outside_contract(do, error, name):
+    data = small_data(seed=14)
+    hier = flatten(parse("sum[V1](P(V1|V0) P(V2|V1))"))
+    with pytest.raises(error, match=name):
+        execute(plan(hier, data.domains), data, do)
+
+
+def test_density_is_largest_table_over_its_cells():
+    inst = make_instance(0)
+    rep = pi_hte(flatten(parse(inst.estimand)), inst.data)
+    assert 0 < rep.density <= 1
 
 
 # -- brute force -----------------------------------------------------------

@@ -27,7 +27,6 @@ from .decomposition import (
     validate,
 )
 from .engine import (
-    EvalOptions,
     EvalReport,
     TableTracker,
     brute_force_eval,
@@ -57,7 +56,7 @@ __all__ = [
     "Cluster", "Hypergraph", "TreeDecomposition", "build_hypergraph",
     "decompose", "gyo_acyclic", "hypertree_cover", "load_decomposition",
     "min_fill_order", "select_root", "tree_decomposition", "validate",
-    "EvalOptions", "EvalReport", "TableTracker", "brute_force_eval", "cte",
+    "EvalReport", "TableTracker", "brute_force_eval", "cte",
     "execute", "pi_hte", "plan", "predicted_bounds", "run_metrics",
     "CBN", "interventional_truth", "random_cbn", "sample_dataset",
     "total_variation",

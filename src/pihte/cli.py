@@ -82,6 +82,7 @@ def cmd_analyze(args) -> int:
     hier = flatten(parse(_read_estimand(args)))
     graph = load_graph(args.graph)
     start = time.monotonic()
+    p = _plan(args, hier, graph)
     levels_out = [
         {
             "level": lp.level.level_id,
@@ -95,27 +96,14 @@ def cmd_analyze(args) -> int:
             "n_clusters": lp.td.n_clusters,
             "supplied_decomposition": lp.supplied,
         }
-        for lp in _plan(args, hier, graph).levels.values()
+        for lp in p.levels.values()
     ]
-    t = 1
-    if args.data:
-        data = load_dataset(args.data, graph)
-        t = data.n_rows
-    stats = [
-        {"level_id": lv["level"], "w": lv["w"], "hw": lv["hw"]} for lv in levels_out
-    ]
-    bounds = engine.predicted_bounds(
-        stats,
-        t=t,
-        k=max(v.domain_size for v in graph.variables),
-        n=max(lv["n_vars"] for lv in levels_out),
-    )
     report = {
         "depth": hier.depth,
         "levels": levels_out,
         "max_hw": max(lv["hw"] for lv in levels_out),
         "max_w": max(lv["w"] for lv in levels_out),
-        "bounds": bounds,
+        "bounds": p.bounds(load_dataset(args.data, graph).n_rows if args.data else 1),
         "wall_time": round(time.monotonic() - start, 6),
     }
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
@@ -167,6 +155,8 @@ def _max_discrepancy(a, b):
 
 def cmd_oracle(args) -> int:
     if args.suite:
+        if args.do:
+            raise ValueError("--do does not apply to --suite: each instance has its own estimand")
         failures = []
         worst = 0.0
         for i in range(args.suite):

@@ -21,7 +21,6 @@ class Hypergraph:
 
     edges: tuple  # ((factor_id, scope_tuple), ...)
     domains: dict = field(default_factory=dict, compare=False)
-    empty: bool = False
 
     @property
     def nodes(self):
@@ -29,12 +28,6 @@ class Hypergraph:
         for _, scope in self.edges:
             seen.update(scope)
         return tuple(sorted(seen, key=name_key))
-
-    def scope_of(self, factor_id):
-        for fid, scope in self.edges:
-            if fid == factor_id:
-                return scope
-        raise KeyError(factor_id)
 
     def primal_adjacency(self):
         adj = {n: set() for n in self.nodes}
@@ -50,14 +43,14 @@ def build_hypergraph(level, domains=None) -> Hypergraph:
     """One hyperedge per level factor, child output functions included.
 
     ProbTerms get ids f0..fN in flattened order; the output function of child
-    level c gets id g<c>. An empty factor list yields a flagged 0-edge graph.
+    level c gets id g<c>.
     """
     edges = []
     for i, term in enumerate(level.factors):
         edges.append((f"f{i}", term.scope))
     for child_id, scope in level.child_outputs:
         edges.append((f"g{child_id}", tuple(sorted(scope, key=name_key))))
-    return Hypergraph(tuple(edges), domains or {}, empty=not edges)
+    return Hypergraph(tuple(edges), domains or {})
 
 
 @dataclass
@@ -71,7 +64,6 @@ class Cluster:
 class TreeDecomposition:
     clusters: dict          # id -> Cluster
     edges: list             # (u, v) pairs, u < v
-    root: int = 0
 
     def separator(self, u, v):
         return self.clusters[u].chi & self.clusters[v].chi
@@ -161,9 +153,7 @@ def gyo_acyclic(h: Hypergraph):
     edges = sorted(
         tuple(sorted((id_to_cluster[a], id_to_cluster[b]))) for a, b in parent.items()
     )
-    root_fid = next(iter(remaining))
-    td = TreeDecomposition(clusters=clusters, edges=edges, root=id_to_cluster[root_fid])
-    return {"is_hypertree": True, "join_tree": td}
+    return {"is_hypertree": True, "join_tree": TreeDecomposition(clusters, edges)}
 
 
 # -- elimination orderings -------------------------------------------------
@@ -238,8 +228,7 @@ def tree_decomposition(h: Hypergraph, order) -> TreeDecomposition:
 
     clusters = {i: Cluster(chi=chi[i], psi=frozenset(psi[i])) for i in chi}
     edges = sorted(tuple(sorted((u, v))) for u, v in parent_of.items())
-    td = TreeDecomposition(clusters=clusters, edges=edges, root=len(order) - 1)
-    return _merge_subsumed(td)
+    return _merge_subsumed(TreeDecomposition(clusters, edges))
 
 
 def _merge_subsumed(td: TreeDecomposition) -> TreeDecomposition:
@@ -260,8 +249,7 @@ def _merge_subsumed(td: TreeDecomposition) -> TreeDecomposition:
         clusters[nbr] = replace(clusters[nbr], psi=clusters[nbr].psi | gone.psi)
         edges = [e for e in td.edges if cid not in e]
         edges += [tuple(sorted((nbr, other))) for other in adj[cid] if other != nbr]
-        root = nbr if td.root == cid else td.root
-        td = TreeDecomposition(clusters=clusters, edges=sorted(edges), root=root)
+        td = TreeDecomposition(clusters, sorted(edges))
 
 
 # -- hypertree covers ------------------------------------------------------
@@ -293,7 +281,7 @@ def hypertree_cover(td: TreeDecomposition, h: Hypergraph) -> TreeDecomposition:
             cover.append(best[1])
             residual -= scopes[best[1]]
         clusters[cid] = Cluster(chi=c.chi, psi=c.psi, cover=tuple(cover))
-    return TreeDecomposition(clusters=clusters, edges=list(td.edges), root=td.root)
+    return TreeDecomposition(clusters, list(td.edges))
 
 
 def cover_width_excluding_outputs(td: TreeDecomposition, h: Hypergraph):
@@ -478,7 +466,7 @@ def load_decomposition(path, h: Hypergraph | None = None) -> TreeDecomposition:
                 raise ParseError(f"unrecognized line {line!r}", path, lineno)
     if not clusters:
         raise ParseError("no clusters defined", path)
-    td = TreeDecomposition(clusters=clusters, edges=sorted(edges), root=min(clusters))
+    td = TreeDecomposition(clusters, sorted(edges))
     issues = validate(td, h) if h is not None else []
     if issues:
         raise ValidationError(issues)

@@ -11,11 +11,12 @@ decomposition. One plan serves any number of datasets.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import factor as sf
 from .decomposition import (
@@ -25,6 +26,7 @@ from .decomposition import (
     cover_width_excluding_outputs,
     decompose,
     gyo_acyclic,
+    hypertree_cover,
     select_root,
     validate,
 )
@@ -42,24 +44,23 @@ MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
 
 
 class TableTracker:
-    """Accounts for every factor materialized during a run: the largest table
-    with its cell count, and the entries summed over all tables."""
+    """Accounts for every factor materialized during one run, per hierarchy
+    level: the largest table with its cell count, and the entries summed over
+    all tables. `record` charges the level named by `level`. The entry cap is
+    PIHTE_MAX_ENTRIES, read once when the tracker is made."""
 
-    def __init__(self, cap=None):
-        if cap is None:
-            env = os.environ.get(MAX_ENTRIES_ENV)
-            cap = int(env) if env else None
-        self.cap = cap
-        self.max_entries = 0
-        self.max_cells = 1
-        self.total_entries = 0
+    def __init__(self):
+        env = os.environ.get(MAX_ENTRIES_ENV)
+        self.cap = int(env) if env else None
+        self.level = None
+        self.levels = {}  # level id -> [largest table, its cells, entries summed]
 
     def record(self, f: sf.SparseFactor):
         t = f.tightness
-        if t > self.max_entries:
-            self.max_entries = t
-            self.max_cells = math.prod(v.domain_size for v in f.scope)
-        self.total_entries += t
+        acc = self.levels.setdefault(self.level, [0, 1, 0])
+        if t > acc[0]:
+            acc[0], acc[1] = t, math.prod(v.domain_size for v in f.scope)
+        acc[2] += t
         if self.cap is not None and t > self.cap:
             raise ResourceLimitExceeded(
                 f"table with {t} entries exceeds cap {self.cap}"
@@ -161,29 +162,16 @@ class EvalReport:
     total_entries: int
     wall_time: float
     density: float  # the largest table's entries over its own cell count
-    bounds: dict = field(default_factory=dict)
-
-    @property
-    def hierarchy_bound_exponent(self):
-        return sum(lv.hw for lv in self.levels)
-
-    @property
-    def tightness(self):
-        return max(lv.t for lv in self.levels)
-
-    def result_table(self, normalized=True):
-        if normalized and self.normalized is not None:
-            return self.normalized
-        return self.result
+    bounds: dict  # Plan.bounds at the largest bound table
 
     def to_dict(self, include_timing=True):
         out = {
             "n_rows": self.n_rows,
             "max_table_entries": self.max_table_entries,
             "total_entries": self.total_entries,
-            "tightness": self.tightness,
+            "tightness": self.bounds["t"],
             "density": self.density,
-            "hierarchy_bound_exponent": self.hierarchy_bound_exponent,
+            "hierarchy_bound_exponent": self.bounds["sum_hw"],
             "levels": [lv.as_dict() for lv in self.levels],
             "bounds": self.bounds,
             "result": {
@@ -215,21 +203,9 @@ def run_metrics(report: EvalReport):
         "samples": report.n_rows,
         "time": round(max(report.wall_time, 0.0), 6),
         "max_table_size": report.max_table_entries,
-        "t": report.tightness,
+        "t": report.bounds["t"],
         "density": report.density,
     }
-
-
-# -- options ---------------------------------------------------------------
-
-
-@dataclass
-class EvalOptions:
-    seed: int = 0
-    restarts: int = 0
-    do: dict = field(default_factory=dict)
-    decompositions: dict = field(default_factory=dict)  # level_id -> TreeDecomposition
-    max_entries: object = None  # None -> read PIHTE_MAX_ENTRIES
 
 
 # -- plan ------------------------------------------------------------------
@@ -264,6 +240,18 @@ class Plan:
     hier: Hierarchy
     levels: dict  # level_id -> LevelPlan, in hierarchy order
 
+    def bounds(self, t):
+        """The plan's predicted bounds at tightness `t`, with `k` its largest
+        domain and `n` the most variables in any of its levels."""
+        lps = self.levels.values()
+        return predicted_bounds(
+            [{"level_id": lid, "w": lp.td.treewidth, "hw": lp.td.hyperwidth}
+             for lid, lp in self.levels.items()],
+            t=t,
+            k=max(max(lp.hypergraph.domains.values()) for lp in lps),
+            n=max(len(lp.hypergraph.nodes) for lp in lps),
+        )
+
 
 def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
     """Build each level's hypergraph once and decompose it once.
@@ -271,7 +259,8 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
     `domains` maps variable names to domain sizes; a primed name reads its
     base name. `decompositions` maps a level id to a supplied
     TreeDecomposition, which is validated here instead of decomposing that
-    level. Raises UnknownVariable for an estimand variable with no domain.
+    level; a supplied cluster without a cover gets the greedy one. Raises
+    UnknownVariable for an estimand variable with no domain.
     """
     decompositions = decompositions or {}
     levels = {}
@@ -286,6 +275,10 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
         if td is None:
             td = decompose(hg, seed=seed, restarts=restarts, gyo=gyo)
         else:
+            if not all(c.cover for c in td.clusters.values()):
+                greedy = hypertree_cover(td, hg).clusters
+                td = replace(td, clusters={cid: c if c.cover else greedy[cid]
+                                           for cid, c in td.clusters.items()})
             issues = validate(td, hg)
             if issues:
                 raise ValidationError(issues)
@@ -304,8 +297,14 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
 # -- execute ---------------------------------------------------------------
 
 
-def _check_do(p: Plan, do):
-    """`do` may fix only free variables of the root level, inside their domains."""
+def _check_inputs(p: Plan, data, do):
+    """The dataset has every column the plan binds, and `do` fixes only free
+    variables of the root level, inside their domains."""
+    bound = {base_name(n) for lp in p.levels.values() for t in lp.level.factors
+             for n in t.left + t.right}
+    missing = sorted(bound - set(data.domains), key=name_key)
+    if missing:
+        raise UnknownVariable(f"dataset has no column {missing[0]!r}")
     root = p.levels[p.hier.root]
     free = root.level.free_vars
     for name, value in do.items():
@@ -319,40 +318,42 @@ def _check_do(p: Plan, do):
             raise ValueError(f"do value {name}={value} is outside the domain 0..{k - 1}")
 
 
-def execute(p: Plan, data, do=None, max_entries=None) -> EvalReport:
+def execute(p: Plan, data, do=None) -> EvalReport:
     """Evaluate a plan against a dataset, children before parents.
 
     `do` fixes free variables of the root level to values; the result is
-    then also renormalized over the remaining outputs. `max_entries` caps
-    every table (None reads PIHTE_MAX_ENTRIES).
+    then also renormalized over the remaining outputs. Every table is held
+    to the PIHTE_MAX_ENTRIES cap.
     """
     do = dict(do or {})
-    _check_do(p, do)
+    _check_inputs(p, data, do)
     level_stats = []
-    trackers = []
+    tracker = TableTracker()
     start = time.monotonic()
 
     def eval_level(level_id):
         lp = p.levels[level_id]
         t0 = time.monotonic()
-        tracker = TableTracker(cap=max_entries)
-        trackers.append(tracker)
+        tracker.level = level_id
 
         factors = {}
         for i, term in enumerate(lp.level.factors):
             factors[f"f{i}"] = tracker.record(empirical_term_factor(term, data).restrict(do))
         for child_id, _ in lp.level.child_outputs:
-            factors[f"g{child_id}"] = tracker.record(sf.invert(eval_level(child_id)))
+            out = eval_level(child_id)
+            tracker.level = level_id  # the child charged its own level
+            factors[f"g{child_id}"] = tracker.record(sf.invert(out))
 
         out = cte(lp.td, factors, lp.level.free_vars, tracker=tracker, root=lp.root)
+        max_entries, _, total_entries = tracker.levels[level_id]
         level_stats.append(
             LevelStats(
                 level_id=level_id,
                 **lp.widths(),
                 t=max(f.tightness for f in factors.values()),
                 k=max(lp.hypergraph.domains.values()),
-                max_table_entries=tracker.max_entries,
-                total_entries=tracker.total_entries,
+                max_table_entries=max_entries,
+                total_entries=total_entries,
                 wall_time=time.monotonic() - t0,
             )
         )
@@ -365,31 +366,24 @@ def execute(p: Plan, data, do=None, max_entries=None) -> EvalReport:
     normalized = _renormalize(result, outcome) if outcome else None
 
     level_stats.sort(key=lambda lv: lv.level_id)
-    top = max(trackers, key=lambda tr: tr.max_entries)
+    top, cells, _ = max(tracker.levels.values(), key=lambda acc: acc[0])
     return EvalReport(
         result=result,
         normalized=normalized,
         levels=level_stats,
         n_rows=data.n_rows,
-        max_table_entries=top.max_entries,
-        total_entries=sum(tr.total_entries for tr in trackers),
+        max_table_entries=top,
+        total_entries=sum(acc[2] for acc in tracker.levels.values()),
         wall_time=wall,
-        density=top.max_entries / top.max_cells,
-        bounds=predicted_bounds(
-            [lv.as_dict() for lv in level_stats],
-            t=max(lv.t for lv in level_stats),
-            k=max(lv.k for lv in level_stats),
-            n=max(lv.n_vars for lv in level_stats),
-        ),
+        density=top / cells,
+        bounds=p.bounds(max(lv.t for lv in level_stats)),
     )
 
 
-def pi_hte(hier, data, opts: EvalOptions | None = None) -> EvalReport:
+def pi_hte(hier, data, *, seed=0, restarts=0, decompositions=None, do=None) -> EvalReport:
     """Evaluate a flattened hierarchy bottom-up against a dataset: plan, then
     execute, with domains read from the dataset."""
-    opts = opts or EvalOptions()
-    p = plan(hier, data.domains, opts.seed, opts.restarts, opts.decompositions)
-    return execute(p, data, opts.do, opts.max_entries)
+    return execute(plan(hier, data.domains, seed, restarts, decompositions), data, do)
 
 
 def _renormalize(result, outcome):
@@ -435,20 +429,10 @@ def brute_force_eval(expr, data, dense_limit=10**6) -> sf.SparseFactor:
 
     scope = tuple(Variable(n, domains[n]) for n in free)
     entries = {}
-    assignment = {}
-
-    def rec(i):
-        if i == len(free):
-            val = dense_expr_eval(expr, bindings, assignment, domains, dense_limit)
-            if val != 0.0:
-                entries[tuple(assignment[n] for n in free)] = val
-            return
-        for v in range(domains[free[i]]):
-            assignment[free[i]] = v
-            rec(i + 1)
-        del assignment[free[i]]
-
-    rec(0)
+    for key in itertools.product(*(range(domains[n]) for n in free)):
+        val = dense_expr_eval(expr, bindings, dict(zip(free, key)), domains, dense_limit)
+        if val != 0.0:
+            entries[key] = val
     return sf.SparseFactor(scope, entries)
 
 

@@ -8,6 +8,7 @@ level whose inverted output function feeds back into its numerator's level.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -95,6 +96,12 @@ def prob_terms(expr):
 
 # -- parser ----------------------------------------------------------------
 
+# Deepest nesting of parenthesized sub-expressions (a sum's body, a grouped
+# factor or a denominator). Parsing, flattening and dense evaluation recurse
+# a few frames per nesting, so this keeps them inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/]))"
 )
@@ -104,6 +111,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -148,16 +156,20 @@ class _Parser:
         kind, val, _ = self.peek()
         if val == "/":
             self.next()
-            kind, val, _ = self.peek()
-            if val == "(":
-                self.next()
-                den = self.expr()
-                self.expect(")")
-            else:
-                # a bare sum/prob factor is also accepted as a denominator
-                den = self.factor()
-            return Ratio(num, den)
+            return Ratio(num, self.factor())
         return num
+
+    def group(self):
+        """`( expr )`, at most MAX_NESTING deep."""
+        at = self.peek()[2]
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise EstimandSyntaxError(f"nesting deeper than {MAX_NESTING}", at)
+        inner = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
     def product(self):
         factors = [self.factor()]
@@ -172,10 +184,7 @@ class _Parser:
     def factor(self):
         kind, val, at = self.peek()
         if val == "(":
-            self.next()
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            return self.group()
         if kind == "ident" and val == "P":
             return self.prob()
         if kind == "ident" and val == "sum":
@@ -201,10 +210,7 @@ class _Parser:
         if len(set(bound)) != len(bound):
             raise DuplicateBoundVar(f"duplicate bound variable in sum{list(bound)}")
         self.expect("]")
-        self.expect("(")
-        child = self.expr()
-        self.expect(")")
-        return Sum(bound, child)
+        return Sum(bound, self.group())
 
     def varlist(self):
         names = []
@@ -371,20 +377,9 @@ def dense_expr_eval(expr, bindings, assignment, domains, dense_limit=10**6):
             raise DenseLimitExceeded(f"{cells} cells exceeds limit {dense_limit}")
         total = []
         local = dict(assignment)
-
-        def rec(i):
-            if i == len(expr.bound):
-                total.append(
-                    dense_expr_eval(expr.child, bindings, local, domains, dense_limit)
-                )
-                return
-            b = expr.bound[i]
-            for val in range(domains[b]):
-                local[b] = val
-                rec(i + 1)
-            del local[b]
-
-        rec(0)
+        for values in itertools.product(*(range(domains[b]) for b in expr.bound)):
+            local.update(zip(expr.bound, values))
+            total.append(dense_expr_eval(expr.child, bindings, local, domains, dense_limit))
         return math.fsum(total)
     if isinstance(expr, Ratio):
         num = dense_expr_eval(expr.numerator, bindings, assignment, domains, dense_limit)

@@ -10,7 +10,6 @@ import pytest
 from pihte.cli import main
 from pihte.decomposition import decompose, load_decomposition
 from pihte.engine import (
-    EvalOptions,
     brute_force_eval,
     pi_hte,
     plan,
@@ -137,7 +136,7 @@ def test_criterion_6_cone_cloud_tightness_law(fixture_path, monkeypatch):
     max_tables = {}
     for i, size in enumerate((100, 200, 400)):
         data = sample_dataset(cbn, size, seed=1 + i)
-        report = pi_hte(hier, data, EvalOptions(decompositions={hier.root: td}))
+        report = pi_hte(hier, data, decompositions={hier.root: td})
         assert report.max_table_entries <= size * size  # hw=2 tightness law
         max_tables[size] = report.max_table_entries
     ratio = max_tables[400] / max_tables[100]
@@ -199,7 +198,7 @@ def test_criterion_9_property_suites(seed):
     for off in range(5):
         inst = make_instance(10_000 + seed * 31 + off)
         expr = parse(inst.estimand)
-        got = pi_hte(flatten(expr), inst.data, EvalOptions(seed=seed)).result
+        got = pi_hte(flatten(expr), inst.data, seed=seed).result
         want = brute_force_eval(expr, inst.data)
         assert got.allclose(want, rel=1e-9)
     # decomposition validity + determinism

@@ -1,0 +1,41 @@
+"""The program surface the benchmark in perfbench/ relies on.
+
+perfbench/ wraps pihte functions by name and calls `engine.pi_hte` with two
+positional arguments; a refactor that renames either would break the
+benchmark silently. perfbench/tracing.py is read as source, not imported.
+"""
+
+import ast
+import importlib
+import os
+
+from pihte.engine import pi_hte
+from pihte.estimand import flatten, parse
+from pihte.model import Dataset
+
+TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+
+
+def traced_functions():
+    with open(TRACING, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TRACED")
+
+
+def test_every_traced_function_resolves():
+    traced = traced_functions()
+    assert traced
+    for module, function in traced:
+        assert callable(getattr(importlib.import_module(f"pihte.{module}"), function)), \
+            f"pihte.{module}.{function}"
+
+
+def test_pi_hte_takes_hierarchy_and_data_positionally():
+    data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1)], {"A": 2, "B": 2})
+    report = pi_hte(flatten(parse("sum[A](P(A) P(B|A))")), data)
+    assert report.result.names == ("B",)
+    assert report.max_table_entries >= 1

@@ -248,3 +248,59 @@ def test_bench_plans_once_per_run(capsys, fixture_path, monkeypatch, td):
     assert code == 0
     assert [row["samples"] for row in json.loads(out)] == [50, 100, 200]
     assert calls == {"plan": 1, "load_decomposition": 1 if td else 0}
+
+
+def test_missing_data_column_exit2(capsys, napkin, tmp_path):
+    graph, estimand, data = napkin
+    rows = list(csv.reader(open(data)))
+    keep = [i for i, name in enumerate(rows[0]) if name != "W"]
+    no_w = tmp_path / "no_w.csv"
+    no_w.write_text("\n".join(",".join(row[i] for i in keep) for row in rows) + "\n")
+    code, _, err = run(capsys, "estimate", "--graph", graph, "--data", str(no_w),
+                       "--estimand-file", estimand)
+    assert code == 2
+    assert "no column 'W'" in err
+
+
+def test_oracle_suite_rejects_do(capsys):
+    code, out, err = run(capsys, "oracle", "--suite", "2", "--do", "V0=9")
+    assert code == 2
+    assert "--do" in err and not out
+
+
+def test_supplied_cluster_without_cover_gets_greedy_cover(capsys, napkin, tmp_path):
+    graph, estimand, data = napkin
+    td = tmp_path / "no_cover.td"
+    td.write_text("cluster 0: chi={R,W,X,Y} psi={f0,f1,g1}\n")
+    code, out, _ = run(capsys, "estimate", "--graph", graph, "--data", data,
+                       "--estimand-file", estimand, "--decomposition", str(td))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["levels"][0]["hw"] == 1
+    assert rep["hierarchy_bound_exponent"] == 2
+
+
+@pytest.mark.parametrize("text", [
+    "sum[A](" * 2000 + "P(A)" + ")" * 2000,
+    "(" * 3000 + "P(A)" + ")" * 3000,
+], ids=["2000_sums", "3000_parentheses"])
+def test_deep_nesting_exit2(capsys, tmp_path, text):
+    graph = tmp_path / "a.graph"
+    graph.write_text("var A 2\n")
+    code, _, err = run(capsys, "analyze", "--graph", str(graph), "--estimand", text)
+    assert code == 2
+    assert "nesting" in err and "position" in err
+
+
+def test_analyze_bounds_come_from_the_plan(capsys, napkin, tmp_path):
+    graph, estimand, data = napkin
+    wide = tmp_path / "napkin_z.graph"
+    wide.write_text(open(graph).read() + "var Z 9\n")
+    common = ["--graph", str(wide), "--estimand-file", estimand, "--data", data]
+    code, analyzed, _ = run(capsys, "analyze", *common)
+    assert code == 0
+    code, estimated, _ = run(capsys, "estimate", *common)
+    assert code == 0
+    a, e = json.loads(analyzed)["bounds"], json.loads(estimated)["bounds"]
+    assert a["k"] == e["k"] == 3
+    assert a["tw_bound_log10"] == e["tw_bound_log10"]

@@ -6,7 +6,6 @@ import pytest
 
 from pihte.decomposition import TreeDecomposition, Cluster, build_hypergraph, decompose
 from pihte.engine import (
-    EvalOptions,
     TableTracker,
     brute_force_eval,
     cte,
@@ -18,7 +17,7 @@ from pihte.engine import (
     run_metrics,
 )
 from pihte.errors import ResourceLimitExceeded, UnboundFactor, UnknownVariable
-from pihte.estimand import ProbTerm, flatten, parse
+from pihte.estimand import MAX_NESTING, ProbTerm, flatten, parse
 from pihte.factor import SparseFactor, product, unit_factor
 from pihte.model import CausalGraph, Dataset, Variable, empirical_prob
 from pihte.simulate import random_cbn, sample_dataset
@@ -115,8 +114,9 @@ def test_cte_unbound_factor():
         cte(td, {}, set())
 
 
-def test_tracker_cap():
-    tracker = TableTracker(cap=3)
+def test_tracker_cap(monkeypatch):
+    monkeypatch.setenv("PIHTE_MAX_ENTRIES", "3")
+    tracker = TableTracker()
     f = SparseFactor((Variable("A", 4),), {(i,): 1.0 for i in range(4)})
     with pytest.raises(ResourceLimitExceeded):
         tracker.record(f)
@@ -156,7 +156,7 @@ def test_pi_hte_do_restricts_slice():
     expr = parse("sum[V1](P(V1|V0) P(V2|V1))")
     hier = flatten(expr)
     full = pi_hte(hier, data).result
-    sliced = pi_hte(hier, data, EvalOptions(do={"V0": 1})).result
+    sliced = pi_hte(hier, data, do={"V0": 1}).result
     assert all(k[full.names.index("V0")] == 1 for k, _ in sliced.items())
     for key, val in sliced.items():
         assert val == pytest.approx(dict(full.items())[key], rel=1e-12)
@@ -165,17 +165,18 @@ def test_pi_hte_do_restricts_slice():
 def test_pi_hte_normalizes_per_do_configuration():
     data = small_data(seed=7)
     expr = parse("sum[V1](P(V1|V0) P(V2|V1))")
-    rep = pi_hte(flatten(expr), data, EvalOptions(do={"V0": 0}))
+    rep = pi_hte(flatten(expr), data, do={"V0": 0})
     assert rep.normalized is not None
     total = math.fsum(v for _, v in rep.normalized.items())
     assert total == pytest.approx(1.0, rel=1e-9)
 
 
-def test_pi_hte_respects_entry_cap():
+def test_pi_hte_respects_entry_cap(monkeypatch):
+    monkeypatch.setenv("PIHTE_MAX_ENTRIES", "1")
     data = small_data(seed=8, n=300)
     expr = parse("sum[V1](P(V1|V0) P(V2|V1))")
     with pytest.raises(ResourceLimitExceeded):
-        pi_hte(flatten(expr), data, EvalOptions(max_entries=1))
+        pi_hte(flatten(expr), data)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -183,8 +184,8 @@ def test_pi_hte_deterministic(seed):
     data = small_data(seed=seed)
     expr = parse("sum[V1](P(V1|V0) P(V2|V1) P(V0))")
     hier = flatten(expr)
-    a = pi_hte(hier, data, EvalOptions(seed=seed))
-    b = pi_hte(hier, data, EvalOptions(seed=seed))
+    a = pi_hte(hier, data, seed=seed)
+    b = pi_hte(hier, data, seed=seed)
     assert dict(a.result.items()) == dict(b.result.items())  # bitwise
     assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
@@ -229,6 +230,24 @@ def test_execute_rejects_do_outside_contract(do, error, name):
     hier = flatten(parse("sum[V1](P(V1|V0) P(V2|V1))"))
     with pytest.raises(error, match=name):
         execute(plan(hier, data.domains), data, do)
+
+
+def test_nesting_at_the_parser_limit_evaluates():
+    """Sums and ratios nested MAX_NESTING deep still parse, flatten, evaluate
+    and match the dense oracle."""
+    n = MAX_NESTING
+    names = [f"V{i}" for i in range(n + 2)]
+    # each variable copies the previous one, so the dense oracle prunes every
+    # zero branch and stays linear in the depth
+    rows = [(v,) * len(names) for v in (0, 1, 1)]
+    data = Dataset(names, rows, {name: 2 for name in names})
+    sums = "".join(f"sum[V{i}](P(V{i}|V{i - 1}) " for i in range(1, n + 1))
+    ratios = "P(V0) / (" * n + "P(V0)" + ")" * n
+    for text in (sums + f"P(V{n + 1}|V{n})" + ")" * n, ratios):
+        expr = parse(text)
+        hier = flatten(expr)
+        assert hier.depth == (n + 1 if text == ratios else 1)
+        assert pi_hte(hier, data).result.allclose(brute_force_eval(expr, data), rel=1e-9)
 
 
 def test_density_is_largest_table_over_its_cells():

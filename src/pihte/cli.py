@@ -71,6 +71,8 @@ def _emit(text: str, out_path):
 def _plan(args, hier, graph):
     """The one plan every subcommand runs or reports: the graph's domains,
     --seed, --restarts, and --decomposition for the root level."""
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be >= 0, got {args.restarts}")
     supplied = {}
     if args.decomposition:
         supplied[hier.root] = load_decomposition(args.decomposition)
@@ -154,9 +156,13 @@ def _max_discrepancy(a, b):
 
 
 def cmd_oracle(args) -> int:
+    if args.suite < 0:
+        raise ValueError(f"--suite must be >= 0, got {args.suite}")
     if args.suite:
-        if args.do:
-            raise ValueError("--do does not apply to --suite: each instance has its own estimand")
+        for option, given in (("--do", args.do), ("--decomposition", args.decomposition)):
+            if given:
+                raise ValueError(f"{option} does not apply to --suite: "
+                                 "each instance has its own estimand")
         failures = []
         worst = 0.0
         for i in range(args.suite):
@@ -200,14 +206,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.rows < 1:
+        raise ValueError(f"--rows must be >= 1, got {args.rows}")
     graph = load_graph(args.graph)
     cbn = simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
     data = simulate.sample_dataset(cbn, n=args.rows, seed=args.seed + 1)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(data.columns)
-    for row in data.rows:
-        writer.writerow(row)
+    writer.writerows(data.rows)
     _emit(buf.getvalue(), args.out)
     if args.cbn_out:
         with open(args.cbn_out, "w", encoding="utf-8") as fh:
@@ -219,6 +226,8 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
     if not sizes:
         raise ValueError("--sizes must list at least one sample size")
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes entries must be >= 1, got {min(sizes)}")
     graph = load_graph(args.graph)
     hier = flatten(parse(_read_estimand(args)))
     p = _plan(args, hier, graph)

@@ -18,6 +18,8 @@ import os
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import factor as sf
 from .decomposition import (
     Hypergraph,
@@ -387,18 +389,14 @@ def pi_hte(hier, data, *, seed=0, restarts=0, decompositions=None, do=None) -> E
 
 
 def _renormalize(result, outcome):
-    """Divide by the per-group total over the outcome variables."""
-    group_vars = [n for n in result.names if n not in set(outcome)]
-    totals = sf.marginalize(result, set(outcome) & set(result.names))
-    pos = [i for i, n in enumerate(result.names) if n in set(group_vars)]
-    tot_map = dict(totals.items())
-    entries = {}
-    for key, value in result.items():
-        gkey = tuple(key[i] for i in pos)
-        denom = tot_map.get(gkey, 0.0)
-        if denom:
-            entries[key] = value / denom
-    return sf.SparseFactor(result.scope, entries)
+    """Divide by the per-group total over the outcome variables; a group
+    whose total is zero or underflows (absent from the marginal) is dropped."""
+    group = [i for i, n in enumerate(result.names) if n not in set(outcome)]
+    ids, _ = sf.group_ids(result.codes[:, group])
+    denom = np.bincount(ids, weights=result.values)[ids]  # as marginalize sums
+    kept = np.abs(denom) >= sf.UNDERFLOW_FLOOR
+    return sf.SparseFactor.trusted(result.scope, result.codes[kept],
+                                   result.values[kept] / denom[kept])
 
 
 # -- brute-force oracle ----------------------------------------------------

@@ -1,13 +1,20 @@
 """Relational (zero-suppressed) factors and the algebra CTE needs.
 
-A factor stores only non-zero assignments; everything absent is zero. Scopes
-are kept in the canonical global variable order so merges and serialized
-output are deterministic.
+A factor stores only non-zero assignments; everything absent is zero. It holds
+a scope in the canonical global variable order, an int64 code matrix of unique
+rows sorted lexicographically, and a float64 value vector, so merges and
+serialized output are deterministic. Entries are validated where they enter
+from outside (`SparseFactor(scope, entries)`, `loads`, `model.Dataset`); the
+algebra, the sort-based join and aggregate of Yannakakis (VLDB 1981) and FAQ
+(Abo Khamis, Ngo & Rudra, PODS 2016) as array kernels, builds its results
+with `SparseFactor.trusted`.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import (
     DivisionInconsistency,
@@ -22,35 +29,75 @@ from .model import Variable, name_key
 UNDERFLOW_FLOOR = 1e-300
 
 
-class SparseFactor:
-    """Immutable sparse table: sorted assignment tuples -> non-zero floats."""
+def group_ids(codes):
+    """Dense group ids of the rows of an int64 code matrix, numbered in
+    lexicographic row order, and the index of each group's first row.
 
-    __slots__ = ("scope", "_entries", "_sorted_keys", "require_support", "underflow_dropped")
+    Each row is viewed as one opaque key of big-endian bytes; for
+    non-negative codes their memcmp order is numeric lexicographic order, so
+    one `np.unique` call sorts and groups every column at once. Codes are
+    narrowed to one or two bytes when they fit, which shortens every compare.
+    """
+    n, width = codes.shape
+    if width == 0:
+        return np.zeros(n, dtype=np.intp), np.zeros(min(n, 1), dtype=np.intp)
+    top = codes.max(initial=0)
+    dtype = np.dtype(">u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">i8")
+    keys = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
+    _, first, ids = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    return ids.reshape(-1), first
+
+
+def _canonical(scope, codes, values):
+    """Scope in name order and rows sorted, from unique rows in any order."""
+    names = [v.name for v in scope]
+    if len(set(names)) != len(names):
+        raise ScopeConflict(f"repeated variable in scope {names}")
+    order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
+    codes = codes[:, order]
+    _, first = group_ids(codes)
+    return tuple(scope[i] for i in order), codes[first], values[first]
+
+
+class SparseFactor:
+    """Immutable sparse table: sorted unique code rows -> non-zero floats."""
+
+    __slots__ = ("scope", "codes", "values", "require_support", "underflow_dropped", "_lookup")
 
     def __init__(self, scope, entries, require_support=False, underflow_dropped=0):
+        """Validate a mapping of assignment tuples to non-zero values."""
         scope = tuple(scope)
-        order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
-        if order != list(range(len(scope))):
-            # canonicalize the caller's ordering
-            scope_sorted = tuple(scope[i] for i in order)
-            entries = {tuple(k[i] for i in order): v for k, v in entries.items()}
-            scope = scope_sorted
-        names = [v.name for v in scope]
-        if len(set(names)) != len(names):
-            raise ScopeConflict(f"repeated variable in scope {names}")
-        for key, value in entries.items():
+        keys = list(entries)
+        for key in keys:
             if len(key) != len(scope):
                 raise ValueError(f"key {key} does not match scope width {len(scope)}")
-            for v, comp in zip(scope, key):
-                if not 0 <= comp < v.domain_size:
-                    raise ValueError(f"{v.name}={comp} outside domain 0..{v.domain_size - 1}")
-            if value == 0.0:
-                raise ValueError("zero entries must be represented by absence")
+        codes = np.array(keys, dtype=np.int64).reshape(len(keys), len(scope))
+        values = np.array(list(entries.values()), dtype=np.float64)
+        sizes = np.array([v.domain_size for v in scope], dtype=np.int64)
+        bad = np.argwhere((codes < 0) | (codes >= sizes))
+        if len(bad):
+            row, col = bad[0]
+            raise ValueError(f"{scope[col].name}={codes[row, col]} outside domain "
+                             f"0..{scope[col].domain_size - 1}")
+        if not values.all():
+            raise ValueError("zero entries must be represented by absence")
+        self._set(*_canonical(scope, codes, values), require_support, underflow_dropped)
+
+    def _set(self, scope, codes, values, require_support, underflow_dropped):
         self.scope = scope
-        self._entries = dict(entries)
-        self._sorted_keys = sorted(self._entries)
+        self.codes = codes
+        self.values = values
         self.require_support = require_support
-        self.underflow_dropped = underflow_dropped
+        self.underflow_dropped = int(underflow_dropped)
+        self._lookup = None
+
+    @classmethod
+    def trusted(cls, scope, codes, values, require_support=False, underflow_dropped=0):
+        """A factor from arrays already in canonical form: scope in name
+        order, unique in-domain rows sorted lexicographically, no zeros."""
+        f = cls.__new__(cls)
+        f._set(scope, codes, values, require_support, underflow_dropped)
+        return f
 
     # -- introspection -----------------------------------------------------
 
@@ -60,26 +107,25 @@ class SparseFactor:
 
     @property
     def tightness(self) -> int:
-        return len(self._entries)
+        return len(self.values)
 
     @property
     def density(self) -> float:
-        cells = 1.0
-        for v in self.scope:
-            cells *= v.domain_size
-        return len(self._entries) / cells
+        return self.tightness / math.prod(v.domain_size for v in self.scope)
 
     def items(self):
-        for key in self._sorted_keys:
-            yield key, self._entries[key]
+        """(assignment tuple, value) pairs of Python ints and floats, in
+        canonical order."""
+        return zip(map(tuple, self.codes.tolist()), self.values.tolist())
 
     def total(self) -> float:
-        return math.fsum(self._entries.values())
+        return math.fsum(self.values.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, SparseFactor):
             return NotImplemented
-        return self.scope == other.scope and self._entries == other._entries
+        return (self.scope == other.scope and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
         return f"SparseFactor({','.join(self.names)}; t={self.tightness})"
@@ -87,13 +133,10 @@ class SparseFactor:
     def allclose(self, other, rel=1e-9, abs_tol=0.0):
         if self.names != other.names:
             return False
-        keys = set(self._entries) | set(other._entries)
-        for k in keys:
-            a = self._entries.get(k, 0.0)
-            b = other._entries.get(k, 0.0)
-            if abs(a - b) > max(rel * max(abs(a), abs(b)), abs_tol):
-                return False
-        return True
+        a, b = dict(self.items()), dict(other.items())
+        return all(abs(a.get(k, 0.0) - b.get(k, 0.0))
+                   <= max(rel * max(abs(a.get(k, 0.0)), abs(b.get(k, 0.0))), abs_tol)
+                   for k in a.keys() | b.keys())
 
     # -- evaluation --------------------------------------------------------
 
@@ -103,21 +146,26 @@ class SparseFactor:
             key = tuple(assignment[v.name] for v in self.scope)
         except KeyError as exc:
             raise IncompleteAssignment(f"missing {exc.args[0]!r}") from None
-        return self._entries.get(key, 0.0)
+        if self._lookup is None:
+            self._lookup = dict(self.items())
+        return self._lookup.get(key, 0.0)
 
     def restrict(self, partial) -> "SparseFactor":
         """Keep only entries consistent with a partial assignment (scope unchanged)."""
         positions = [(i, partial[v.name]) for i, v in enumerate(self.scope) if v.name in partial]
         if not positions:
             return self
-        kept = {k: val for k, val in self._entries.items()
-                if all(k[i] == want for i, want in positions)}
-        return SparseFactor(self.scope, kept, self.require_support)
+        keep = np.ones(len(self.values), dtype=bool)
+        for i, want in positions:
+            keep &= self.codes[:, i] == want
+        return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep],
+                                    self.require_support)
 
     def rename(self, mapping) -> "SparseFactor":
         """Rename scope variables; entries are re-sorted into canonical order."""
-        scope = tuple(Variable(mapping.get(v.name, v.name), v.domain_size) for v in self.scope)
-        return SparseFactor(scope, dict(self._entries), self.require_support)
+        scope = [Variable(mapping.get(v.name, v.name), v.domain_size) for v in self.scope]
+        return SparseFactor.trusted(*_canonical(scope, self.codes, self.values),
+                                    self.require_support)
 
 
 def unit_factor() -> SparseFactor:
@@ -137,6 +185,12 @@ def _merged_scope(f: SparseFactor, g: SparseFactor):
     return tuple(sorted(by_name.values(), key=lambda v: name_key(v.name)))
 
 
+def _unsupported(f: SparseFactor, rows):
+    """The error for f's first entry among `rows` that its partner lacks."""
+    key = f.codes[np.flatnonzero(rows)[0]].tolist()
+    return DivisionInconsistency(f"entry {dict(zip(f.names, key))} has no denominator support")
+
+
 def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     """Sort-merge join on the shared variables; output keyed on the union scope.
 
@@ -146,65 +200,41 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     support means a nonzero numerator over a zero denominator.
     """
     scope = _merged_scope(f, g)
-    shared = [v.name for v in scope if v.name in set(f.names) & set(g.names)]
+    f_names, g_names = f.names, g.names
+    g_pos = {n: j for j, n in enumerate(g_names)}
+    f_shared = [i for i, n in enumerate(f_names) if n in g_pos]
+    g_shared = [g_pos[f_names[i]] for i in f_shared]
+    g_only = sorted(set(range(len(g_names))) - set(g_shared))
+    nf = len(f.values)
+    ids, _ = group_ids(np.concatenate([f.codes[:, f_shared], g.codes[:, g_shared]]))
+    f_ids, g_ids = ids[:nf], ids[nf:]
+    n_groups = ids.max() + 1 if len(ids) else 0
+    f_count = np.bincount(f_ids, minlength=n_groups)
+    g_count = np.bincount(g_ids, minlength=n_groups)
+    if g.require_support and not g_count[f_ids].all():
+        raise _unsupported(f, g_count[f_ids] == 0)
+    if f.require_support and not f_count[g_ids].all():
+        raise _unsupported(g, f_count[g_ids] == 0)
 
-    def keyed(fac):
-        pos = {n: i for i, n in enumerate(fac.names)}
-        spos = [pos[n] for n in shared]
-        out = [(tuple(k[i] for i in spos), k, v) for k, v in fac.items()]
-        out.sort(key=lambda t: t[0])
-        return out
+    # each f row meets its group's g rows, taken in g's (canonical) order
+    reps = g_count[f_ids]
+    f_rows = np.repeat(np.arange(nf), reps)
+    g_start = np.cumsum(g_count) - g_count
+    offset = np.arange(len(f_rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+    g_rows = np.argsort(g_ids, kind="stable")[np.repeat(g_start[f_ids], reps) + offset]
 
-    fe, ge = keyed(f), keyed(g)
-    f_pos = {n: i for i, n in enumerate(f.names)}
-    g_pos = {n: i for i, n in enumerate(g.names)}
-    slots = [
-        (0, f_pos[v.name]) if v.name in f_pos else (1, g_pos[v.name])
-        for v in scope
-    ]
-
-    entries = {}
-    dropped = 0
-    i = j = 0
-    while i < len(fe) and j < len(ge):
-        si, sj = fe[i][0], ge[j][0]
-        if si < sj:
-            if g.require_support:
-                raise DivisionInconsistency(
-                    f"entry {dict(zip(f.names, fe[i][1]))} has no denominator support"
-                )
-            i += 1
-        elif sj < si:
-            if f.require_support:
-                raise DivisionInconsistency(
-                    f"entry {dict(zip(g.names, ge[j][1]))} has no denominator support"
-                )
-            j += 1
-        else:
-            i2 = i
-            while i2 < len(fe) and fe[i2][0] == si:
-                i2 += 1
-            j2 = j
-            while j2 < len(ge) and ge[j2][0] == si:
-                j2 += 1
-            for _, fk, fv in fe[i:i2]:
-                for _, gk, gv in ge[j:j2]:
-                    val = fv * gv
-                    if abs(val) < UNDERFLOW_FLOOR:
-                        dropped += 1
-                        continue
-                    key = tuple(fk[p] if side == 0 else gk[p] for side, p in slots)
-                    entries[key] = val
-            i, j = i2, j2
-    if g.require_support and i < len(fe):
-        raise DivisionInconsistency(
-            f"entry {dict(zip(f.names, fe[i][1]))} has no denominator support"
-        )
-    if f.require_support and j < len(ge):
-        raise DivisionInconsistency(
-            f"entry {dict(zip(g.names, ge[j][1]))} has no denominator support"
-        )
-    return SparseFactor(scope, entries, underflow_dropped=dropped)
+    values = f.values[f_rows] * g.values[g_rows]
+    kept = np.abs(values) >= UNDERFLOW_FLOOR
+    codes = np.concatenate([f.codes[f_rows], g.codes[np.ix_(g_rows, g_only)]], axis=1)
+    dropped = len(values) - int(np.count_nonzero(kept))
+    if dropped:
+        codes, values = codes[kept], values[kept]
+    if scope[:len(f.scope)] != f.scope:  # else f's rows, expanded in order, are sorted
+        column = {n: i for i, n in enumerate(f_names + tuple(g_names[j] for j in g_only))}
+        codes = codes[:, [column[v.name] for v in scope]]
+        _, first = group_ids(codes)
+        codes, values = codes[first], values[first]
+    return SparseFactor.trusted(scope, codes, values, underflow_dropped=dropped)
 
 
 def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
@@ -216,28 +246,19 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     if not out:
         return f
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
-    scope = tuple(f.scope[i] for i in keep)
-    sums = {}
-    for key, value in f.items():
-        new_key = tuple(key[i] for i in keep)
-        sums.setdefault(new_key, []).append(value)
-    entries = {}
-    dropped = 0
-    for key, values in sums.items():
-        total = math.fsum(values)
-        if total == 0.0 or abs(total) < UNDERFLOW_FLOOR:
-            dropped += 1
-            continue
-        entries[key] = total
-    return SparseFactor(scope, entries, underflow_dropped=dropped)
+    ids, first = group_ids(f.codes[:, keep])
+    sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
+    kept = np.abs(sums) >= UNDERFLOW_FLOOR
+    return SparseFactor.trusted(
+        tuple(f.scope[i] for i in keep), f.codes[np.ix_(first[kept], keep)], sums[kept],
+        underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
+    )
 
 
 def invert(f: SparseFactor) -> SparseFactor:
     """Entrywise reciprocal over the same support, flagged `require_support`:
     a partner entry outside that support is a nonzero over a zero."""
-    return SparseFactor(
-        f.scope, {k: 1.0 / v for k, v in f._entries.items()}, require_support=True
-    )
+    return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values, require_support=True)
 
 
 # -- debug serialization (test fixtures) ----------------------------------

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     CycleError,
@@ -17,6 +20,7 @@ from .errors import (
 _NUM_RE = re.compile(r"(\d+)")
 
 
+@functools.lru_cache(maxsize=None)
 def name_key(name: str):
     """Natural sort key: digit runs compare numerically, primes sort after the base.
 
@@ -68,21 +72,7 @@ class CausalGraph:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        children = {v.name: [] for v in self.variables}
-        indeg = {v.name: 0 for v in self.variables}
-        for a, b in self.directed_edges:
-            children[a].append(b)
-            indeg[b] += 1
-        queue = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for c in children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen != len(self.variables):
+        if len(self.topological_order()) != len(self.variables):
             raise CycleError("directed edges contain a cycle")
 
     def variable(self, name: str) -> Variable:
@@ -122,26 +112,42 @@ class CausalGraph:
 
 
 class Dataset:
-    """Integer-coded sample rows over named columns. Immutable after load."""
+    """Integer-coded sample rows over named columns, held as one int64 matrix
+    (`cells`, one row per sample) that is range-checked once. Immutable."""
 
     def __init__(self, columns, rows, domains):
         self.columns = tuple(columns)
-        self.rows = tuple(tuple(r) for r in rows)
         self.domains = dict(domains)
         self._col_index = {c: i for i, c in enumerate(self.columns)}
         for c in self.columns:
             if c not in self.domains:
                 raise UnknownVariable(f"no domain for column {c!r}")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ParseError(f"row {i} has {len(row)} cells, expected {len(self.columns)}")
-            for c, v in zip(self.columns, row):
-                if not 0 <= v < self.domains[c]:
-                    raise DomainViolation(i, c, v)
+        width = len(self.columns)
+        sizes = np.array([self.domains[c] for c in self.columns], dtype=np.int64)
+        try:
+            cells = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+            ok = ((cells >= 0) & (cells < sizes)).all()
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            for i, row in enumerate(rows):  # name the first bad row and cell
+                if len(row) != width:
+                    raise ParseError(f"row {i} has {len(row)} cells, expected {width}")
+                for c, v in zip(self.columns, row):
+                    if not 0 <= v < self.domains[c]:
+                        raise DomainViolation(i, c, v)
+            raise ParseError("dataset cells must be integers")
+        cells.flags.writeable = False
+        self.cells = cells
+
+    @property
+    def rows(self):
+        """The cells as a tuple of Python int tuples."""
+        return tuple(map(tuple, self.cells.tolist()))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.cells)
 
     def column_index(self, name: str) -> int:
         try:
@@ -152,7 +158,7 @@ class Dataset:
     def project(self, names):
         """Distinct-preserving projection: per-row tuples for the given columns."""
         idx = [self.column_index(n) for n in names]
-        return [tuple(row[i] for i in idx) for row in self.rows]
+        return list(map(tuple, self.cells[:, idx].tolist()))
 
 
 def load_graph(path) -> CausalGraph:
@@ -219,7 +225,7 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     integers, divided once per entry. With right empty this is the empirical
     marginal over `left`.
     """
-    from .factor import SparseFactor
+    from .factor import SparseFactor, group_ids
 
     left = tuple(left)
     right = tuple(right)
@@ -232,23 +238,12 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
 
     scope_names = sorted(left + right, key=name_key)
     scope = tuple(Variable(n, data.domains[n]) for n in scope_names)
-    joint_proj = data.project(scope_names)
-
-    joint_counts = {}
-    for key in joint_proj:
-        joint_counts[key] = joint_counts.get(key, 0) + 1
-
+    cells = data.cells[:, [data.column_index(n) for n in scope_names]]
+    ids, first = group_ids(cells)
+    codes, counts = cells[first], np.bincount(ids)
     if right:
-        right_pos = [scope_names.index(n) for n in sorted(right, key=name_key)]
-        cond_counts = {}
-        for key, c in joint_counts.items():
-            rkey = tuple(key[i] for i in right_pos)
-            cond_counts[rkey] = cond_counts.get(rkey, 0) + c
-        entries = {
-            key: c / cond_counts[tuple(key[i] for i in right_pos)]
-            for key, c in joint_counts.items()
-        }
+        right_ids, _ = group_ids(codes[:, [n in right for n in scope_names]])
+        denom = np.bincount(right_ids, weights=counts)[right_ids]
     else:
-        n = data.n_rows
-        entries = {key: c / n for key, c in joint_counts.items()}
-    return SparseFactor(scope, entries)
+        denom = data.n_rows
+    return SparseFactor.trusted(scope, codes, counts / denom)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CausalGraph, Dataset, Variable, name_key
-from .factor import SparseFactor
+from .factor import SparseFactor, marginalize, product, unit_factor
 
 LATENT_DOMAIN = 2
 
@@ -133,6 +133,7 @@ def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
         out = np.empty(n, dtype=np.int64)
         # draw per distinct parent configuration to stay vectorized
         uniq, inverse = np.unique(pcols, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)  # its shape differs across numpy 1.x, 2.0 and 2.1
         for u_i, cfg in enumerate(uniq):
             mask = inverse == u_i
             out[mask] = rng.choice(k, size=int(mask.sum()), p=table[tuple(cfg)])
@@ -140,7 +141,7 @@ def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
     cols = tuple(sorted(cbn.observed, key=name_key))
     rows = np.stack([samples[c] for c in cols], axis=1)
     domains = {c: cbn.graph.domain_size(c) for c in cols}
-    return Dataset(cols, [tuple(int(x) for x in row) for row in rows], domains)
+    return Dataset(cols, rows, domains)
 
 
 def joint_observed(cbn: CBN) -> SparseFactor:
@@ -149,53 +150,26 @@ def joint_observed(cbn: CBN) -> SparseFactor:
 
 
 def interventional_truth(cbn: CBN, do: dict, outcome) -> SparseFactor:
-    """Exact P(outcome | do(...)) by truncated-product enumeration.
-
-    Drops the CPTs of intervened variables, fixes their values, multiplies the
-    rest over all configurations, and marginalizes onto `outcome`.
-    """
+    """Exact P(outcome | do(...)) by the truncated product: drops the CPTs of
+    intervened variables, fixes their values, multiplies the rest, and
+    marginalizes onto `outcome`."""
     joint = _truncated_joint(cbn, do)
-    keep = set(outcome)
-    drop = set(joint.names) - keep
-    from .factor import marginalize
-
-    return marginalize(joint, drop)
+    return marginalize(joint, set(joint.names) - set(outcome))
 
 
 def _truncated_joint(cbn: CBN, do: dict) -> SparseFactor:
-    names = [n for n in cbn.graph.names]
-    order = sorted(names, key=name_key)
-    sizes = [cbn.graph.domain_size(n) for n in order]
-    pos = {n: i for i, n in enumerate(order)}
-
-    obs = [n for n in cbn.observed if n not in do]
-    obs_sorted = sorted(obs, key=name_key)
-    obs_pos = [pos[n] for n in obs_sorted]
-    sums = {}
-    for cfg in itertools.product(*(range(s) for s in sizes)):
-        ok = True
-        for n, v in do.items():
-            if cfg[pos[n]] != v:
-                ok = False
-                break
-        if not ok:
+    """The product of every non-intervened CPT, restricted to `do`, summed
+    over the latents and the intervened variables."""
+    joint = unit_factor()
+    for name in sorted(cbn.graph.names, key=name_key):
+        if name in do:
             continue
-        p = 1.0
-        for n in order:
-            if n in do:
-                continue
-            parents = cbn.parents_sorted(n)
-            idx = tuple(cfg[pos[q]] for q in parents) + (cfg[pos[n]],)
-            p *= cbn.cpts[n][idx]
-            if p == 0.0:
-                break
-        if p == 0.0:
-            continue
-        key = tuple(cfg[i] for i in obs_pos)
-        sums.setdefault(key, []).append(p)
-    scope = tuple(Variable(n, cbn.graph.domain_size(n)) for n in obs_sorted)
-    entries = {k: math.fsum(v) for k, v in sums.items() if math.fsum(v) != 0.0}
-    return SparseFactor(scope, entries)
+        scope = [cbn.graph.variable(n) for n in cbn.parents_sorted(name) + (name,)]
+        table = cbn.cpts[name]
+        cells = map(tuple, np.argwhere(table).tolist())
+        cpt = SparseFactor(scope, dict(zip(cells, table[table != 0].tolist())))
+        joint = product(joint, cpt.restrict(do))
+    return marginalize(joint, set(joint.names) - (set(cbn.observed) - set(do)))
 
 
 def total_variation(p: SparseFactor, q: SparseFactor) -> float:

@@ -268,6 +268,33 @@ def test_oracle_suite_rejects_do(capsys):
     assert "--do" in err and not out
 
 
+def test_oracle_suite_rejects_decomposition(capsys, fixture_path):
+    code, out, err = run(capsys, "oracle", "--suite", "2",
+                         "--decomposition", fixture_path("cone_cloud.td"))
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "--decomposition" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["simulate", "--rows", "-3"], "--rows"),
+    (["simulate", "--rows", "0"], "--rows"),
+    (["bench", "--estimand-file", "napkin.estimand", "--sizes", "50,-5"], "--sizes"),
+    (["analyze", "--estimand-file", "napkin.estimand", "--restarts", "-2"], "--restarts"),
+    (["estimate", "--estimand-file", "napkin.estimand", "--data", "napkin.csv",
+      "--restarts", "-1"], "--restarts"),
+    (["oracle", "--suite", "-2"], "--suite"),
+])
+def test_out_of_range_integer_option_exit2(capsys, napkin, argv, option):
+    graph, estimand, data = napkin
+    paths = {"napkin.estimand": estimand, "napkin.csv": data}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] != "oracle":
+        argv += ["--graph", graph]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: " + option)
+
+
 def test_supplied_cluster_without_cover_gets_greedy_cover(capsys, napkin, tmp_path):
     graph, estimand, data = napkin
     td = tmp_path / "no_cover.td"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from pihte.factor import (
     product,
     unit_factor,
 )
-from pihte.model import Variable
+from pihte.model import Dataset, Variable, empirical_prob, name_key
 
 
 def make(scope_spec, entries):
@@ -241,3 +242,144 @@ def test_total_preserved_by_marginalization(f):
         return
     m = marginalize(f, {f.names[0]})
     assert math.isclose(m.total(), f.total(), rel_tol=1e-12, abs_tol=1e-300)
+
+
+# -- the columnar backend against a dict reference -------------------------
+#
+# Each reference works on (names, {assignment tuple: value}) exactly as the
+# algebra is defined; results must match entry for entry, in canonical order.
+
+
+def ref_product(f, g):
+    names = tuple(sorted(set(f.names) | set(g.names), key=name_key))
+    out = {}
+    for fk, fv in f.items():
+        a = dict(zip(f.names, fk))
+        for gk, gv in g.items():
+            b = dict(zip(g.names, gk))
+            if all(a[n] == b[n] for n in a.keys() & b.keys()):
+                out[tuple({**a, **b}[n] for n in names)] = fv * gv
+    return names, out
+
+
+def ref_marginalize(f, out_vars):
+    names = tuple(n for n in f.names if n not in out_vars)
+    sums = {}
+    for key, value in f.items():
+        kept = tuple(x for n, x in zip(f.names, key) if n not in out_vars)
+        sums.setdefault(kept, []).append(value)
+    return names, {k: math.fsum(vs) for k, vs in sums.items()}
+
+
+def ref_restrict(f, partial):
+    return f.names, {k: v for k, v in f.items()
+                     if all(partial.get(n, x) == x for n, x in zip(f.names, k))}
+
+
+def ref_rename(f, mapping):
+    new = [mapping.get(n, n) for n in f.names]
+    order = sorted(range(len(new)), key=lambda i: name_key(new[i]))
+    return (tuple(new[i] for i in order),
+            {tuple(k[i] for i in order): v for k, v in f.items()})
+
+
+def assert_matches(got, want, rel=0.0):
+    names, entries = want
+    assert got.names == names
+    keys = [k for k, _ in got.items()]
+    assert keys == sorted(entries)  # canonical order, nothing missing or extra
+    for key, value in got.items():
+        assert value == pytest.approx(entries[key], rel=rel, abs=0.0)
+
+
+# math.fsum is exact; the backend sums at most 18 positive float64 terms per
+# group in row order, so the relative error stays below 18 * 2**-52 < 1e-14.
+MARGINAL_REL = 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(joint_factors(), st.data())
+def test_algebra_matches_dict_reference(pair, data):
+    f, g = pair
+    assert_matches(product(f, g), ref_product(f, g))
+    out = set(data.draw(st.lists(st.sampled_from(f.names), unique=True))) if f.names else set()
+    assert_matches(marginalize(f, out), ref_marginalize(f, out), rel=MARGINAL_REL)
+    partial = {n: data.draw(st.integers(0, v.domain_size - 1))
+               for n, v in zip(f.names, f.scope) if data.draw(st.booleans())}
+    assert_matches(f.restrict(partial), ref_restrict(f, partial))
+    # "E" sorts after every drawn name and "A'" right after "A", so the
+    # mapping can reorder the scope
+    mapping = data.draw(st.dictionaries(st.sampled_from(names), st.sampled_from(["E", "A'"]),
+                                        max_size=1))
+    mapping = {k: v for k, v in mapping.items() if v not in f.names}
+    assert_matches(f.rename(mapping), ref_rename(f, mapping))
+    inv = invert(f)
+    assert inv.require_support
+    assert_matches(inv, (f.names, {k: 1.0 / v for k, v in f.items()}))
+
+
+@pytest.mark.parametrize("top", [255, 256, 65535, 65536])
+def test_canonical_order_past_one_byte(top):
+    """Row order is numeric for codes of every width, not signed-byte order."""
+    codes = sorted({0, 1, 127, 128, 255, top}, reverse=True)
+    f = SparseFactor((Variable("B", 2), Variable("A", top + 1)),
+                     {(b, a): 1.0 + a for a in codes for b in (1, 0)})
+    want = sorted((a, b) for a in codes for b in (1, 0))
+    assert [k for k, _ in f.items()] == want
+    assert [k for k, _ in marginalize(f, {"B"}).items()] == sorted((a,) for a in codes)
+
+
+def test_items_are_python_scalars_in_sorted_order():
+    d = Dataset(("A", "B"), [(1, 0), (0, 1), (1, 1), (0, 1)], {"A": 2, "B": 2})
+    for f in (empirical_prob(d, ("A",), ("B",)),
+              product(empirical_prob(d, ("A",)), empirical_prob(d, ("B",), ("A",)))):
+        items = list(f.items())
+        assert [k for k, _ in items] == sorted(k for k, _ in items)
+        assert all(type(c) is int for k, _ in items for c in k)
+        assert all(type(v) is float for _, v in items)
+        json.dumps(items)
+
+
+def test_counts_are_python_ints():
+    f = make([("A", 2)], {(0,): 1e-200, (1,): 1e-200})
+    g = make([("A", 2)], {(0,): 1e-200, (1,): 1.0})
+    for h in (product(f, g), marginalize(f, {"A"}), f.restrict({"A": 0}), invert(f)):
+        assert type(h.tightness) is int
+        assert type(h.underflow_dropped) is int
+        json.dumps({"t": h.tightness, "dropped": h.underflow_dropped})
+
+
+def test_underflow_drop_counts():
+    f = make([("A", 3)], {(0,): 1e-200, (1,): 1e-200, (2,): 0.5})
+    g = make([("A", 3)], {(0,): 1e-200, (1,): 1.0, (2,): 1e-150})
+    h = product(f, g)
+    assert h.underflow_dropped == 1  # 1e-400 underflows; 1e-200 and 5e-151 stay
+    assert dict(h.items()) == {(1,): 1e-200, (2,): 0.5 * 1e-150}
+    m = marginalize(make([("A", 3), ("B", 2)],
+                         {(0, 0): 1e-301, (0, 1): 1e-301, (1, 0): 1.0, (1, 1): -1.0,
+                          (2, 1): 0.25}), {"B"})
+    assert m.underflow_dropped == 2  # 2e-301 is under the floor; 1 - 1 is zero
+    assert dict(m.items()) == {(2,): 0.25}
+
+
+def _den(support):
+    return SparseFactor((Variable("A", 4),), {(a,): 2.0 for a in support}, require_support=True)
+
+
+@pytest.mark.parametrize("num_support, den_support", [
+    ((0, 1), (0,)),   # a numerator entry left over past the end of the merge
+    ((0, 3), (3,)),   # one before the denominator's first entry
+    ((1, 2), (1, 3)),  # one between two denominator entries
+])
+@pytest.mark.parametrize("den_first", [False, True])
+def test_require_support_on_either_operand(num_support, den_support, den_first):
+    num = make([("A", 4), ("B", 2)], {(a, 0): 0.5 for a in num_support})
+    den = _den(den_support)
+    with pytest.raises(DivisionInconsistency):
+        product(den, num) if den_first else product(num, den)
+
+
+def test_both_operands_requiring_support():
+    with pytest.raises(DivisionInconsistency):
+        product(_den((0, 1)), _den((1, 2)))
+    assert product(_den((1,)), _den((1,))).dense_eval({"A": 1}) == 4.0

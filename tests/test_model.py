@@ -86,6 +86,30 @@ def test_dataset_domain_check():
         Dataset(("A",), [(2,)], {"A": 2})
 
 
+@pytest.mark.parametrize("rows, row, column, value", [
+    ([(0, 0), (1, 5), (9, 9)], 1, "B", 5),
+    ([(0, 0), (0, 1), (3, 7)], 2, "A", 3),
+    ([(0, 1), (-1, 0)], 1, "A", -1),
+    ([(0, 1), (0, 2**70)], 1, "B", 2**70),
+])
+def test_dataset_names_first_bad_row_and_column(rows, row, column, value):
+    with pytest.raises(DomainViolation) as exc:
+        Dataset(("A", "B"), rows, {"A": 2, "B": 2})
+    assert (exc.value.row, exc.value.column, exc.value.value) == (row, column, value)
+
+
+def test_dataset_ragged_row():
+    with pytest.raises(ParseError, match="row 1 has 1 cells, expected 2"):
+        Dataset(("A", "B"), [(0, 1), (1,)], {"A": 2, "B": 2})
+
+
+def test_dataset_cells_are_one_int64_matrix():
+    d = Dataset(("A", "B"), [(0, 1), (1, 1)], {"A": 2, "B": 2})
+    assert d.cells.dtype == "int64" and d.cells.shape == (2, 2)
+    assert d.rows == ((0, 1), (1, 1))
+    assert all(type(c) is int for row in d.rows for c in row)
+
+
 def test_load_dataset(tmp_path):
     g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
     p = tmp_path / "d.csv"

@@ -54,6 +54,8 @@ def _parse_do(text):
         name = name.strip()
         if not name or not value.strip():
             raise ValueError(f"bad --do item {part!r}, expected VAR=value")
+        if name in out:
+            raise ValueError(f"--do fixes {name!r} more than once")
         out[name] = int(value)
     return out
 

@@ -53,7 +53,10 @@ class TableTracker:
 
     def __init__(self):
         env = os.environ.get(MAX_ENTRIES_ENV)
-        self.cap = int(env) if env else None
+        try:
+            self.cap = int(env) if env else None
+        except ValueError:
+            raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer, got {env!r}") from None
         self.level = None
         self.levels = {}  # level id -> [largest table, its cells, entries summed]
 
@@ -260,22 +263,23 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
 
     `domains` maps variable names to domain sizes; a primed name reads its
     base name. `decompositions` maps a level id to a supplied
-    TreeDecomposition, which is validated here instead of decomposing that
-    level; a supplied cluster without a cover gets the greedy one. Raises
-    UnknownVariable for an estimand variable with no domain.
+    TreeDecomposition, which alone is validated here; a supplied cluster
+    without a cover gets the greedy one. Raises UnknownVariable for an
+    estimand variable with no domain.
     """
     decompositions = decompositions or {}
     levels = {}
     for level in hier.levels:
-        names = sorted({n for scope in level.factor_scopes for n in scope}, key=name_key)
-        for n in names:
-            if base_name(n) not in domains:
-                raise UnknownVariable(f"estimand variable {base_name(n)!r} is not declared")
+        names = {n for scope in level.factor_scopes for n in scope}
+        undeclared = {base_name(n) for n in names} - domains.keys()
+        if undeclared:
+            raise UnknownVariable(
+                f"estimand variable {min(undeclared, key=name_key)!r} is not declared")
         hg = build_hypergraph(level, {n: domains[base_name(n)] for n in names})
-        gyo = gyo_acyclic(hg)
         td = decompositions.get(level.level_id)
         if td is None:
-            td = decompose(hg, seed=seed, restarts=restarts, gyo=gyo)
+            td = decompose(hg, seed=seed, restarts=restarts)
+            is_hypertree = td.hyperwidth == 1  # hw 1 exactly when alpha-acyclic
         else:
             if not all(c.cover for c in td.clusters.values()):
                 greedy = hypertree_cover(td, hg).clusters
@@ -284,13 +288,14 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
             issues = validate(td, hg)
             if issues:
                 raise ValidationError(issues)
+            is_hypertree = gyo_acyclic(hg) is not None
         levels[level.level_id] = LevelPlan(
             level=level,
             hypergraph=hg,
             td=td,
             root=select_root(td, level.free_vars),
             hw_no_outputs=cover_width_excluding_outputs(td, hg),
-            is_hypertree=gyo["is_hypertree"],
+            is_hypertree=is_hypertree,
             supplied=level.level_id in decompositions,
         )
     return Plan(hier=hier, levels=levels)

@@ -13,6 +13,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DenseLimitExceeded,
@@ -30,14 +31,14 @@ class ProbTerm:
     left: tuple
     right: tuple = ()
 
-    def __post_init__(self):
+    def __post_init__(self):  # for terms built in code; the parser reports the position
         if set(self.left) & set(self.right):
             raise EstimandSyntaxError(
                 f"variables on both sides of '|': {sorted(set(self.left) & set(self.right))}", 0
             )
 
-    @property
-    def scope(self):
+    @cached_property
+    def scope(self):  # sorted once, on first use
         return tuple(sorted(set(self.left) | set(self.right), key=name_key))
 
     def key(self) -> str:
@@ -102,8 +103,10 @@ def prob_terms(expr):
 # recursion limit of 1000.
 MAX_NESTING = 100
 
+# Every non-blank character starts a token; `bad` catches the first that
+# starts no valid one.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/]))"
+    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/])|(?P<bad>\S))"
 )
 
 
@@ -113,23 +116,14 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                if stripped[0] == "'":
-                    raise EstimandSyntaxError("apostrophes are reserved for the renamer", at)
-                raise EstimandSyntaxError(f"unexpected character {stripped[0]!r}", at)
-            kind = "ident" if m.group("ident") else "punct"
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        stripped = text[pos:].lstrip()
-        if stripped and stripped[0] == "'":
-            raise EstimandSyntaxError("apostrophes are reserved for the renamer", pos)
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            token = (kind, m.group(kind), m.start(kind))
+            if kind == "bad":
+                if token[1] == "'":
+                    raise EstimandSyntaxError("apostrophes are reserved for the renamer", token[2])
+                raise EstimandSyntaxError(f"unexpected character {token[1]!r}", token[2])
+            self.tokens.append(token)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -194,12 +188,11 @@ class _Parser:
     def prob(self):
         self.next()  # 'P'
         self.expect("(")
-        left = self.varlist()
-        kind, val, _ = self.peek()
+        left = self.varlist(distinct=True)
         right = ()
-        if val == "|":
+        if self.peek()[1] == "|":
             self.next()
-            right = self.varlist()
+            right = self.varlist(distinct=True, other_side=set(left))
         self.expect(")")
         return ProbTerm(left, right)
 
@@ -212,13 +205,20 @@ class _Parser:
         self.expect("]")
         return Sum(bound, self.group())
 
-    def varlist(self):
-        names = []
+    def varlist(self, distinct=False, other_side=()):
+        """Comma-separated names; with `distinct`, each at most once and none
+        from `other_side` (the left of a term's '|')."""
+        names, seen = [], set()
         while True:
             kind, val, at = self.next()
             if kind != "ident" or val in ("P", "sum"):
                 raise EstimandSyntaxError(f"expected a variable name, found {val!r}", at)
+            if distinct and val in seen:
+                raise EstimandSyntaxError(f"variable {val!r} repeated on one side of '|'", at)
+            if val in other_side:
+                raise EstimandSyntaxError(f"variable {val!r} on both sides of '|'", at)
             names.append(val)
+            seen.add(val)
             kind, val, _ = self.peek()
             if val == ",":
                 self.next()

@@ -119,9 +119,11 @@ class Dataset:
         self.columns = tuple(columns)
         self.domains = dict(domains)
         self._col_index = {c: i for i, c in enumerate(self.columns)}
-        for c in self.columns:
+        for i, c in enumerate(self.columns):
             if c not in self.domains:
                 raise UnknownVariable(f"no domain for column {c!r}")
+            if self._col_index[c] != i:
+                raise ParseError(f"column {c!r} appears more than once")
         width = len(self.columns)
         sizes = np.array([self.domains[c] for c in self.columns], dtype=np.int64)
         try:

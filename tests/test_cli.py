@@ -319,6 +319,42 @@ def test_deep_nesting_exit2(capsys, tmp_path, text):
     assert "nesting" in err and "position" in err
 
 
+def test_repeated_name_in_term_exit2(capsys, napkin):
+    graph, _, data = napkin
+    for text, name in (("P(X,X)", "'X'"), ("P(X|R,R)", "'R'")):
+        code, out, err = run(capsys, "estimate", "--graph", graph, "--data", data,
+                             "--estimand", text)
+        assert code == 2 and not out
+        assert "position" in err and name in err
+
+
+@pytest.mark.parametrize("case", ["csv_header", "td_cluster", "do", "max_entries_env"])
+def test_repeated_or_bad_input_names_itself_exit2(capsys, napkin, tmp_path, monkeypatch,
+                                                  case):
+    graph, estimand, data = napkin
+    argv = ["estimate", "--graph", graph, "--data", data, "--estimand-file", estimand]
+    if case == "csv_header":
+        rows = open(data).read().splitlines()
+        assert rows[0] == "R,W,X,Y"
+        bad = tmp_path / "dup.csv"
+        bad.write_text("\n".join(["W,W,X,Y"] + rows[1:]) + "\n")
+        argv[4], name = str(bad), "'W'"
+    elif case == "td_cluster":
+        bad = tmp_path / "dup.td"
+        bad.write_text("cluster 0: chi={R,W,X,Y} psi={f0,f1,g1}\n" * 2)
+        argv += ["--decomposition", str(bad)]
+        name = "dup.td:2: cluster 0"
+    elif case == "do":
+        argv += ["--do", "X=1,X=2"]
+        name = "'X'"
+    else:
+        monkeypatch.setenv("PIHTE_MAX_ENTRIES", "abc")
+        name = "PIHTE_MAX_ENTRIES"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert name in err
+
+
 def test_analyze_bounds_come_from_the_plan(capsys, napkin, tmp_path):
     graph, estimand, data = napkin
     wide = tmp_path / "napkin_z.graph"

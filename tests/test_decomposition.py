@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from pihte.decomposition import (
 )
 from pihte.errors import ParseError, UncoverableCluster, ValidationError
 from pihte.estimand import flatten, parse
+from pihte.suite import make_instance
 
 
 def hg(*scopes, domains=None):
@@ -28,32 +30,31 @@ def hg(*scopes, domains=None):
 
 def test_gyo_accepts_acyclic():
     h = hg(("A", "B"), ("B", "C"), ("C", "D"))
-    out = gyo_acyclic(h)
-    assert out["is_hypertree"]
-    td = out["join_tree"]
+    td = gyo_acyclic(h)
+    assert td is not None
     assert td.hyperwidth == 1
     assert not validate(td, h)
 
 
 def test_gyo_rejects_cycle():
     h = hg(("A", "B"), ("B", "C"), ("A", "C"))
-    assert not gyo_acyclic(h)["is_hypertree"]
+    assert gyo_acyclic(h) is None
 
 
 def test_gyo_alpha_acyclic_triangle_with_cover():
     # the 3-edge triangle plus its covering edge is alpha-acyclic
     h = hg(("A", "B"), ("B", "C"), ("A", "C"), ("A", "B", "C"))
-    out = gyo_acyclic(h)
-    assert out["is_hypertree"]
-    assert out["join_tree"].hyperwidth == 1
+    td = gyo_acyclic(h)
+    assert td is not None
+    assert td.hyperwidth == 1
 
 
 def test_gyo_chain7_estimand(fixture_path):
     lv = flatten(parse(open(fixture_path("chain7.estimand")).read())).level(0)
     h = build_hypergraph(lv)
-    out = gyo_acyclic(h)
-    assert out["is_hypertree"]
-    assert out["join_tree"].treewidth == 6
+    td = gyo_acyclic(h)
+    assert td is not None
+    assert td.treewidth == 6
 
 
 # -- min-fill + bucket construction ---------------------------------------
@@ -121,6 +122,31 @@ def test_restarts_never_worse():
         assert (more.hyperwidth, more.treewidth) <= (base.hyperwidth, base.treewidth)
 
 
+def _fixture_and_suite_hypergraphs():
+    """Every level of every fixture estimand and of suite instances 0-99."""
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    texts = [open(os.path.join(fixtures, f"{stem}.estimand")).read()
+             for stem in ("chain7", "chain99", "cone_cloud", "napkin")]
+    texts += [make_instance(seed).estimand for seed in range(100)]
+    return [build_hypergraph(level) for text in texts for level in flatten(parse(text)).levels]
+
+
+PROPERTY_HYPERGRAPHS = {
+    "random": [random_hypergraph(random.Random(seed)) for seed in range(200)],
+    "fixtures_and_suite": _fixture_and_suite_hypergraphs(),
+}
+
+
+@pytest.mark.parametrize("restarts", [0, 2])
+@pytest.mark.parametrize("family", sorted(PROPERTY_HYPERGRAPHS))
+def test_computed_decompositions_are_valid_and_hw1_iff_acyclic(family, restarts):
+    # decompose does not validate what it builds; this is the check that it need not
+    for h in PROPERTY_HYPERGRAPHS[family]:
+        td = decompose(h, seed=3, restarts=restarts)
+        assert validate(td, h) == []
+        assert (td.hyperwidth == 1) == (gyo_acyclic(h) is not None)
+
+
 def test_cover_unreachable_variable():
     td = tree_decomposition(hg(("A", "B")), ["A", "B"])
     bad = Hypergraph((("f0", ("A",)),), {})
@@ -133,7 +159,7 @@ def test_cover_unreachable_variable():
 
 def test_validate_detects_missing_factor_assignment():
     h = hg(("A", "B"), ("B", "C"))
-    td = gyo_acyclic(h)["join_tree"]
+    td = gyo_acyclic(h)
     td.clusters[0].psi = frozenset()
     issues = validate(td, h)
     assert any("condition 1" in v for v in issues)
@@ -141,7 +167,7 @@ def test_validate_detects_missing_factor_assignment():
 
 def test_validate_detects_scope_not_contained():
     h = hg(("A", "B"))
-    td = gyo_acyclic(h)["join_tree"]
+    td = gyo_acyclic(h)
     td.clusters[0].chi = frozenset({"A"})
     issues = validate(td, h)
     assert any("condition 2" in v for v in issues)
@@ -161,7 +187,7 @@ def test_validate_detects_broken_running_intersection():
 
 def test_validate_detects_non_tree():
     h = hg(("A", "B"), ("B", "C"), ("C", "D"))
-    td = gyo_acyclic(h)["join_tree"]
+    td = gyo_acyclic(h)
     td.edges.append((0, 2))
     issues = validate(td, h)
     assert any("tree" in v for v in issues)
@@ -169,7 +195,7 @@ def test_validate_detects_non_tree():
 
 def test_validate_detects_bad_cover():
     h = hg(("A", "B"), ("B", "C"))
-    td = gyo_acyclic(h)["join_tree"]
+    td = gyo_acyclic(h)
     td.clusters[0].cover = ("f1",)
     issues = validate(td, h)
     assert any("condition 4" in v for v in issues)
@@ -180,7 +206,7 @@ def test_validate_detects_bad_cover():
 
 def test_select_root_prefers_free_vars():
     h = hg(("A", "B"), ("B", "C"))
-    td = gyo_acyclic(h)["join_tree"]
+    td = gyo_acyclic(h)
     assert select_root(td, {"C"}) == 1
     assert select_root(td, {"A"}) == 0
     # tie broken by lowest id
@@ -202,6 +228,14 @@ def test_load_decomposition_rejects_invalid(tmp_path):
     p.write_text("cluster 0: chi={A} psi={f0} cover={f0}\n")
     with pytest.raises(ValidationError):
         load_decomposition(p, h)
+
+
+def test_load_decomposition_repeated_cluster(tmp_path):
+    p = tmp_path / "twice.td"
+    p.write_text("cluster 0: chi={A} psi={f0}\ncluster 0: chi={A} psi={f0}\n")
+    with pytest.raises(ParseError, match="cluster 0 defined twice") as exc:
+        load_decomposition(p, hg(("A",)))
+    assert exc.value.line == 2
 
 
 def test_load_decomposition_parse_error(tmp_path):

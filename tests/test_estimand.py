@@ -76,6 +76,19 @@ def test_overlapping_sides_rejected():
         parse("P(A|A)")
 
 
+@pytest.mark.parametrize("text, position, name", [
+    ("P(X,X)", 4, "X"),
+    ("P(X|R,R)", 6, "R"),
+    ("P(A) P(B) P(X|X)", 14, "X"),  # on both sides of '|'
+    ("P(X,Y|Z,Y)", 8, "Y"),
+])
+def test_repeated_name_in_term_rejected_at_its_position(text, position, name):
+    with pytest.raises(EstimandSyntaxError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert repr(name) in str(exc.value)
+
+
 def test_free_vars():
     expr = parse("sum[B](P(A|B) P(B)) / (sum[C](P(C) P(D|C)))")
     assert free_vars(expr) == {"A", "D"}

@@ -103,6 +103,11 @@ def test_dataset_ragged_row():
         Dataset(("A", "B"), [(0, 1), (1,)], {"A": 2, "B": 2})
 
 
+def test_dataset_repeated_column():
+    with pytest.raises(ParseError, match="column 'W' appears more than once"):
+        Dataset(("W", "W", "X"), [(0, 1, 0)], {"W": 2, "X": 2})
+
+
 def test_dataset_cells_are_one_int64_matrix():
     d = Dataset(("A", "B"), [(0, 1), (1, 1)], {"A": 2, "B": 2})
     assert d.cells.dtype == "int64" and d.cells.shape == (2, 2)

@@ -56,7 +56,10 @@ def _parse_do(text):
             raise ValueError(f"bad --do item {part!r}, expected VAR=value")
         if name in out:
             raise ValueError(f"--do fixes {name!r} more than once")
-        out[name] = int(value)
+        try:
+            out[name] = int(value)
+        except ValueError:
+            raise ValueError(f"--do {name}={value.strip()} is not an integer value") from None
     return out
 
 

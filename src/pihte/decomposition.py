@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import ParseError, UncoverableCluster, UnknownVariable, ValidationError
+from .errors import ParseError, UncoverableCluster, UnknownVariable
 from .model import name_key
 
 
@@ -66,9 +66,6 @@ class Cluster:
 class TreeDecomposition:
     clusters: dict          # id -> Cluster
     edges: list             # (u, v) pairs, u < v
-
-    def separator(self, u, v):
-        return self.clusters[u].chi & self.clusters[v].chi
 
     def adjacency(self):
         """Sorted neighbour ids of every cluster."""
@@ -214,9 +211,8 @@ def tree_decomposition(h: Hypergraph, order) -> TreeDecomposition:
                     adj[a].add(b)
 
     psi = {i: set() for i in chi}
-    for fid, scope in h.edges:
-        bucket = min(pos[n] for n in scope)
-        psi[bucket].add(fid)
+    for fid, scope in h.edges:  # an empty scope (a scalar child output) goes last
+        psi[min((pos[n] for n in scope), default=len(order) - 1)].add(fid)
 
     clusters = {i: Cluster(chi=chi[i], psi=frozenset(psi[i])) for i in chi}
     edges = sorted(tuple(sorted((u, v))) for u, v in parent_of.items())
@@ -416,9 +412,9 @@ def select_root(td: TreeDecomposition, free_vars) -> int:
 # -- decomposition text format --------------------------------------------
 
 
-def load_decomposition(path, h: Hypergraph | None = None) -> TreeDecomposition:
-    """Parse `cluster <id>: chi={..} psi={..} cover={..}` / `edge <u> <v>` lines,
-    and validate the result against `h` when it is given."""
+def load_decomposition(path) -> TreeDecomposition:
+    """Parse `cluster <id>: chi={..} psi={..} cover={..}` / `edge <u> <v>` lines.
+    `engine.plan` validates the result against the level it is supplied for."""
     clusters = {}
     edges = []
     with open(path, encoding="utf-8") as fh:
@@ -454,11 +450,7 @@ def load_decomposition(path, h: Hypergraph | None = None) -> TreeDecomposition:
                 raise ParseError(f"unrecognized line {line!r}", path, lineno)
     if not clusters:
         raise ParseError("no clusters defined", path)
-    td = TreeDecomposition(clusters, sorted(edges))
-    issues = validate(td, h) if h is not None else []
-    if issues:
-        raise ValidationError(issues)
-    return td
+    return TreeDecomposition(clusters, sorted(edges))
 
 
 def _parse_sets(body, path, lineno):

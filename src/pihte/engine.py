@@ -2,15 +2,17 @@
 
 Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
-computed), the root cluster and the width statistics. `execute` then binds
+computed), the width statistics and the CTE schedule. `execute` then binds
 each level's probability terms to frequency tables extracted from a dataset
 (primed variables read their base column), injects child denominator outputs
-inverted as ordinary factors, and runs CTE leaves-to-root over the planned
-decomposition. One plan serves any number of datasets.
+inverted as ordinary factors, and runs the schedule, which alone says which
+tables meet where and what each message sums out. One plan serves any number
+of datasets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -35,7 +37,6 @@ from .decomposition import (
 from .errors import (
     DenseLimitExceeded,
     ResourceLimitExceeded,
-    UnboundFactor,
     UnknownVariable,
     ValidationError,
 )
@@ -48,8 +49,8 @@ MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
 class TableTracker:
     """Accounts for every factor materialized during one run, per hierarchy
     level: the largest table with its cell count, and the entries summed over
-    all tables. `record` charges the level named by `level`. The entry cap is
-    PIHTE_MAX_ENTRIES, read once when the tracker is made."""
+    all tables. `record(level, f)` charges `f` to `level` and returns it. The
+    entry cap is PIHTE_MAX_ENTRIES, read once when the tracker is made."""
 
     def __init__(self):
         env = os.environ.get(MAX_ENTRIES_ENV)
@@ -57,12 +58,11 @@ class TableTracker:
             self.cap = int(env) if env else None
         except ValueError:
             raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer, got {env!r}") from None
-        self.level = None
         self.levels = {}  # level id -> [largest table, its cells, entries summed]
 
-    def record(self, f: sf.SparseFactor):
+    def record(self, level, f: sf.SparseFactor):
         t = f.tightness
-        acc = self.levels.setdefault(self.level, [0, 1, 0])
+        acc = self.levels.setdefault(level, [0, 1, 0])
         if t > acc[0]:
             acc[0], acc[1] = t, math.prod(v.domain_size for v in f.scope)
         acc[2] += t
@@ -73,21 +73,21 @@ class TableTracker:
         return f
 
 
-def cte(td: TreeDecomposition, factors, free_vars_out, tracker=None, root=None):
-    """One-way message passing leaves-to-root; returns the factor over the
-    requested output variables.
+@dataclass(frozen=True)
+class Step:
+    """One cluster's turn in cluster-tree elimination."""
 
-    Messages keep the output variables alongside the edge separator so queries
-    whose outputs straddle clusters still collect correctly at the root.
-    """
-    tracker = tracker or TableTracker()
-    free = set(free_vars_out)
-    issues = validate_psi_bound(td, factors)
-    if issues:
-        raise UnboundFactor("; ".join(issues))
-    if root is None:
-        root = select_root(td, free)
+    cluster: int
+    factors: tuple  # factor ids in name order
+    children: tuple  # child cluster ids in id order, whose messages it multiplies in
+    drop: frozenset  # the variables its message sums out
 
+
+def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
+    """The steps of one-way message passing to `root`, leaves first; `scopes`
+    maps factor ids to their variables. A message keeps its edge separator and
+    every output variable it holds, so outputs straddling clusters meet at the root."""
+    free = frozenset(free_vars)
     adj = td.adjacency()
     parent = {root: None}
     order = [root]
@@ -97,26 +97,31 @@ def cte(td: TreeDecomposition, factors, free_vars_out, tracker=None, root=None):
                 parent[v] = u
                 order.append(v)
 
-    messages = {}  # child cluster -> its message to the parent
+    held = {}  # cluster -> the variables of its message
+    steps = []
     for u in reversed(order):
-        tables = [factors[fid] for fid in sorted(td.clusters[u].psi, key=name_key)]
-        tables += [messages[v] for v in adj[u] if v != parent[u]]
+        factors = tuple(sorted(td.clusters[u].psi, key=name_key))
+        children = tuple(v for v in adj[u] if v != parent[u])
+        names = set().union(*(scopes[f] for f in factors), *(held[v] for v in children))
+        up = td.clusters[parent[u]].chi if parent[u] is not None else frozenset()
+        keep = free | (td.clusters[u].chi & up)
+        held[u] = names & keep
+        steps.append(Step(u, factors, children, frozenset(names - keep)))
+    return tuple(steps)
+
+
+def cte(steps, factors, record):
+    """Run a schedule: each step multiplies its factors and then its
+    children's messages, in that order, and sums its `drop` out. Returns the
+    last (root) step's message. `record` is handed every table made."""
+    messages = {}
+    for step in steps:
+        tables = [factors[f] for f in step.factors] + [messages.pop(v) for v in step.children]
         h = tables[0] if tables else sf.unit_factor()
         for g in tables[1:]:
-            h = tracker.record(sf.product(h, g))
-        if parent[u] is None:
-            return tracker.record(sf.marginalize(h, set(h.names) - free))
-        drop = set(h.names) - td.separator(u, parent[u]) - free
-        messages[u] = tracker.record(sf.marginalize(h, drop))
-
-
-def validate_psi_bound(td, factors):
-    issues = []
-    for cid in sorted(td.clusters):
-        for fid in sorted(td.clusters[cid].psi):
-            if fid not in factors:
-                issues.append(f"cluster {cid}: no factor bound for {fid}")
-    return issues
+            h = record(sf.product(h, g))
+        messages[step.cluster] = record(sf.marginalize(h, step.drop))
+    return messages[steps[-1].cluster]
 
 
 # -- per-level empirical binding ------------------------------------------
@@ -223,7 +228,7 @@ class LevelPlan:
     level: FlatLevel
     hypergraph: Hypergraph
     td: TreeDecomposition
-    root: int  # the cluster CTE collects the level's output at
+    steps: tuple  # the CTE schedule, leaves to root
     hw_no_outputs: object  # int or None when outputs are needed for coverage
     is_hypertree: bool
     supplied: bool  # td was given by the caller, not computed by decompose
@@ -259,7 +264,7 @@ class Plan:
 
 
 def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
-    """Build each level's hypergraph once and decompose it once.
+    """Build each level's hypergraph once, decompose it once, and fix its CTE schedule.
 
     `domains` maps variable names to domain sizes; a primed name reads its
     base name. `decompositions` maps a level id to a supplied
@@ -280,6 +285,9 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
         if td is None:
             td = decompose(hg, seed=seed, restarts=restarts)
             is_hypertree = td.hyperwidth == 1  # hw 1 exactly when alpha-acyclic
+            # with no g-edge to exclude, the cover decompose built is an f-edge cover
+            hw_no_outputs = (cover_width_excluding_outputs(td, hg) if level.child_outputs
+                             else td.hyperwidth)
         else:
             if not all(c.cover for c in td.clusters.values()):
                 greedy = hypertree_cover(td, hg).clusters
@@ -289,12 +297,14 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
             if issues:
                 raise ValidationError(issues)
             is_hypertree = gyo_acyclic(hg) is not None
+            hw_no_outputs = cover_width_excluding_outputs(td, hg)
         levels[level.level_id] = LevelPlan(
             level=level,
             hypergraph=hg,
             td=td,
-            root=select_root(td, level.free_vars),
-            hw_no_outputs=cover_width_excluding_outputs(td, hg),
+            steps=schedule(td, dict(hg.edges), level.free_vars,
+                           select_root(td, level.free_vars)),
+            hw_no_outputs=hw_no_outputs,
             is_hypertree=is_hypertree,
             supplied=level.level_id in decompositions,
         )
@@ -341,17 +351,15 @@ def execute(p: Plan, data, do=None) -> EvalReport:
     def eval_level(level_id):
         lp = p.levels[level_id]
         t0 = time.monotonic()
-        tracker.level = level_id
+        record = functools.partial(tracker.record, level_id)
 
         factors = {}
         for i, term in enumerate(lp.level.factors):
-            factors[f"f{i}"] = tracker.record(empirical_term_factor(term, data).restrict(do))
+            factors[f"f{i}"] = record(empirical_term_factor(term, data).restrict(do))
         for child_id, _ in lp.level.child_outputs:
-            out = eval_level(child_id)
-            tracker.level = level_id  # the child charged its own level
-            factors[f"g{child_id}"] = tracker.record(sf.invert(out))
+            factors[f"g{child_id}"] = record(sf.invert(eval_level(child_id)))
 
-        out = cte(lp.td, factors, lp.level.free_vars, tracker=tracker, root=lp.root)
+        out = cte(lp.steps, factors, record)
         max_entries, _, total_entries = tracker.levels[level_id]
         level_stats.append(
             LevelStats(

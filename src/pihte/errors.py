@@ -73,10 +73,6 @@ class DivisionInconsistency(PihteError):
     """A nonzero numerator entry met a zero denominator during recombination."""
 
 
-class UnboundFactor(PihteError):
-    """A decomposition references a factor id with no bound table."""
-
-
 class ValidationError(PihteError):
     """A tree decomposition failed one of the four conditions."""
 

@@ -4,7 +4,7 @@ A factor stores only non-zero assignments; everything absent is zero. It holds
 a scope in the canonical global variable order, an int64 code matrix of unique
 rows sorted lexicographically, and a float64 value vector, so merges and
 serialized output are deterministic. Entries are validated where they enter
-from outside (`SparseFactor(scope, entries)`, `loads`, `model.Dataset`); the
+from outside (`SparseFactor(scope, entries)` and `model.Dataset`); the
 algebra, the sort-based join and aggregate of Yannakakis (VLDB 1981) and FAQ
 (Abo Khamis, Ngo & Rudra, PODS 2016) as array kernels, builds its results
 with `SparseFactor.trusted`.
@@ -259,32 +259,3 @@ def invert(f: SparseFactor) -> SparseFactor:
     """Entrywise reciprocal over the same support, flagged `require_support`:
     a partner entry outside that support is a nonzero over a zero."""
     return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values, require_support=True)
-
-
-# -- debug serialization (test fixtures) ----------------------------------
-
-def dumps(f: SparseFactor) -> str:
-    """One header line `scope: a,b,...` then one `v1,v2,...=value` line per entry."""
-    lines = ["scope: " + ",".join(f"{v.name}:{v.domain_size}" for v in f.scope)]
-    for key, value in f.items():
-        lines.append(",".join(str(c) for c in key) + "=" + repr(value))
-    return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> SparseFactor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("scope:"):
-        raise ValueError("missing scope header")
-    spec = header[len("scope:"):].strip()
-    scope = []
-    if spec:
-        for part in spec.split(","):
-            name, k = part.split(":")
-            scope.append(Variable(name.strip(), int(k)))
-    entries = {}
-    for line in lines[1:]:
-        key_s, _, val_s = line.partition("=")
-        key = tuple(int(c) for c in key_s.split(",")) if key_s.strip() else ()
-        entries[key] = float(val_s)
-    return SparseFactor(tuple(scope), entries)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from pihte.cli import main
-from pihte.decomposition import decompose, load_decomposition
+from pihte.decomposition import decompose, load_decomposition, validate
 from pihte.engine import (
     brute_force_eval,
     pi_hte,
@@ -131,7 +131,8 @@ def test_criterion_6_cone_cloud_tightness_law(fixture_path, monkeypatch):
     hier = flatten(parse(open(fixture_path("cone_cloud.estimand")).read()))
     structure = plan(hier, {v.name: v.domain_size for v in graph.variables})
     hg = structure.levels[hier.root].hypergraph
-    td = load_decomposition(fixture_path("cone_cloud.td"), hg)
+    td = load_decomposition(fixture_path("cone_cloud.td"))
+    assert validate(td, hg) == []
     cbn = random_cbn(graph, dist="dirichlet", alpha=10.0, seed=0)
     max_tables = {}
     for i, size in enumerate((100, 200, 400)):

@@ -180,6 +180,7 @@ def test_bad_decomposition_exit2(capsys, napkin, tmp_path):
     (("estimate", "--do", "Q=0"), "Q"),   # not a variable of the estimand
     (("oracle", "--do", "Q=0"), "Q"),
     (("estimate", "--do", "X=7"), "X"),   # X has domain 0..2
+    (("estimate", "--do", "X=abc"), "X"),  # not an integer
 ])
 def test_do_outside_contract_exit2(capsys, napkin, argv, name):
     graph, estimand, data = napkin
@@ -187,6 +188,27 @@ def test_do_outside_contract_exit2(capsys, napkin, argv, name):
                        "--estimand-file", estimand, *argv[1:])
     assert code == 2
     assert repr(name) in err or f"{name}=" in err
+
+
+SCALAR_CHILD = "P(A|B) P(B|C) P(C|A) / sum[W](P(W))"
+
+
+def test_cyclic_level_with_scalar_child_output(capsys, tmp_path):
+    """The denominator has no free variable, so the cyclic root level holds a
+    g-edge with an empty scope, which the bucket tree puts in its last bucket."""
+    graph = tmp_path / "four.graph"
+    graph.write_text("var A 2\nvar B 2\nvar C 2\nvar W 2\nA -> B\nB -> C\nC -> W\n")
+    code, out, err = run(capsys, "analyze", "--graph", str(graph), "--estimand", SCALAR_CHILD)
+    assert code == 0, err
+    level0 = next(lv for lv in json.loads(out)["levels"] if lv["level"] == 0)
+    assert (level0["w"], level0["hw"]) == (2, 2)
+    data = str(tmp_path / "four.csv")
+    assert main(["simulate", "--graph", str(graph), "--rows", "300", "--out", data]) == 0
+    for restarts in ("0", "2"):
+        code, out, err = run(capsys, "oracle", "--graph", str(graph), "--data", data,
+                             "--estimand", SCALAR_CHILD, "--restarts", restarts)
+        assert code == 0, err
+        assert json.loads(out)["max_rel_discrepancy"] == 0
 
 
 def test_analyze_has_no_do_option(capsys, fixture_path):

@@ -6,6 +6,7 @@ import pytest
 from pihte.decomposition import (
     Hypergraph,
     build_hypergraph,
+    cover_width_excluding_outputs,
     decompose,
     gyo_acyclic,
     hypertree_cover,
@@ -15,8 +16,10 @@ from pihte.decomposition import (
     tree_decomposition,
     validate,
 )
-from pihte.errors import ParseError, UncoverableCluster, ValidationError
+from pihte.engine import plan
+from pihte.errors import ParseError, UncoverableCluster
 from pihte.estimand import flatten, parse
+from pihte.model import base_name
 from pihte.suite import make_instance
 
 
@@ -122,18 +125,23 @@ def test_restarts_never_worse():
         assert (more.hyperwidth, more.treewidth) <= (base.hyperwidth, base.treewidth)
 
 
-def _fixture_and_suite_hypergraphs():
-    """Every level of every fixture estimand and of suite instances 0-99."""
+def _fixture_and_suite_hierarchies():
+    """The flattened estimands of every fixture, of suite instances 0-99, and
+    of two ratios: one whose root level cannot be covered without its g-edge,
+    one with a scalar g-edge on a cyclic level."""
     fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     texts = [open(os.path.join(fixtures, f"{stem}.estimand")).read()
              for stem in ("chain7", "chain99", "cone_cloud", "napkin")]
     texts += [make_instance(seed).estimand for seed in range(100)]
-    return [build_hypergraph(level) for text in texts for level in flatten(parse(text)).levels]
+    texts += ["P(A) / P(B)", "P(A|B) P(B|C) P(C|A) / sum[W](P(W))"]
+    return [flatten(parse(text)) for text in texts]
 
 
+FIXTURE_AND_SUITE_HIERARCHIES = _fixture_and_suite_hierarchies()
 PROPERTY_HYPERGRAPHS = {
     "random": [random_hypergraph(random.Random(seed)) for seed in range(200)],
-    "fixtures_and_suite": _fixture_and_suite_hypergraphs(),
+    "fixtures_and_suite": [build_hypergraph(level) for hier in FIXTURE_AND_SUITE_HIERARCHIES
+                           for level in hier.levels],
 }
 
 
@@ -145,6 +153,13 @@ def test_computed_decompositions_are_valid_and_hw1_iff_acyclic(family, restarts)
         td = decompose(h, seed=3, restarts=restarts)
         assert validate(td, h) == []
         assert (td.hyperwidth == 1) == (gyo_acyclic(h) is not None)
+    if family != "fixtures_and_suite":
+        return
+    # plan reads hw_no_outputs off the computed cover when the level has no g-edge
+    for hier in FIXTURE_AND_SUITE_HIERARCHIES:
+        names = {base_name(n) for lv in hier.levels for s in lv.factor_scopes for n in s}
+        for lp in plan(hier, dict.fromkeys(names, 2), seed=3, restarts=restarts).levels.values():
+            assert lp.hw_no_outputs == cover_width_excluding_outputs(lp.td, lp.hypergraph)
 
 
 def test_cover_unreachable_variable():
@@ -216,7 +231,8 @@ def test_select_root_prefers_free_vars():
 def test_load_decomposition_fixture(fixture_path):
     lv = flatten(parse(open(fixture_path("cone_cloud.estimand")).read())).level(0)
     h = build_hypergraph(lv)
-    td = load_decomposition(fixture_path("cone_cloud.td"), h)
+    td = load_decomposition(fixture_path("cone_cloud.td"))
+    assert validate(td, h) == []
     assert td.hyperwidth == 2
     assert td.treewidth == 14
     assert td.n_clusters == 2
@@ -226,15 +242,15 @@ def test_load_decomposition_rejects_invalid(tmp_path):
     h = hg(("A", "B"))
     p = tmp_path / "bad.td"
     p.write_text("cluster 0: chi={A} psi={f0} cover={f0}\n")
-    with pytest.raises(ValidationError):
-        load_decomposition(p, h)
+    issues = validate(load_decomposition(p), h)
+    assert any("condition 2" in v for v in issues)
 
 
 def test_load_decomposition_repeated_cluster(tmp_path):
     p = tmp_path / "twice.td"
     p.write_text("cluster 0: chi={A} psi={f0}\ncluster 0: chi={A} psi={f0}\n")
     with pytest.raises(ParseError, match="cluster 0 defined twice") as exc:
-        load_decomposition(p, hg(("A",)))
+        load_decomposition(p)
     assert exc.value.line == 2
 
 
@@ -242,4 +258,4 @@ def test_load_decomposition_parse_error(tmp_path):
     p = tmp_path / "bad.td"
     p.write_text("cluster zero: chi={A}\n")
     with pytest.raises(ParseError):
-        load_decomposition(p, hg(("A",)))
+        load_decomposition(p)

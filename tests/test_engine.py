@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from pihte.decomposition import TreeDecomposition, Cluster, build_hypergraph, decompose
+from pihte.cli import main
+from pihte.decomposition import (
+    Cluster,
+    TreeDecomposition,
+    build_hypergraph,
+    decompose,
+    select_root,
+)
 from pihte.engine import (
     TableTracker,
     brute_force_eval,
@@ -15,8 +22,9 @@ from pihte.engine import (
     plan,
     predicted_bounds,
     run_metrics,
+    schedule,
 )
-from pihte.errors import ResourceLimitExceeded, UnboundFactor, UnknownVariable
+from pihte.errors import ResourceLimitExceeded, UnknownVariable, ValidationError
 from pihte.estimand import MAX_NESTING, ProbTerm, flatten, parse
 from pihte.factor import SparseFactor, product, unit_factor
 from pihte.model import CausalGraph, Dataset, Variable, empirical_prob
@@ -39,6 +47,13 @@ def small_data(seed=0, n=200):
 # -- cte -------------------------------------------------------------------
 
 
+def run_cte(td, factors, free, root=None):
+    """CTE over a hand-made decomposition, scheduled as `plan` schedules it."""
+    root = select_root(td, free) if root is None else root
+    steps = schedule(td, {fid: f.names for fid, f in factors.items()}, free, root)
+    return cte(steps, factors, lambda f: f)
+
+
 def test_cte_single_cluster_matches_dense():
     data = small_data()
     fa = empirical_prob(data, ("V0",))
@@ -48,7 +63,7 @@ def test_cte_single_cluster_matches_dense():
                              cover=("f1",))},
         edges=[],
     )
-    out = cte(td, {"f0": fa, "f1": fb}, {"V1"})
+    out = run_cte(td, {"f0": fa, "f1": fb}, {"V1"})
     for v1 in range(2):
         want = math.fsum(
             fa.dense_eval({"V0": v0}) * fb.dense_eval({"V0": v0, "V1": v1})
@@ -68,7 +83,7 @@ def test_cte_two_clusters_matches_dense():
         },
         edges=[(0, 1)],
     )
-    out = cte(td, {"f0": f0, "f1": f1}, {"V0", "V2"})
+    out = run_cte(td, {"f0": f0, "f1": f1}, {"V0", "V2"})
     for v0, v2 in itertools.product(range(2), range(2)):
         want = math.fsum(
             f0.dense_eval({"V0": v0, "V1": v1}) * f1.dense_eval({"V1": v1, "V2": v2})
@@ -89,8 +104,8 @@ def test_cte_root_invariance():
         edges=[(0, 1)],
     )
     factors = {"f0": f0, "f1": f1}
-    a = cte(td, factors, {"V0", "V2"}, root=0)
-    b = cte(td, factors, {"V0", "V2"}, root=1)
+    a = run_cte(td, factors, {"V0", "V2"}, root=0)
+    b = run_cte(td, factors, {"V0", "V2"}, root=1)
     assert a.allclose(b, rel=1e-9)
 
 
@@ -101,17 +116,32 @@ def test_cte_scalar_factors():
     )
     two = SparseFactor((), {(): 2.0})
     three = SparseFactor((), {(): 3.0})
-    out = cte(td, {"f0": two, "f1": three}, set())
+    out = run_cte(td, {"f0": two, "f1": three}, set())
     assert out.dense_eval({}) == 6.0
 
 
-def test_cte_unbound_factor():
+def test_plan_rejects_psi_naming_an_unknown_factor(capsys, tmp_path):
+    """The one route by which an unbound factor id could reach CTE is a
+    supplied decomposition, and `plan` refuses it before any data is read."""
+    estimand = "sum[V1](P(V1|V0) P(V2|V1))"
     td = TreeDecomposition(
-        clusters={0: Cluster(chi=frozenset({"A"}), psi=frozenset({"f0"}), cover=("f0",))},
+        clusters={0: Cluster(chi=frozenset({"V0", "V1", "V2"}),
+                             psi=frozenset({"f0", "f1", "f9"}))},
         edges=[],
     )
-    with pytest.raises(UnboundFactor):
-        cte(td, {}, set())
+    with pytest.raises(ValidationError, match="unknown factor f9 in psi"):
+        plan(flatten(parse(estimand)), {"V0": 2, "V1": 2, "V2": 2}, decompositions={0: td})
+
+    graph = tmp_path / "chain.graph"
+    graph.write_text("var V0 2\nvar V1 2\nvar V2 2\nV0 -> V1\nV1 -> V2\n")
+    data = tmp_path / "chain.csv"
+    data.write_text("V0,V1,V2\n0,1,1\n1,0,1\n")
+    bad = tmp_path / "bad.td"
+    bad.write_text("cluster 0: chi={V0,V1,V2} psi={f0,f1,f9}\n")
+    code = main(["estimate", "--graph", str(graph), "--data", str(data),
+                 "--estimand", estimand, "--decomposition", str(bad)])
+    assert code == 2
+    assert "f9" in capsys.readouterr().err
 
 
 def test_tracker_cap(monkeypatch):
@@ -119,7 +149,17 @@ def test_tracker_cap(monkeypatch):
     tracker = TableTracker()
     f = SparseFactor((Variable("A", 4),), {(i,): 1.0 for i in range(4)})
     with pytest.raises(ResourceLimitExceeded):
-        tracker.record(f)
+        tracker.record(0, f)
+
+
+def test_tracker_charges_the_level_it_is_given():
+    tracker = TableTracker()
+    small = SparseFactor((Variable("A", 2),), {(0,): 1.0})
+    wide = SparseFactor((Variable("A", 4),), {(i,): 1.0 for i in range(3)})
+    assert tracker.record(1, wide) is wide
+    tracker.record(0, small)
+    tracker.record(1, small)
+    assert tracker.levels == {1: [3, 4, 4], 0: [1, 2, 1]}
 
 
 def test_tracker_env_cap(monkeypatch):

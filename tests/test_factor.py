@@ -12,9 +12,7 @@ from pihte.errors import (
 )
 from pihte.factor import (
     SparseFactor,
-    dumps,
     invert,
-    loads,
     marginalize,
     product,
     unit_factor,
@@ -181,12 +179,6 @@ def test_require_support_ok_when_covered():
     den = SparseFactor((Variable("A", 2),), {(0,): 2.0, (1,): 4.0}, require_support=True)
     h = product(num, den)
     assert h.dense_eval({"A": 0}) == 1.0
-
-
-def test_dumps_loads_roundtrip():
-    f = make([("A", 2), ("B", 3)], {(0, 2): 0.125, (1, 0): 0.5})
-    g = loads(dumps(f))
-    assert g == f
 
 
 # -- property tests --------------------------------------------------------

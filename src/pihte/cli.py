@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -210,11 +211,18 @@ def cmd_oracle(args) -> int:
     return 0 if ok else EXIT_MISMATCH
 
 
+def _random_cbn(args, graph):
+    """The CBN `simulate` and `bench` draw under --dist, --alpha and --seed."""
+    if args.dist in ("dirichlet", "mixture") and not 0 < args.alpha < math.inf:
+        raise ValueError(f"--alpha must be positive and finite under --dist {args.dist}, "
+                         f"got {args.alpha}")
+    return simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
+
+
 def cmd_simulate(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
-    graph = load_graph(args.graph)
-    cbn = simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
+    cbn = _random_cbn(args, load_graph(args.graph))
     data = simulate.sample_dataset(cbn, n=args.rows, seed=args.seed + 1)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -228,7 +236,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"--sizes must list integers, got {args.sizes!r}") from None
     if not sizes:
         raise ValueError("--sizes must list at least one sample size")
     if min(sizes) < 1:
@@ -237,7 +248,7 @@ def cmd_bench(args) -> int:
     hier = flatten(parse(_read_estimand(args)))
     p = _plan(args, hier, graph)
     do = _parse_do(args.do)
-    cbn = simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
+    cbn = _random_cbn(args, graph)
     rows = []
     for i, size in enumerate(sizes):
         data = simulate.sample_dataset(cbn, n=size, seed=args.seed + 1 + i)

@@ -301,9 +301,9 @@ def validate(td: TreeDecomposition, h: Hypergraph):
     violations = []
     scopes = {fid: frozenset(scope) for fid, scope in h.edges}
 
-    assigned = {}
+    assigned = {}  # psi walked in name order: violations list the same under any hash seed
     for cid, c in td.clusters.items():
-        for fid in c.psi:
+        for fid in sorted(c.psi, key=name_key):
             assigned.setdefault(fid, []).append(cid)
     for fid in scopes:
         where = assigned.get(fid, [])
@@ -316,7 +316,7 @@ def validate(td: TreeDecomposition, h: Hypergraph):
             violations.append(f"condition 1: unknown factor {fid} in psi")
 
     for cid, c in td.clusters.items():
-        for fid in c.psi:
+        for fid in sorted(c.psi, key=name_key):
             if fid in scopes and not scopes[fid] <= c.chi:
                 extra = sorted(scopes[fid] - c.chi, key=name_key)
                 violations.append(

@@ -113,31 +113,16 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
 def cte(steps, factors, record):
     """Run a schedule: each step multiplies its factors and then its
     children's messages, in that order, and sums its `drop` out. Returns the
-    last (root) step's message. `record` is handed every table made."""
+    last (root) step's message. `record` is handed every table made; a step
+    that sums nothing out passes its table on as it is."""
     messages = {}
     for step in steps:
         tables = [factors[f] for f in step.factors] + [messages.pop(v) for v in step.children]
         h = tables[0] if tables else sf.unit_factor()
         for g in tables[1:]:
             h = record(sf.product(h, g))
-        messages[step.cluster] = record(sf.marginalize(h, step.drop))
+        messages[step.cluster] = record(sf.marginalize(h, step.drop)) if step.drop else h
     return messages[steps[-1].cluster]
-
-
-# -- per-level empirical binding ------------------------------------------
-
-
-def empirical_term_factor(term, data):
-    """Bind one probability term, routing primed names to their base column."""
-    base_left = tuple(base_name(n) for n in term.left)
-    base_right = tuple(base_name(n) for n in term.right)
-    if len(set(base_left + base_right)) != len(set(term.left + term.right)):
-        raise ValueError(
-            f"term {term.key()} mixes a variable with its primed copy"
-        )
-    emp = empirical_prob(data, base_left, base_right)
-    mapping = {base_name(n): n for n in term.left + term.right if n != base_name(n)}
-    return emp.rename(mapping) if mapping else emp
 
 
 # -- evaluation report -----------------------------------------------------
@@ -355,7 +340,7 @@ def execute(p: Plan, data, do=None) -> EvalReport:
 
         factors = {}
         for i, term in enumerate(lp.level.factors):
-            factors[f"f{i}"] = record(empirical_term_factor(term, data).restrict(do))
+            factors[f"f{i}"] = record(empirical_prob(data, term.left, term.right).restrict(do))
         for child_id, _ in lp.level.child_outputs:
             factors[f"g{child_id}"] = record(sf.invert(eval_level(child_id)))
 
@@ -419,18 +404,16 @@ def brute_force_eval(expr, data, dense_limit=10**6) -> sf.SparseFactor:
     """Literal dense evaluation of the original (unflattened) estimand.
 
     Binds every probability term empirically from the same dataset and
-    enumerates all assignments of the free variables.
+    enumerates all assignments of the free variables. The parser admits no
+    primed names, so every variable is a dataset column.
     """
     free = tuple(sorted(free_vars(expr), key=name_key))
     bindings = {}
     for term in prob_terms(expr):
         key = term.key()
         if key not in bindings:
-            bindings[key] = empirical_term_factor(term, data)
-    domains = {}
-    for f in bindings.values():
-        for v in f.scope:
-            domains[v.name] = v.domain_size
+            bindings[key] = empirical_prob(data, term.left, term.right)
+    domains = data.domains
 
     cells = 1
     for n in free:

@@ -22,7 +22,7 @@ from .errors import (
     ScopeConflict,
     UnknownVariable,
 )
-from .model import Variable, name_key
+from .model import name_key
 
 # Values whose magnitude falls below this after arithmetic are treated as an
 # underflow to zero and dropped (the no-zero invariant is kept explicit).
@@ -48,17 +48,6 @@ def group_ids(codes):
     return ids.reshape(-1), first
 
 
-def _canonical(scope, codes, values):
-    """Scope in name order and rows sorted, from unique rows in any order."""
-    names = [v.name for v in scope]
-    if len(set(names)) != len(names):
-        raise ScopeConflict(f"repeated variable in scope {names}")
-    order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
-    codes = codes[:, order]
-    _, first = group_ids(codes)
-    return tuple(scope[i] for i in order), codes[first], values[first]
-
-
 class SparseFactor:
     """Immutable sparse table: sorted unique code rows -> non-zero floats."""
 
@@ -81,7 +70,14 @@ class SparseFactor:
                              f"0..{scope[col].domain_size - 1}")
         if not values.all():
             raise ValueError("zero entries must be represented by absence")
-        self._set(*_canonical(scope, codes, values), require_support, underflow_dropped)
+        names = [v.name for v in scope]
+        if len(set(names)) != len(names):
+            raise ScopeConflict(f"repeated variable in scope {names}")
+        order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
+        codes = codes[:, order]
+        _, first = group_ids(codes)  # rows sorted; keys are unique, coming from a mapping
+        self._set(tuple(scope[i] for i in order), codes[first], values[first],
+                  require_support, underflow_dropped)
 
     def _set(self, scope, codes, values, require_support, underflow_dropped):
         self.scope = scope
@@ -159,12 +155,6 @@ class SparseFactor:
         for i, want in positions:
             keep &= self.codes[:, i] == want
         return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep],
-                                    self.require_support)
-
-    def rename(self, mapping) -> "SparseFactor":
-        """Rename scope variables; entries are re-sorted into canonical order."""
-        scope = [Variable(mapping.get(v.name, v.name), v.domain_size) for v in self.scope]
-        return SparseFactor.trusted(*_canonical(scope, self.codes, self.values),
                                     self.require_support)
 
 

@@ -24,16 +24,18 @@ _NUM_RE = re.compile(r"(\d+)")
 def name_key(name: str):
     """Natural sort key: digit runs compare numerically, primes sort after the base.
 
-    Gives the canonical global variable order (V2 < V10, V0 < V0' < V1).
+    Gives the canonical global variable order (V2 < V10, V0 < V0' < V1). The
+    base name breaks ties between names whose digit runs are equal (V01 < V1)
+    before the primes count, so the order is total and priming a name never
+    moves it past another.
     """
     base = name.rstrip("'")
-    primes = len(name) - len(base)
     parts = tuple(
         (1, int(tok)) if tok.isdigit() else (0, tok)
         for tok in _NUM_RE.split(base)
         if tok
     )
-    return (parts, primes)
+    return (parts, base, len(name) - len(base))
 
 
 def base_name(name: str) -> str:
@@ -223,9 +225,11 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
 def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     """Empirical conditional table P_D(left | right) as a sparse factor.
 
-    Entries exist only for configurations seen in the data; counts are exact
-    integers, divided once per entry. With right empty this is the empirical
-    marginal over `left`.
+    Names are the term's own, primed or not: each reads the column of its
+    base name, and the scope is the names in canonical order. Entries exist
+    only for configurations seen in the data; counts are exact integers,
+    divided once per entry. With right empty this is the empirical marginal
+    over `left`.
     """
     from .factor import SparseFactor, group_ids
 
@@ -233,14 +237,16 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     right = tuple(right)
     if not left:
         raise ValueError("left variable set must be non-empty")
-    if set(left) & set(right):
-        raise ValueError("left and right sets must be disjoint")
+    if len({base_name(n) for n in left + right}) != len(left + right):
+        term = ",".join(left) + ("|" + ",".join(right) if right else "")
+        raise ValueError(f"term P({term}) reads a column more than once")
     if data.n_rows == 0:
         raise EmptyDataset("cannot extract probabilities from zero rows")
 
     scope_names = sorted(left + right, key=name_key)
-    scope = tuple(Variable(n, data.domains[n]) for n in scope_names)
-    cells = data.cells[:, [data.column_index(n) for n in scope_names]]
+    columns = [base_name(n) for n in scope_names]
+    cells = data.cells[:, [data.column_index(c) for c in columns]]
+    scope = tuple(Variable(n, data.domains[c]) for n, c in zip(scope_names, columns))
     ids, first = group_ids(cells)
     codes, counts = cells[first], np.bincount(ids)
     if right:

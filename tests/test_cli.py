@@ -1,9 +1,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pihte
 from pihte.cli import main
 
 
@@ -11,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_hashed(hash_seed, *argv):
+    """The CLI in a fresh interpreter under the given PYTHONHASHSEED."""
+    src = os.path.dirname(os.path.dirname(pihte.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pihte.cli", *argv], env=env,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -305,6 +317,14 @@ def test_oracle_suite_rejects_decomposition(capsys, fixture_path):
     (["estimate", "--estimand-file", "napkin.estimand", "--data", "napkin.csv",
       "--restarts", "-1"], "--restarts"),
     (["oracle", "--suite", "-2"], "--suite"),
+    (["bench", "--estimand-file", "napkin.estimand", "--sizes", "10,x"], "--sizes"),
+] + [
+    ([cmd, "--dist", dist, "--alpha", alpha]
+     + (["--estimand-file", "napkin.estimand", "--sizes", "50"] if cmd == "bench" else []),
+     "--alpha")
+    for cmd in ("simulate", "bench")
+    for dist in ("dirichlet", "mixture")
+    for alpha in ("0", "-1", "nan", "inf")
 ])
 def test_out_of_range_integer_option_exit2(capsys, napkin, argv, option):
     graph, estimand, data = napkin
@@ -389,3 +409,35 @@ def test_analyze_bounds_come_from_the_plan(capsys, napkin, tmp_path):
     a, e = json.loads(analyzed)["bounds"], json.loads(estimated)["bounds"]
     assert a["k"] == e["k"] == 3
     assert a["tw_bound_log10"] == e["tw_bound_log10"]
+
+
+def test_oracle_orders_names_with_equal_digit_runs_under_any_hash_seed(capsys, tmp_path):
+    # V1 and V01 have equal digit runs; their order must not follow set iteration
+    graph = tmp_path / "v01.graph"
+    graph.write_text("var V1 2\nvar V01 3\nvar A 2\nV01 -> V1\nA -> V1\n")
+    data = str(tmp_path / "v01.csv")
+    assert main(["simulate", "--graph", str(graph), "--rows", "200", "--out", data]) == 0
+    for hash_seed in range(4):
+        done = run_hashed(hash_seed, "oracle", "--graph", str(graph), "--data", data,
+                          "--estimand", "P(V01,V1|A)")
+        assert done.returncode == 0, (hash_seed, done.stdout, done.stderr)
+    for text in ("P(V1,V01|A)", "P(V01,V1|A)"):
+        code, out, _ = run(capsys, "estimate", "--graph", str(graph), "--data", data,
+                           "--estimand", text)
+        assert code == 0
+        assert [n for n, _ in json.loads(out)["result"]["scope"]] == ["A", "V01", "V1"]
+
+
+def test_validation_messages_do_not_depend_on_hash_seed(fixture_path, tmp_path):
+    td = open(fixture_path("cone_cloud.td")).read().splitlines()
+    assert td[1].startswith("cluster 0: chi={V1,V2,V3,")
+    td[1] = "cluster 0: chi={V1,V2} " + td[1].split("} ", 1)[1]
+    bad = tmp_path / "bad.td"
+    bad.write_text("\n".join(td) + "\n")
+    argv = ["analyze", "--graph", fixture_path("cone_cloud.graph"),
+            "--estimand-file", fixture_path("cone_cloud.estimand"), "--decomposition", str(bad)]
+    runs = [run_hashed(hash_seed, *argv) for hash_seed in (0, 1)]
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.count("condition 2: cluster 0 misses") == 7
+    assert runs[0].stderr.index("of f0;") < runs[0].stderr.index("of f1;")

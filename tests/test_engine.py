@@ -16,7 +16,6 @@ from pihte.engine import (
     TableTracker,
     brute_force_eval,
     cte,
-    empirical_term_factor,
     execute,
     pi_hte,
     plan,
@@ -25,7 +24,7 @@ from pihte.engine import (
     schedule,
 )
 from pihte.errors import ResourceLimitExceeded, UnknownVariable, ValidationError
-from pihte.estimand import MAX_NESTING, ProbTerm, flatten, parse
+from pihte.estimand import MAX_NESTING, flatten, parse
 from pihte.factor import SparseFactor, product, unit_factor
 from pihte.model import CausalGraph, Dataset, Variable, empirical_prob
 from pihte.simulate import random_cbn, sample_dataset
@@ -351,9 +350,19 @@ def test_run_metrics_row():
     assert row["density"] > 0
 
 
-def test_empirical_term_factor_primed_reads_base_column():
+def test_total_entries_charges_each_table_once():
+    data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1), (1, 1)], {"A": 2, "B": 2})
+    rep = pi_hte(flatten(parse("P(B|A) P(A)")), data)
+    # P(B|A) has 3 entries, P(A) 2 and their product 3; no step sums anything
+    # out, so no message is a new table
+    assert rep.total_entries == 8
+    assert rep.max_table_entries == 3
+
+
+def test_empirical_prob_primed_reads_base_column():
     data = small_data(seed=13)
-    f = empirical_term_factor(ProbTerm(("V1",), ("V0'",)), data)
+    f = empirical_prob(data, ("V1",), ("V0'",))
     base = empirical_prob(data, ("V1",), ("V0",))
     assert f.names == ("V0'", "V1")
+    assert [v.domain_size for v in f.scope] == [v.domain_size for v in base.scope]
     assert dict(f.items()) == dict(base.items())

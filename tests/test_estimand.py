@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from pihte.engine import empirical_term_factor
 from pihte.errors import DuplicateBoundVar, EstimandSyntaxError
 from pihte.estimand import (
     ProbTerm,
@@ -16,6 +15,7 @@ from pihte.estimand import (
     parse,
     prob_terms,
 )
+from pihte.model import Dataset, empirical_prob
 from pihte.suite import make_instance
 
 
@@ -206,10 +206,10 @@ def test_flattened_hierarchy_matches_original_ast(seed):
         for lv in hier.levels:
             for term in lv.factors:
                 if term.key() not in bindings:
-                    bindings[term.key()] = empirical_term_factor(term, inst.data)
+                    bindings[term.key()] = empirical_prob(inst.data, term.left, term.right)
         for term in prob_terms(expr):
             if term.key() not in bindings:
-                bindings[term.key()] = empirical_term_factor(term, inst.data)
+                bindings[term.key()] = empirical_prob(inst.data, term.left, term.right)
 
         domains = dict(inst.data.domains)
         for name in list(domains):
@@ -226,14 +226,12 @@ def test_flattened_hierarchy_matches_original_ast(seed):
 
 def test_dense_expr_eval_zero_over_zero():
     expr = parse("P(A) / (P(B))")
-    a = empirical_term_factor(ProbTerm(("A",)), _tiny_data())
-    b = empirical_term_factor(ProbTerm(("B",)), _tiny_data())
+    a = empirical_prob(_tiny_data(), ("A",))
+    b = empirical_prob(_tiny_data(), ("B",))
     bindings = {"P(A)": a, "P(B)": b}
     # B=1 never occurs, so P(B)=0 there; A=1 also never occurs -> 0/0 = 0
     assert dense_expr_eval(expr, bindings, {"A": 1, "B": 1}, {"A": 2, "B": 2}) == 0.0
 
 
 def _tiny_data():
-    from pihte.model import Dataset
-
     return Dataset(("A", "B"), [(0, 0), (0, 0)], {"A": 2, "B": 2})

@@ -160,13 +160,6 @@ def test_restrict():
     assert r.dense_eval({"A": 0, "B": 0}) == 0.0
 
 
-def test_rename():
-    f = make([("A", 2)], {(1,): 0.5})
-    g = f.rename({"A": "A'"})
-    assert g.names == ("A'",)
-    assert g.dense_eval({"A'": 1}) == 0.5
-
-
 def test_require_support_violation_raises():
     num = make([("A", 2)], {(0,): 0.5, (1,): 0.5})
     den = SparseFactor((Variable("A", 2),), {(0,): 2.0}, require_support=True)
@@ -268,13 +261,6 @@ def ref_restrict(f, partial):
                      if all(partial.get(n, x) == x for n, x in zip(f.names, k))}
 
 
-def ref_rename(f, mapping):
-    new = [mapping.get(n, n) for n in f.names]
-    order = sorted(range(len(new)), key=lambda i: name_key(new[i]))
-    return (tuple(new[i] for i in order),
-            {tuple(k[i] for i in order): v for k, v in f.items()})
-
-
 def assert_matches(got, want, rel=0.0):
     names, entries = want
     assert got.names == names
@@ -299,12 +285,6 @@ def test_algebra_matches_dict_reference(pair, data):
     partial = {n: data.draw(st.integers(0, v.domain_size - 1))
                for n, v in zip(f.names, f.scope) if data.draw(st.booleans())}
     assert_matches(f.restrict(partial), ref_restrict(f, partial))
-    # "E" sorts after every drawn name and "A'" right after "A", so the
-    # mapping can reorder the scope
-    mapping = data.draw(st.dictionaries(st.sampled_from(names), st.sampled_from(["E", "A'"]),
-                                        max_size=1))
-    mapping = {k: v for k, v in mapping.items() if v not in f.names}
-    assert_matches(f.rename(mapping), ref_rename(f, mapping))
     inv = invert(f)
     assert inv.require_support
     assert_matches(inv, (f.names, {k: 1.0 / v for k, v in f.items()}))

@@ -30,6 +30,15 @@ def test_name_key_primes_after_base():
     assert sorted(["V3''", "V3", "V3'"], key=name_key) == ["V3", "V3'", "V3''"]
 
 
+def test_name_key_is_a_total_order():
+    # V1 and V01 have equal digit runs; the base name breaks the tie before
+    # the primes count, so priming never moves a name past another
+    names = ["V1'", "V01", "V1", "A", "V01'", "V0"]
+    want = ["A", "V0", "V01", "V01'", "V1", "V1'"]
+    assert sorted(names, key=name_key) == want
+    assert sorted(reversed(names), key=name_key) == want
+
+
 def test_base_name():
     assert base_name("V10''") == "V10"
     assert base_name("X") == "X"
@@ -147,6 +156,14 @@ def test_empirical_prob_tightness_bounded_by_rows():
     d = Dataset(("A", "B", "C"), rows, {"A": 2, "B": 2, "C": 3})
     f = empirical_prob(d, ("A", "C"), ("B",))
     assert f.tightness <= d.n_rows
+
+
+@pytest.mark.parametrize("left, right", [(("A",), ("A",)), (("A",), ("A'",)),
+                                         (("A", "A'"), ())])
+def test_empirical_prob_reads_each_column_once(left, right):
+    d = Dataset(("A",), [(0,), (1,)], {"A": 2})
+    with pytest.raises(ValueError, match="reads a column more than once"):
+        empirical_prob(d, left, right)
 
 
 def test_empirical_prob_empty_dataset():

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from pihte.engine import brute_force_eval, empirical_term_factor
 from pihte.estimand import dense_expr_eval, parse, prob_terms
 from pihte.factor import SparseFactor
 from pihte.model import CausalGraph, Variable, empirical_prob, name_key

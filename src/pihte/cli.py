@@ -164,6 +164,10 @@ def _max_discrepancy(a, b):
 def cmd_oracle(args) -> int:
     if args.suite < 0:
         raise ValueError(f"--suite must be >= 0, got {args.suite}")
+    if not 0 <= args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if args.dense_limit < 1:
+        raise ValueError(f"--dense-limit must be >= 1, got {args.dense_limit}")
     if args.suite:
         for option, given in (("--do", args.do), ("--decomposition", args.decomposition)):
             if given:
@@ -216,7 +220,10 @@ def _random_cbn(args, graph):
     if args.dist in ("dirichlet", "mixture") and not 0 < args.alpha < math.inf:
         raise ValueError(f"--alpha must be positive and finite under --dist {args.dist}, "
                          f"got {args.alpha}")
-    return simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
+    try:
+        return simulate.random_cbn(graph, dist=args.dist, alpha=args.alpha, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"--alpha {args.alpha} under --dist {args.dist}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

@@ -9,6 +9,7 @@ cover per cluster measures the hypertree width.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -87,19 +88,6 @@ class TreeDecomposition:
     def n_clusters(self):
         return len(self.clusters)
 
-    def canonical_bytes(self) -> bytes:
-        parts = []
-        for cid in sorted(self.clusters):
-            c = self.clusters[cid]
-            parts.append(
-                f"cluster {cid}: chi={{{','.join(sorted(c.chi, key=name_key))}}} "
-                f"psi={{{','.join(sorted(c.psi))}}} "
-                f"cover={{{','.join(c.cover)}}}"
-            )
-        for u, v in sorted(self.edges):
-            parts.append(f"edge {u} {v}")
-        return "\n".join(parts).encode()
-
 
 # -- GYO reduction ---------------------------------------------------------
 
@@ -148,14 +136,13 @@ def gyo_acyclic(h: Hypergraph):
 # -- elimination orderings -------------------------------------------------
 
 
-def min_fill_order(h: Hypergraph, seed: int = 0, randomize: bool = False):
+def min_fill_order(h: Hypergraph, rng=None):
     """Greedy min-fill over the primal graph.
 
-    Deterministic tie-breaking by (fill, degree, name); with `randomize` the
-    seeded RNG permutes only among exact (fill, degree) ties.
+    Deterministic tie-breaking by (fill, degree, name); with a `random.Random`
+    as `rng`, it picks at random among exact (fill, degree) ties instead.
     """
     adj = {n: set(nbrs) for n, nbrs in h.primal_adjacency().items()}
-    rng = random.Random(seed)
     order = []
     while adj:
         scored = []
@@ -169,7 +156,7 @@ def min_fill_order(h: Hypergraph, seed: int = 0, randomize: bool = False):
             scored.append(((fill, len(nbrs)), n))
         best = min(s for s, _ in scored)
         ties = sorted((n for s, n in scored if s == best), key=name_key)
-        pick = ties[rng.randrange(len(ties))] if randomize and len(ties) > 1 else ties[0]
+        pick = ties[rng.randrange(len(ties))] if rng is not None and len(ties) > 1 else ties[0]
         order.append(pick)
         nbrs = adj.pop(pick)
         for a in nbrs:
@@ -284,8 +271,6 @@ def cover_width_excluding_outputs(td: TreeDecomposition, h: Hypergraph):
     Returns None when some cluster cannot be covered without them.
     """
     base_edges = tuple(e for e in h.edges if not e[0].startswith("g"))
-    if not base_edges:
-        return None
     try:
         alt = hypertree_cover(td, Hypergraph(base_edges, h.domains))
     except UncoverableCluster:
@@ -384,9 +369,10 @@ def _connected(nodes, edges):
 def decompose(h: Hypergraph, seed: int = 0, restarts: int = 0) -> TreeDecomposition:
     """GYO join tree when acyclic; otherwise min-fill + cover, best of restarts.
 
-    Restarts permute min-fill tie-breaking; the best (hw, w) result wins, with
-    the deterministic (non-randomized) attempt as the tie-break baseline.
-    The result has hw 1 exactly when `h` is acyclic. Both constructions meet
+    Restart r breaks min-fill ties with `random.Random(seed + 1 + r)`. The
+    deterministic attempt stands unless a restart is strictly narrower in
+    (hw, w); among equally narrow restarts the first wins. The result has
+    hw 1 exactly when `h` is acyclic. Both constructions meet
     the four conditions by construction, so nothing built here is validated
     (the property tests check it).
     """
@@ -394,10 +380,9 @@ def decompose(h: Hypergraph, seed: int = 0, restarts: int = 0) -> TreeDecomposit
     if join_tree is not None:
         return join_tree
 
-    orders = [min_fill_order(h, seed=seed)]
-    orders += [min_fill_order(h, seed=seed + 1 + r, randomize=True) for r in range(restarts)]
-    tds = [hypertree_cover(tree_decomposition(h, order), h) for order in orders]
-    return min(tds, key=lambda td: (td.hyperwidth, td.treewidth, td.canonical_bytes()))
+    rngs = [None] + [random.Random(seed + 1 + r) for r in range(restarts)]
+    tds = [hypertree_cover(tree_decomposition(h, min_fill_order(h, rng)), h) for rng in rngs]
+    return min(tds, key=lambda td: (td.hyperwidth, td.treewidth))
 
 
 def select_root(td: TreeDecomposition, free_vars) -> int:
@@ -410,6 +395,8 @@ def select_root(td: TreeDecomposition, free_vars) -> int:
 
 
 # -- decomposition text format --------------------------------------------
+
+_SET_RE = re.compile(r"(\w+)\s*=\s*\{([^}]*)\}")  # `name={a, b, ...}`
 
 
 def load_decomposition(path) -> TreeDecomposition:
@@ -430,7 +417,8 @@ def load_decomposition(path) -> TreeDecomposition:
                     raise ParseError("expected `cluster <id>: ...`", path, lineno) from None
                 if cid in clusters:
                     raise ParseError(f"cluster {cid} defined twice", path, lineno)
-                fields = dict(_parse_sets(body, path, lineno))
+                fields = {m[1]: [s.strip() for s in m[2].split(",") if s.strip()]
+                          for m in _SET_RE.finditer(body)}
                 if "chi" not in fields or "psi" not in fields:
                     raise ParseError("cluster needs chi={...} and psi={...}", path, lineno)
                 clusters[cid] = Cluster(
@@ -451,12 +439,3 @@ def load_decomposition(path) -> TreeDecomposition:
     if not clusters:
         raise ParseError("no clusters defined", path)
     return TreeDecomposition(clusters, sorted(edges))
-
-
-def _parse_sets(body, path, lineno):
-    import re as _re
-
-    for m in _re.finditer(r"(\w+)\s*=\s*\{([^}]*)\}", body):
-        name = m.group(1)
-        items = [s.strip() for s in m.group(2).split(",") if s.strip()]
-        yield name, items

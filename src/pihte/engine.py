@@ -57,7 +57,9 @@ class TableTracker:
         try:
             self.cap = int(env) if env else None
         except ValueError:
-            raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer, got {env!r}") from None
+            self.cap = 0
+        if self.cap is not None and self.cap < 1:  # no table could be made
+            raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer >= 1, got {env!r}")
         self.levels = {}  # level id -> [largest table, its cells, entries summed]
 
     def record(self, level, f: sf.SparseFactor):
@@ -270,9 +272,6 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
         if td is None:
             td = decompose(hg, seed=seed, restarts=restarts)
             is_hypertree = td.hyperwidth == 1  # hw 1 exactly when alpha-acyclic
-            # with no g-edge to exclude, the cover decompose built is an f-edge cover
-            hw_no_outputs = (cover_width_excluding_outputs(td, hg) if level.child_outputs
-                             else td.hyperwidth)
         else:
             if not all(c.cover for c in td.clusters.values()):
                 greedy = hypertree_cover(td, hg).clusters
@@ -282,7 +281,9 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
             if issues:
                 raise ValidationError(issues)
             is_hypertree = gyo_acyclic(hg) is not None
-            hw_no_outputs = cover_width_excluding_outputs(td, hg)
+        # with no g-edge to exclude, the level's cover is already an f-edge cover
+        hw_no_outputs = (cover_width_excluding_outputs(td, hg) if level.child_outputs
+                         else td.hyperwidth)
         levels[level.level_id] = LevelPlan(
             level=level,
             hypergraph=hg,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -197,13 +196,21 @@ class _Parser:
         return ProbTerm(left, right)
 
     def sum(self):
+        """`sum[names](expr)`; each name bound once and used in the body."""
         self.next()  # 'sum'
         self.expect("[")
+        first = self.pos
         bound = self.varlist()
         if len(set(bound)) != len(bound):
             raise DuplicateBoundVar(f"duplicate bound variable in sum{list(bound)}")
         self.expect("]")
-        return Sum(bound, self.group())
+        child = self.group()
+        used = free_vars(child)
+        for i, name in enumerate(bound):
+            if name not in used:
+                raise EstimandSyntaxError(f"sum over {name!r} that its body never uses",
+                                          self.tokens[first + 2 * i][2])
+        return Sum(bound, child)
 
     def varlist(self, distinct=False, other_side=()):
         """Comma-separated names; with `distinct`, each at most once and none
@@ -306,12 +313,8 @@ def flatten(expr) -> Hierarchy:
                 walk(c, level, subst)
         elif isinstance(node, Sum):
             inner = dict(subst)
-            child_free = free_vars(node.child)
             hoisted = list(level.sum_vars)
-            for b in node.bound:
-                if b not in child_free:
-                    warnings.warn(f"sum over {b!r} never used; dropped", stacklevel=2)
-                    continue
+            for b in node.bound:  # the parser admits no bound name its body leaves unused
                 if b in used:
                     fresh = _fresh(b, used)
                     inner[b] = fresh

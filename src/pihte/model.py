@@ -129,8 +129,9 @@ class Dataset:
         width = len(self.columns)
         sizes = np.array([self.domains[c] for c in self.columns], dtype=np.int64)
         try:
-            cells = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-            ok = ((cells >= 0) & (cells < sizes)).all()
+            cells = np.array(rows).reshape(len(rows), width)  # no cast: int64 would truncate 1.7
+            ok = ((cells.dtype.kind in "biu" or not cells.size)
+                  and ((cells >= 0) & (cells < sizes)).all())
         except (ValueError, OverflowError):
             ok = False
         if not ok:
@@ -138,9 +139,12 @@ class Dataset:
                 if len(row) != width:
                     raise ParseError(f"row {i} has {len(row)} cells, expected {width}")
                 for c, v in zip(self.columns, row):
+                    if not isinstance(v, (int, np.integer)):
+                        raise ParseError(f"row {i}, column {c!r}: cell {v!r} is not an integer")
                     if not 0 <= v < self.domains[c]:
                         raise DomainViolation(i, c, v)
             raise ParseError("dataset cells must be integers")
+        cells = cells.astype(np.int64, copy=False)
         cells.flags.writeable = False
         self.cells = cells
 

@@ -102,7 +102,8 @@ def _cond_dist(rng, k, dist, alpha):
 
 
 def random_cbn(graph: CausalGraph, dist="dirichlet", alpha=1.0, seed=0) -> CBN:
-    """Expand bidirected edges and draw every CPT from the given family."""
+    """Expand bidirected edges and draw every CPT from the given family; a CPT
+    row that does not sum to 1 (an overflowed Dirichlet draw) is a ValueError."""
     expanded, latents = expand_bidirected(graph)
     rng = np.random.default_rng(seed)
     cpts = {}
@@ -113,6 +114,8 @@ def random_cbn(graph: CausalGraph, dist="dirichlet", alpha=1.0, seed=0) -> CBN:
         table = np.empty(pshape + (k,), dtype=float)
         for idx in itertools.product(*(range(s) for s in pshape)):
             table[idx] = _cond_dist(rng, k, dist, alpha)
+        if not (np.abs(table.sum(axis=-1) - 1.0) <= 1e-8).all():  # NaN fails too
+            raise ValueError(f"the CPT of {name!r} has a row that does not sum to 1")
         cpts[name] = table
     return CBN(expanded, latents, cpts)
 

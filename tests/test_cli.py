@@ -131,6 +131,14 @@ def test_oracle_single(capsys, napkin):
     assert rep["max_rel_discrepancy"] <= 1e-9
 
 
+def test_oracle_do_slice(capsys, napkin):
+    graph, estimand, data = napkin
+    code, out, err = run(capsys, "oracle", "--graph", graph, "--data", data,
+                         "--estimand-file", estimand, "--do", "X=1")
+    assert code == 0, err
+    assert json.loads(out)["pass"]
+
+
 def test_oracle_zero_tolerance_exit5(capsys, napkin):
     graph, estimand, data = napkin
     code, out, _ = run(capsys, "oracle", "--graph", graph, "--data", data,
@@ -324,17 +332,28 @@ def test_oracle_suite_rejects_decomposition(capsys, fixture_path):
      "--alpha")
     for cmd in ("simulate", "bench")
     for dist in ("dirichlet", "mixture")
-    for alpha in ("0", "-1", "nan", "inf")
+    for alpha in ("0", "-1", "nan", "inf", "1e308")  # 1e308 overflows the Dirichlet draw
+] + [
+    (["oracle", "--graph", "napkin.graph", "--data", "napkin.csv",
+      "--estimand-file", "napkin.estimand", option, value], option)
+    for option, value in (("--tolerance", "nan"), ("--tolerance", "-1"),
+                          ("--dense-limit", "0"), ("--dense-limit", "-1"))
 ])
 def test_out_of_range_integer_option_exit2(capsys, napkin, argv, option):
     graph, estimand, data = napkin
-    paths = {"napkin.estimand": estimand, "napkin.csv": data}
+    paths = {"napkin.estimand": estimand, "napkin.csv": data, "napkin.graph": graph}
     argv = [paths.get(a, a) for a in argv]
     if argv[0] != "oracle":
         argv += ["--graph", graph]
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: " + option)
+
+
+def test_simulate_alpha_just_below_overflow(capsys, fixture_path, tmp_path):
+    code, _, err = run(capsys, "simulate", "--graph", fixture_path("napkin.graph"),
+                       "--alpha", "1e307", "--rows", "20", "--out", str(tmp_path / "d.csv"))
+    assert code == 0, err
 
 
 def test_supplied_cluster_without_cover_gets_greedy_cover(capsys, napkin, tmp_path):
@@ -370,7 +389,26 @@ def test_repeated_name_in_term_exit2(capsys, napkin):
         assert "position" in err and name in err
 
 
-@pytest.mark.parametrize("case", ["csv_header", "td_cluster", "do", "max_entries_env"])
+NAPKIN_CLUSTER = "cluster 0: chi={R,W,X,Y} psi={f0,f1,g1}\n"
+# case -> (file suffix, file text, what the message names)
+BAD_FILES = {
+    "td_edge_one_id": ("td", NAPKIN_CLUSTER + "edge 0\n", "bad.td:2"),
+    "td_edge_not_int": ("td", NAPKIN_CLUSTER + "edge a b\n", "bad.td:2"),
+    "td_bogus_line": ("td", NAPKIN_CLUSTER + "bogus\n", "bad.td:2"),
+    "td_no_cluster": ("td", "# nothing here\n", "bad.td: no clusters"),
+    # R and X sit in clusters 0 and 2, joined only through cluster 1
+    "td_condition_3": ("td", "cluster 0: chi={R,W,X,Y} psi={f0,f1}\ncluster 1: chi={W} psi={}\n"
+                       "cluster 2: chi={R,X} psi={g1}\nedge 0 1\nedge 1 2\n", "condition 3"),
+    "graph_var_no_size": ("graph", "var A\n", "bad.graph:1"),
+    "graph_var_bad_size": ("graph", "var A x\n", "bad.graph:1"),
+    "graph_var_size_0": ("graph", "var A 0\n", "bad.graph:1"),
+    "graph_bad_arrow": ("graph", "var A 2\nvar B 2\nA => B\n", "bad.graph:3"),
+}
+BAD_MAX_ENTRIES = {"max_entries_env": "abc", "max_entries_0": "0", "max_entries_-1": "-1"}
+
+
+@pytest.mark.parametrize("case", ["csv_header", "td_cluster", "do",
+                                  *BAD_MAX_ENTRIES, *BAD_FILES])
 def test_repeated_or_bad_input_names_itself_exit2(capsys, napkin, tmp_path, monkeypatch,
                                                   case):
     graph, estimand, data = napkin
@@ -389,12 +427,54 @@ def test_repeated_or_bad_input_names_itself_exit2(capsys, napkin, tmp_path, monk
     elif case == "do":
         argv += ["--do", "X=1,X=2"]
         name = "'X'"
-    else:
-        monkeypatch.setenv("PIHTE_MAX_ENTRIES", "abc")
+    elif case in BAD_MAX_ENTRIES:
+        monkeypatch.setenv("PIHTE_MAX_ENTRIES", BAD_MAX_ENTRIES[case])
         name = "PIHTE_MAX_ENTRIES"
+    else:
+        suffix, text, name = BAD_FILES[case]
+        bad = tmp_path / f"bad.{suffix}"
+        bad.write_text(text)
+        if suffix == "td":
+            argv += ["--decomposition", str(bad)]
+        else:
+            argv[2] = str(bad)
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert name in err
+
+
+AB_GRAPH = "var A 2\nvar B 2\nA -> B\n"
+AB_ROWS = "A,B\n0,0\n0,1\n1,1\n1,1\n"
+
+
+@pytest.mark.parametrize("cmd, td, message", [
+    ("oracle", None, "0.125 / 0 at {'A': 1, 'B': 0}"),
+    ("estimate", "cluster 0: chi={A,B} psi={f0,f1,g1}\n",
+     "entry {'A': 1, 'B': 0} has no denominator support"),
+])
+def test_nonzero_over_zero_denominator_exit3(capsys, tmp_path, cmd, td, message):
+    # P(A=1) P(B=0) = 0.125 but no row has A=1, B=0
+    (tmp_path / "ab.graph").write_text(AB_GRAPH)
+    (tmp_path / "ab.csv").write_text(AB_ROWS)
+    argv = [cmd, "--graph", str(tmp_path / "ab.graph"), "--data", str(tmp_path / "ab.csv"),
+            "--estimand", "P(A) P(B) / P(A,B)"]
+    if td:
+        (tmp_path / "ab.td").write_text(td)
+        argv += ["--decomposition", str(tmp_path / "ab.td")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert message in err
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "oracle", "analyze"])
+def test_sum_over_unused_variable_exit2(capsys, tmp_path, cmd):
+    # the oracle would sum P(A) over both values of B and double it; flatten could not
+    (tmp_path / "ab.graph").write_text(AB_GRAPH)
+    (tmp_path / "ab.csv").write_text(AB_ROWS)
+    code, out, err = run(capsys, cmd, "--graph", str(tmp_path / "ab.graph"),
+                         "--data", str(tmp_path / "ab.csv"), "--estimand", "sum[B](P(A))")
+    assert code == 2 and not out
+    assert "'B'" in err and "position 4" in err
 
 
 def test_analyze_bounds_come_from_the_plan(capsys, napkin, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from pihte.engine import (
 from pihte.errors import ResourceLimitExceeded, UnknownVariable, ValidationError
 from pihte.estimand import MAX_NESTING, flatten, parse
 from pihte.factor import SparseFactor, product, unit_factor
-from pihte.model import CausalGraph, Dataset, Variable, empirical_prob
+from pihte.model import CausalGraph, Dataset, Variable, empirical_prob, name_key
 from pihte.simulate import random_cbn, sample_dataset
 from pihte.suite import make_instance
 
@@ -293,6 +294,57 @@ def test_density_is_largest_table_over_its_cells():
     inst = make_instance(0)
     rep = pi_hte(flatten(parse(inst.estimand)), inst.data)
     assert 0 < rep.density <= 1
+
+
+def cyclic_instance(seed):
+    """Data simulated on a random graph over 3-6 variables with domains of
+    2-3, a free variable, and a cyclic estimand: the triangle P(a|b) P(b|c)
+    P(c|a) times 0-2 random terms, none holding all of a, b and c, summed
+    over every variable it uses but the free one. Every third estimand
+    divides by the same body summed over all its variables too, a scalar
+    that any observed row makes positive."""
+    rng = random.Random(seed)
+    names = [f"V{i}" for i in range(rng.randint(3, 6))]
+    graph = CausalGraph([Variable(v, rng.randint(2, 3)) for v in names],
+                        [(u, v) for i, u in enumerate(names) for v in names[i + 1:]
+                         if rng.random() < 0.4])
+    data = sample_dataset(random_cbn(graph, seed=seed), rng.randint(50, 300), seed=seed + 1)
+    a, b, c = rng.sample(names, 3)
+    terms = [((a,), (b,)), ((b,), (c,)), ((c,), (a,))]
+    for _ in range(rng.randint(0, 2)):
+        left = rng.choice(names)
+        right = tuple(rng.sample([v for v in names if v != left], rng.randint(0, 2)))
+        if not {a, b, c} <= {left, *right}:  # a term over the whole triangle would cover it
+            terms.append(((left,), right))
+    used = sorted({v for left, right in terms for v in left + right}, key=name_key)
+    free = rng.choice(used)
+    body = " ".join(f"P({left[0]}|{','.join(right)})" if right else f"P({left[0]})"
+                    for left, right in terms)
+    text = f"sum[{','.join(v for v in used if v != free)}]({body})"
+    if seed % 3 == 0:
+        text += f" / (sum[{','.join(used)}]({body}))"
+    return data, free, text
+
+
+def test_cyclic_levels_match_brute_force():
+    """Min-fill, restarts, a supplied decomposition and --do slices on levels
+    GYO cannot decompose, against the dense oracle."""
+    for seed in range(150):
+        data, free, text = cyclic_instance(seed)
+        expr = parse(text)
+        hier = flatten(expr)
+        want = brute_force_eval(expr, data)
+        hg = build_hypergraph(hier.level(hier.root))
+        one_cluster = TreeDecomposition(
+            {0: Cluster(frozenset(hg.nodes), frozenset(fid for fid, _ in hg.edges))}, [])
+        for restarts, supplied in ((0, None), (2, None), (0, {hier.root: one_cluster})):
+            p = plan(hier, data.domains, restarts=restarts, decompositions=supplied)
+            if supplied is None:
+                assert p.levels[hier.root].td.hyperwidth >= 2, text
+            assert execute(p, data).result.allclose(want, rel=1e-9), (text, restarts, supplied)
+        for value in range(data.domains[free]):
+            got = execute(p, data, {free: value}).result
+            assert got.allclose(want.restrict({free: value}), rel=1e-9), (text, value)
 
 
 # -- brute force -----------------------------------------------------------

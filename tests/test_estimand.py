@@ -89,6 +89,16 @@ def test_repeated_name_in_term_rejected_at_its_position(text, position, name):
     assert repr(name) in str(exc.value)
 
 
+def test_parse_rejects_unused_bound_var():
+    # the oracle would sum over Z and the flattened levels could not: refuse it
+    for text, position, name in (("sum[B,Z](P(A|B) P(B))", 6, "Z"),
+                                 ("sum[A](sum[A](P(A)))", 4, "A")):
+        with pytest.raises(EstimandSyntaxError) as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert repr(name) in str(exc.value)
+
+
 def test_free_vars():
     expr = parse("sum[B](P(A|B) P(B)) / (sum[C](P(C) P(D|C)))")
     assert free_vars(expr) == {"A", "D"}
@@ -137,12 +147,6 @@ def test_flatten_ratio_builds_child_level():
     assert child.sum_vars == ("W'",)
     assert child.free_vars == ("R", "X")
     assert [t.key() for t in child.factors] == ["P(X|R,W')", "P(W')"]
-
-
-def test_flatten_drops_unused_bound_var():
-    with pytest.warns(UserWarning):
-        h = flatten(parse("sum[B,Z](P(A|B) P(B))"))
-    assert h.level(0).sum_vars == ("B",)
 
 
 def test_flatten_chain7_shape(fixture_path):

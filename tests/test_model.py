@@ -107,6 +107,14 @@ def test_dataset_names_first_bad_row_and_column(rows, row, column, value):
     assert (exc.value.row, exc.value.column, exc.value.value) == (row, column, value)
 
 
+def test_dataset_rejects_non_integer_cell():
+    # an int64 cast would store 1.7 as 1
+    with pytest.raises(ParseError, match=r"row 0, column 'A': cell 1.7 is not an integer"):
+        Dataset(("A",), [(1.7,), (0.2,)], {"A": 2})
+    with pytest.raises(ParseError, match=r"row 1, column 'B': cell 0.5"):
+        Dataset(("A", "B"), [(0, 1), (1, 0.5)], {"A": 2, "B": 2})
+
+
 def test_dataset_ragged_row():
     with pytest.raises(ParseError, match="row 1 has 1 cells, expected 2"):
         Dataset(("A", "B"), [(0, 1), (1,)], {"A": 2, "B": 2})

@@ -80,7 +80,7 @@ class Step:
     """One cluster's turn in cluster-tree elimination."""
 
     cluster: int
-    factors: tuple  # factor ids in name order
+    factors: tuple  # factor ids in name order; cte orders the products by size
     children: tuple  # child cluster ids in id order, whose messages it multiplies in
     drop: frozenset  # the variables its message sums out
 
@@ -112,16 +112,57 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
     return tuple(steps)
 
 
+def _next_table(h, rest):
+    """Which of `rest` to multiply into the running table `h` next: the first
+    whose scope lies inside h's, since it cannot grow h, else the one whose
+    join with h has the fewest entries, the first of equals. One left is
+    taken without counting."""
+    names = set(h.names)
+    for i, g in enumerate(rest):
+        if names.issuperset(g.names):
+            return i
+    if len(rest) == 1:
+        return 0
+    return min(range(len(rest)), key=lambda i: (sf.join_size(h, rest[i]), i))
+
+
+def _join(tables, record):
+    """The product of `tables`, each product handed to `record`.
+
+    Up to two tables meet in the order given. From three on, the order
+    follows the data, as in the sort-join order of Yannakakis (VLDB 1981)
+    but with exact counts in place of a cost model: start from the widest
+    table (then the one with fewest entries, then the first) and add tables
+    as `_next_table` picks them.
+    """
+    rest = list(tables)
+    sized = len(rest) > 2
+    if sized:
+        widest = min(range(len(rest)), key=lambda i: (-len(rest[i].scope), rest[i].tightness, i))
+        rest.insert(0, rest.pop(widest))
+    h = rest.pop(0) if rest else sf.unit_factor()
+    while rest:
+        h = record(sf.product(h, rest.pop(_next_table(h, rest) if sized else 0)))
+    return h
+
+
 def cte(steps, factors, record):
-    """Run a schedule: each step multiplies its factors and then its
-    children's messages, in that order, and sums its `drop` out. Returns the
-    last (root) step's message. `record` is handed every table made; a step
-    that sums nothing out passes its table on as it is."""
+    """Run a schedule: each step multiplies its ordinary tables (its bound
+    factors and its children's messages) in the order `_join` picks, then
+    its inverted child outputs in planned order, and sums its `drop` out.
+    The inverted outputs come last so that each checks its support against
+    the whole cluster's join. Returns the last (root) step's message.
+    `record` is handed every table made; a step that sums nothing out passes
+    its table on as it is."""
     messages = {}
     for step in steps:
         tables = [factors[f] for f in step.factors] + [messages.pop(v) for v in step.children]
-        h = tables[0] if tables else sf.unit_factor()
-        for g in tables[1:]:
+        ordinary = [g for g in tables if not g.require_support]
+        inverted = [g for g in tables if g.require_support]
+        if not ordinary:
+            ordinary, inverted = inverted[:1], inverted[1:]
+        h = _join(ordinary, record)
+        for g in inverted:
             h = record(sf.product(h, g))
         messages[step.cluster] = record(sf.marginalize(h, step.drop)) if step.drop else h
     return messages[steps[-1].cluster]

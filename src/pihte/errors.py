@@ -57,6 +57,14 @@ class EstimandSyntaxError(PihteError):
         self.position = position
 
 
+class UnusedBoundVar(EstimandSyntaxError):
+    """A sum binds a variable its body never uses."""
+
+    def __init__(self, name, position=0):
+        super().__init__(f"sum over {name!r} that its body never uses", position)
+        self.name = name
+
+
 class DuplicateBoundVar(PihteError):
     """The same variable is bound twice in one summation."""
 

@@ -19,6 +19,7 @@ from .errors import (
     DivisionByZero,
     DuplicateBoundVar,
     EstimandSyntaxError,
+    UnusedBoundVar,
 )
 from .model import name_key
 
@@ -57,6 +58,12 @@ class Product:
 class Sum:
     bound: tuple
     child: object
+
+    def __post_init__(self):  # for sums built in code; the parser reports the position
+        used = free_vars(self.child)
+        for name in self.bound:
+            if name not in used:
+                raise UnusedBoundVar(name)
 
 
 @dataclass(frozen=True)
@@ -205,12 +212,11 @@ class _Parser:
             raise DuplicateBoundVar(f"duplicate bound variable in sum{list(bound)}")
         self.expect("]")
         child = self.group()
-        used = free_vars(child)
-        for i, name in enumerate(bound):
-            if name not in used:
-                raise EstimandSyntaxError(f"sum over {name!r} that its body never uses",
-                                          self.tokens[first + 2 * i][2])
-        return Sum(bound, child)
+        try:
+            return Sum(bound, child)
+        except UnusedBoundVar as exc:
+            at = self.tokens[first + 2 * bound.index(exc.name)][2]
+            raise UnusedBoundVar(exc.name, at) from None
 
     def varlist(self, distinct=False, other_side=()):
         """Comma-separated names; with `distinct`, each at most once and none

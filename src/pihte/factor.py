@@ -181,6 +181,28 @@ def _unsupported(f: SparseFactor, rows):
     return DivisionInconsistency(f"entry {dict(zip(f.names, key))} has no denominator support")
 
 
+def _shared_groups(f: SparseFactor, g: SparseFactor):
+    """Group f's and g's rows by the variables they share: each side's group
+    ids, the rows of each group on each side, and g's other columns."""
+    g_pos = {n: j for j, n in enumerate(g.names)}
+    f_shared = [i for i, n in enumerate(f.names) if n in g_pos]
+    g_shared = [g_pos[f.scope[i].name] for i in f_shared]
+    ids, first = group_ids(np.concatenate([f.codes[:, f_shared], g.codes[:, g_shared]]))
+    f_ids, g_ids = ids[:len(f.values)], ids[len(f.values):]
+    f_count = np.bincount(f_ids, minlength=len(first))
+    g_count = np.bincount(g_ids, minlength=len(first))
+    g_only = sorted(set(range(len(g_pos))) - set(g_shared))
+    return f_ids, g_ids, f_count, g_count, g_only
+
+
+def join_size(f: SparseFactor, g: SparseFactor) -> int:
+    """The number of entries `product(f, g)` holds before underflow drops,
+    counted without building it: the rows each shared assignment has on
+    one side times those it has on the other."""
+    _, _, f_count, g_count, _ = _shared_groups(f, g)
+    return int(f_count @ g_count)
+
+
 def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     """Sort-merge join on the shared variables; output keyed on the union scope.
 
@@ -190,17 +212,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     support means a nonzero numerator over a zero denominator.
     """
     scope = _merged_scope(f, g)
-    f_names, g_names = f.names, g.names
-    g_pos = {n: j for j, n in enumerate(g_names)}
-    f_shared = [i for i, n in enumerate(f_names) if n in g_pos]
-    g_shared = [g_pos[f_names[i]] for i in f_shared]
-    g_only = sorted(set(range(len(g_names))) - set(g_shared))
-    nf = len(f.values)
-    ids, _ = group_ids(np.concatenate([f.codes[:, f_shared], g.codes[:, g_shared]]))
-    f_ids, g_ids = ids[:nf], ids[nf:]
-    n_groups = ids.max() + 1 if len(ids) else 0
-    f_count = np.bincount(f_ids, minlength=n_groups)
-    g_count = np.bincount(g_ids, minlength=n_groups)
+    f_ids, g_ids, f_count, g_count, g_only = _shared_groups(f, g)
     if g.require_support and not g_count[f_ids].all():
         raise _unsupported(f, g_count[f_ids] == 0)
     if f.require_support and not f_count[g_ids].all():
@@ -208,7 +220,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
 
     # each f row meets its group's g rows, taken in g's (canonical) order
     reps = g_count[f_ids]
-    f_rows = np.repeat(np.arange(nf), reps)
+    f_rows = np.repeat(np.arange(len(f.values)), reps)
     g_start = np.cumsum(g_count) - g_count
     offset = np.arange(len(f_rows)) - np.repeat(np.cumsum(reps) - reps, reps)
     g_rows = np.argsort(g_ids, kind="stable")[np.repeat(g_start[f_ids], reps) + offset]
@@ -220,7 +232,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     if dropped:
         codes, values = codes[kept], values[kept]
     if scope[:len(f.scope)] != f.scope:  # else f's rows, expanded in order, are sorted
-        column = {n: i for i, n in enumerate(f_names + tuple(g_names[j] for j in g_only))}
+        column = {n: i for i, n in enumerate(f.names + tuple(g.names[j] for j in g_only))}
         codes = codes[:, [column[v.name] for v in scope]]
         _, first = group_ids(codes)
         codes, values = codes[first], values[first]

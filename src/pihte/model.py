@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -214,10 +215,17 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
         columns = [c.strip() for c in header]
         for c in columns:
             graph.variable(c)  # raises UnknownVariable
+        records = [(lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec]
+    rows = None
+    if all(len(rec) == len(columns) for _, rec in records):
+        try:  # one conversion over every cell; Dataset range-checks the matrix
+            cells = list(map(int, itertools.chain.from_iterable(rec for _, rec in records)))
+            rows = np.array(cells).reshape(len(records), len(columns))
+        except ValueError:
+            pass
+    if rows is None:  # row by row, so the error names the line
         rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
+        for lineno, rec in records:
             try:
                 rows.append(tuple(int(cell) for cell in rec))
             except ValueError:

@@ -255,6 +255,23 @@ def test_one_plan_executes_like_pi_hte_on_each_dataset(fixture_path):
         assert got.to_json(include_timing=False) == want.to_json(include_timing=False)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_supplied_cone_td_does_not_fan_out(fixture_path, monkeypatch, seed):
+    # the .td's cluster 0 holds seven tables; met in name order, f0 and f3
+    # first, they built tables of 4.3-4.6 times the row count here
+    from pihte.decomposition import load_decomposition
+    from pihte.model import load_graph
+
+    monkeypatch.delenv("PIHTE_MAX_ENTRIES", raising=False)
+    g = load_graph(fixture_path("cone_cloud.graph"))
+    hier = flatten(parse(open(fixture_path("cone_cloud.estimand")).read()))
+    td = load_decomposition(fixture_path("cone_cloud.td"))
+    data = sample_dataset(random_cbn(g, dist="dirichlet", alpha=10, seed=seed), 400, seed=seed)
+    supplied = pi_hte(hier, data, decompositions={hier.root: td})
+    assert supplied.max_table_entries <= 1.5 * data.n_rows
+    assert supplied.result.allclose(pi_hte(hier, data).result, rel=1e-12)
+
+
 def test_plan_names_undeclared_variable():
     with pytest.raises(UnknownVariable, match="'Z'"):
         plan(flatten(parse("P(V0|Z)")), {"V0": 2})

@@ -99,6 +99,13 @@ def test_parse_rejects_unused_bound_var():
         assert repr(name) in str(exc.value)
 
 
+def test_sum_built_in_code_rejects_unused_bound_var():
+    # flatten would keep B with no factor over it, and the engine would not sum over it
+    with pytest.raises(EstimandSyntaxError) as exc:
+        Sum(("B",), ProbTerm(("A",)))
+    assert "'B'" in str(exc.value)
+
+
 def test_free_vars():
     expr = parse("sum[B](P(A|B) P(B)) / (sum[C](P(C) P(D|C)))")
     assert free_vars(expr) == {"A", "D"}

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pihte.errors import (
     DivisionInconsistency,
@@ -13,6 +13,7 @@ from pihte.errors import (
 from pihte.factor import (
     SparseFactor,
     invert,
+    join_size,
     marginalize,
     product,
     unit_factor,
@@ -194,6 +195,21 @@ def test_product_then_marginalize_matches_dense(pair, var):
     for key in _all_keys([domains[n] for n in h.names]):
         a = dict(zip(h.names, key))
         assert h.dense_eval(a) == pytest.approx(f_eval(f, a) * f_eval(g, a), rel=1e-12)
+
+
+_AB = make([("A", 2), ("B", 3)], {(0, 0): 0.5, (0, 2): 0.25, (1, 2): 2.0})
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_factors())
+@example((make([("A", 2)], {(0,): 1.0, (1,): 3.0}), make([("C", 2)], {(1,): 0.5})))  # disjoint
+@example((_AB, make([("B", 3)], {(2,): 4.0, (1,): 1.0})))  # one scope inside the other
+@example((make([("B", 3)], {}), _AB))  # an empty table
+@example((unit_factor(), _AB))  # the empty-scope unit
+@example((make([], {}), _AB))  # the empty scope with no entry
+def test_join_size_counts_the_product(pair):
+    f, g = pair
+    assert join_size(f, g) == join_size(g, f) == product(f, g).tightness
 
 
 def f_eval(f, assignment):

@@ -141,6 +141,34 @@ def test_load_dataset(tmp_path):
     assert d.project(["B"]) == [(1,), (0,)]
 
 
+@pytest.mark.parametrize("text, rows", [
+    ('A,B\n"0",1\n1, 0\n', ((0, 1), (1, 0))),  # quotes and spaces around an int
+    ("A,B\n\n0,1\n\n1,0\n\n", ((0, 1), (1, 0))),  # blank lines are skipped
+    ("A,B\n", ()),
+])
+def test_load_dataset_cells(tmp_path, text, rows):
+    g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    assert load_dataset(p, g).rows == rows
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("A,B\n0,1\n\n1,x\n", ParseError, r"d\.csv:4: non-integer cell in \['1', 'x'\]"),
+    ("A,B\n0,1\n \n", ParseError, r"d\.csv:3: non-integer cell in \[' '\]"),
+    ("A,B\n# note\n0,1\n", ParseError, r"d\.csv:2: non-integer cell"),
+    ("A,B\n0,1\n1\n", ParseError, "row 1 has 1 cells, expected 2"),
+    ("A,B\n0,1\n1\n1,x\n", ParseError, r"d\.csv:4: non-integer cell"),
+    ("A,B\n0,1\n1,2\n", DomainViolation, "B"),
+])
+def test_load_dataset_names_the_first_bad_line(tmp_path, text, error, message):
+    g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(error, match=message):
+        load_dataset(p, g)
+
+
 def test_empirical_prob_marginal():
     d = Dataset(("A",), [(0,), (0,), (1,), (0,)], {"A": 2})
     f = empirical_prob(d, ("A",))

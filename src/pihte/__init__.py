@@ -28,7 +28,6 @@ from .decomposition import (
 )
 from .engine import (
     EvalReport,
-    TableTracker,
     brute_force_eval,
     cte,
     execute,
@@ -56,7 +55,7 @@ __all__ = [
     "Cluster", "Hypergraph", "TreeDecomposition", "build_hypergraph",
     "decompose", "gyo_acyclic", "hypertree_cover", "load_decomposition",
     "min_fill_order", "select_root", "tree_decomposition", "validate",
-    "EvalReport", "TableTracker", "brute_force_eval", "cte",
+    "EvalReport", "brute_force_eval", "cte",
     "execute", "pi_hte", "plan", "predicted_bounds", "run_metrics",
     "CBN", "interventional_truth", "random_cbn", "sample_dataset",
     "total_variation",

@@ -124,27 +124,21 @@ def cmd_estimate(args) -> int:
     hier = flatten(parse(_read_estimand(args)))
     report = engine.execute(_plan(args, hier, graph), data, _parse_do(args.do))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        row = engine.run_metrics(report)
-        writer.writerow(row.keys())
-        writer.writerow(_format_row(row))
-        _emit(buf.getvalue(), args.out)
+        _emit(_metrics_csv([engine.run_metrics(report)]), args.out)
     else:
         _emit(report.to_json(), args.out)
     return 0
 
 
-def _format_row(row):
-    out = []
-    for key, value in row.items():
-        if key == "time":
-            out.append(f"{value:.3f}")
-        elif isinstance(value, float):
-            out.append(repr(value))
-        else:
-            out.append(str(value))
-    return out
+def _metrics_csv(rows) -> str:
+    """`engine.run_metrics` rows as CSV under one header line, with time in
+    seconds to three decimals."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(dict(row, time=f"{row['time']:.3f}"))
+    return buf.getvalue()
 
 
 def _max_discrepancy(a, b):
@@ -173,46 +167,33 @@ def cmd_oracle(args) -> int:
             if given:
                 raise ValueError(f"{option} does not apply to --suite: "
                                  "each instance has its own estimand")
-        failures = []
-        worst = 0.0
-        for i in range(args.suite):
-            inst = suite.make_instance(args.seed + i)
-            expr = parse(inst.estimand)
-            got = engine.execute(_plan(args, flatten(expr), inst.graph), inst.data).result
-            want = engine.brute_force_eval(expr, inst.data, args.dense_limit)
-            _, rel = _max_discrepancy(got, want)
-            worst = max(worst, rel)
-            if rel > args.tolerance:
-                failures.append({"seed": inst.seed, "estimand": inst.estimand, "rel": rel})
-        report = {
-            "instances": args.suite,
-            "tolerance": args.tolerance,
-            "max_rel_discrepancy": worst,
-            "failures": failures,
-        }
-        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-        return 0 if not failures else EXIT_MISMATCH
+        cases = (suite.make_instance(args.seed + i) for i in range(args.suite))
+    else:
+        if not args.graph or not args.data:
+            raise ValueError("oracle needs --graph and --data unless --suite is used")
+        graph = load_graph(args.graph)
+        data = load_dataset(args.data, graph)
+        cases = [suite.Instance(args.seed, graph, data, _read_estimand(args))]
 
-    if not args.graph or not args.data:
-        raise ValueError("oracle needs --graph and --data unless --suite is used")
-    graph = load_graph(args.graph)
-    data = load_dataset(args.data, graph)
-    expr = parse(_read_estimand(args))
-    do = _parse_do(args.do)
-    got = engine.execute(_plan(args, flatten(expr), graph), data, do).result
-    want = engine.brute_force_eval(expr, data, args.dense_limit)
-    if do:
-        want = want.restrict(do)
-    max_abs, max_rel = _max_discrepancy(got, want)
-    ok = max_rel <= args.tolerance
-    report = {
-        "max_abs_discrepancy": max_abs,
-        "max_rel_discrepancy": max_rel,
-        "tolerance": args.tolerance,
-        "pass": ok,
-    }
+    failures = []
+    worst_abs = worst_rel = 0.0
+    for case in cases:
+        expr = parse(case.estimand)
+        do = _parse_do(args.do)  # after the estimand, whose syntax error is named first
+        got = engine.execute(_plan(args, flatten(expr), case.graph), case.data, do).result
+        want = engine.brute_force_eval(expr, case.data, args.dense_limit).restrict(do)
+        max_abs, rel = _max_discrepancy(got, want)
+        worst_abs = max(worst_abs, max_abs)
+        worst_rel = max(worst_rel, rel)
+        if rel > args.tolerance:
+            failures.append({"seed": case.seed, "estimand": case.estimand, "rel": rel})
+    if args.suite:
+        report = {"instances": args.suite, "failures": failures}
+    else:
+        report = {"max_abs_discrepancy": worst_abs, "pass": not failures}
+    report.update(max_rel_discrepancy=worst_rel, tolerance=args.tolerance)
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-    return 0 if ok else EXIT_MISMATCH
+    return EXIT_MISMATCH if failures else 0
 
 
 def _random_cbn(args, graph):
@@ -263,12 +244,7 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         _emit(json.dumps(rows, indent=2, sort_keys=True), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(_format_row(row))
-        _emit(buf.getvalue(), args.out)
+        _emit(_metrics_csv(rows), args.out)
     return 0
 
 

@@ -12,13 +12,12 @@ of datasets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,35 +43,6 @@ from .estimand import FlatLevel, Hierarchy, dense_expr_eval, free_vars, prob_ter
 from .model import Variable, base_name, empirical_prob, name_key
 
 MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
-
-
-class TableTracker:
-    """Accounts for every factor materialized during one run, per hierarchy
-    level: the largest table with its cell count, and the entries summed over
-    all tables. `record(level, f)` charges `f` to `level` and returns it. The
-    entry cap is PIHTE_MAX_ENTRIES, read once when the tracker is made."""
-
-    def __init__(self):
-        env = os.environ.get(MAX_ENTRIES_ENV)
-        try:
-            self.cap = int(env) if env else None
-        except ValueError:
-            self.cap = 0
-        if self.cap is not None and self.cap < 1:  # no table could be made
-            raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer >= 1, got {env!r}")
-        self.levels = {}  # level id -> [largest table, its cells, entries summed]
-
-    def record(self, level, f: sf.SparseFactor):
-        t = f.tightness
-        acc = self.levels.setdefault(level, [0, 1, 0])
-        if t > acc[0]:
-            acc[0], acc[1] = t, math.prod(v.domain_size for v in f.scope)
-        acc[2] += t
-        if self.cap is not None and t > self.cap:
-            raise ResourceLimitExceeded(
-                f"table with {t} entries exceeds cap {self.cap}"
-            )
-        return f
 
 
 @dataclass(frozen=True)
@@ -129,20 +99,18 @@ def _next_table(h, rest):
 def _join(tables, record):
     """The product of `tables`, each product handed to `record`.
 
-    Up to two tables meet in the order given. From three on, the order
-    follows the data, as in the sort-join order of Yannakakis (VLDB 1981)
-    but with exact counts in place of a cost model: start from the widest
-    table (then the one with fewest entries, then the first) and add tables
-    as `_next_table` picks them.
+    The order follows the data, as in the sort-join order of Yannakakis
+    (VLDB 1981) but with exact counts in place of a cost model: start from
+    the widest table (then the one with fewest entries, then the first) and
+    add tables as `_next_table` picks them.
     """
     rest = list(tables)
-    sized = len(rest) > 2
-    if sized:
-        widest = min(range(len(rest)), key=lambda i: (-len(rest[i].scope), rest[i].tightness, i))
-        rest.insert(0, rest.pop(widest))
-    h = rest.pop(0) if rest else sf.unit_factor()
+    if not rest:
+        return sf.unit_factor()
+    widest = min(range(len(rest)), key=lambda i: (-len(rest[i].scope), rest[i].tightness, i))
+    h = rest.pop(widest)
     while rest:
-        h = record(sf.product(h, rest.pop(_next_table(h, rest) if sized else 0)))
+        h = record(sf.product(h, rest.pop(_next_table(h, rest))))
     return h
 
 
@@ -173,6 +141,9 @@ def cte(steps, factors, record):
 
 @dataclass
 class LevelStats:
+    """One level's account of a run: its plan's widths, then every table
+    made for it, each charged through `record`, which holds it to `cap`."""
+
     level_id: int
     n_vars: int
     n_factors: int
@@ -180,27 +151,63 @@ class LevelStats:
     hw: int
     hw_no_outputs: object  # int or None when outputs are needed for coverage
     is_hypertree: bool
-    t: int
     k: int
-    max_table_entries: int
-    total_entries: int
-    wall_time: float
+    cap: object = field(default=None, repr=False)  # PIHTE_MAX_ENTRIES, or None
+    t: int = 0
+    max_table_entries: int = 0
+    max_table_cells: int = field(default=1, repr=False)  # the largest table's dense size
+    total_entries: int = 0
+    wall_time: float = 0.0
+
+    def record(self, f: sf.SparseFactor):
+        """Charge `f` to this level and return it."""
+        t = f.tightness
+        if t > self.max_table_entries:
+            self.max_table_entries = t
+            self.max_table_cells = math.prod(v.domain_size for v in f.scope)
+        self.total_entries += t
+        if self.cap is not None and t > self.cap:
+            raise ResourceLimitExceeded(f"table with {t} entries exceeds cap {self.cap}")
+        return f
 
     def as_dict(self):
-        return dict(self.__dict__)
+        """The reported fields: all but `cap` and `max_table_cells`."""
+        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.repr}
+
+
+def _table_dict(f: sf.SparseFactor):
+    return {
+        "scope": [[v.name, v.domain_size] for v in f.scope],
+        "entries": [[list(k), v] for k, v in f.items()],
+    }
 
 
 @dataclass
 class EvalReport:
     result: sf.SparseFactor
     normalized: object  # SparseFactor or None
-    levels: list
+    levels: list  # LevelStats in level id order
     n_rows: int
-    max_table_entries: int
-    total_entries: int
     wall_time: float
-    density: float  # the largest table's entries over its own cell count
     bounds: dict  # Plan.bounds at the largest bound table
+
+    @property
+    def _largest(self) -> LevelStats:
+        """The first level, by id, that holds the run's largest table."""
+        return max(self.levels, key=lambda lv: lv.max_table_entries)
+
+    @property
+    def max_table_entries(self) -> int:
+        return self._largest.max_table_entries
+
+    @property
+    def total_entries(self) -> int:
+        return sum(lv.total_entries for lv in self.levels)
+
+    @property
+    def density(self) -> float:
+        """The largest table's entries over its own cell count."""
+        return self._largest.max_table_entries / self._largest.max_table_cells
 
     def to_dict(self, include_timing=True):
         out = {
@@ -212,18 +219,10 @@ class EvalReport:
             "hierarchy_bound_exponent": self.bounds["sum_hw"],
             "levels": [lv.as_dict() for lv in self.levels],
             "bounds": self.bounds,
-            "result": {
-                "scope": [[v.name, v.domain_size] for v in self.result.scope],
-                "entries": [
-                    [list(k), v] for k, v in self.result.items()
-                ],
-            },
+            "result": _table_dict(self.result),
         }
         if self.normalized is not None:
-            out["normalized"] = {
-                "scope": [[v.name, v.domain_size] for v in self.normalized.scope],
-                "entries": [[list(k), v] for k, v in self.normalized.items()],
-            }
+            out["normalized"] = _table_dict(self.normalized)
         if include_timing:
             out["wall_time"] = self.wall_time
         else:
@@ -371,34 +370,33 @@ def execute(p: Plan, data, do=None) -> EvalReport:
     """
     do = dict(do or {})
     _check_inputs(p, data, do)
+    env = os.environ.get(MAX_ENTRIES_ENV)
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        cap = 0
+    if cap is not None and cap < 1:  # no table could be made
+        raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer >= 1, got {env!r}")
     level_stats = []
-    tracker = TableTracker()
     start = time.monotonic()
 
     def eval_level(level_id):
         lp = p.levels[level_id]
         t0 = time.monotonic()
-        record = functools.partial(tracker.record, level_id)
+        stats = LevelStats(level_id, **lp.widths(), k=max(lp.hypergraph.domains.values()),
+                           cap=cap)
 
         factors = {}
         for i, term in enumerate(lp.level.factors):
-            factors[f"f{i}"] = record(empirical_prob(data, term.left, term.right).restrict(do))
+            bound = empirical_prob(data, term.left, term.right).restrict(do)
+            factors[f"f{i}"] = stats.record(bound)
         for child_id, _ in lp.level.child_outputs:
-            factors[f"g{child_id}"] = record(sf.invert(eval_level(child_id)))
+            factors[f"g{child_id}"] = stats.record(sf.invert(eval_level(child_id)))
+        stats.t = max(f.tightness for f in factors.values())
 
-        out = cte(lp.steps, factors, record)
-        max_entries, _, total_entries = tracker.levels[level_id]
-        level_stats.append(
-            LevelStats(
-                level_id=level_id,
-                **lp.widths(),
-                t=max(f.tightness for f in factors.values()),
-                k=max(lp.hypergraph.domains.values()),
-                max_table_entries=max_entries,
-                total_entries=total_entries,
-                wall_time=time.monotonic() - t0,
-            )
-        )
+        out = cte(lp.steps, factors, stats.record)
+        stats.wall_time = time.monotonic() - t0
+        level_stats.append(stats)
         return out
 
     result = eval_level(p.hier.root)
@@ -408,16 +406,12 @@ def execute(p: Plan, data, do=None) -> EvalReport:
     normalized = _renormalize(result, outcome) if outcome else None
 
     level_stats.sort(key=lambda lv: lv.level_id)
-    top, cells, _ = max(tracker.levels.values(), key=lambda acc: acc[0])
     return EvalReport(
         result=result,
         normalized=normalized,
         levels=level_stats,
         n_rows=data.n_rows,
-        max_table_entries=top,
-        total_entries=sum(acc[2] for acc in tracker.levels.values()),
         wall_time=wall,
-        density=top / cells,
         bounds=p.bounds(max(lv.t for lv in level_stats)),
     )
 

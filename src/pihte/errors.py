@@ -30,8 +30,9 @@ class UnknownVariable(PihteError):
 class DomainViolation(PihteError):
     """A dataset cell is outside its variable's domain."""
 
-    def __init__(self, row, column, value):
-        super().__init__(f"row {row}, column {column!r}: value {value} out of domain")
+    def __init__(self, row, column, value, path=None, line=None):
+        where = f"{path}:{line}:" if path is not None else f"row {row},"
+        super().__init__(f"{where} column {column!r}: value {value} out of domain")
         self.row = row
         self.column = column
         self.value = value

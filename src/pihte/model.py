@@ -176,6 +176,7 @@ def load_graph(path) -> CausalGraph:
     directed = []
     bidirected = []
     declared = set()
+    endpoints = {}  # edge endpoint -> the first line naming it
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -195,13 +196,20 @@ def load_graph(path) -> CausalGraph:
                     raise ParseError(f"variable {parts[1]!r} declared twice", path, lineno)
                 declared.add(parts[1])
                 variables.append(Variable(parts[1], k))
-            elif len(parts) == 3 and parts[1] == "->":
-                directed.append((parts[0], parts[2]))
-            elif len(parts) == 3 and parts[1] == "<->":
-                bidirected.append((parts[0], parts[2]))
+            elif len(parts) == 3 and parts[1] in ("->", "<->"):
+                edges = directed if parts[1] == "->" else bidirected
+                edges.append((parts[0], parts[2]))
+                for end in (parts[0], parts[2]):
+                    endpoints.setdefault(end, lineno)
             else:
                 raise ParseError(f"unrecognized statement {line!r}", path, lineno)
-    return CausalGraph(variables, directed, bidirected)
+    for name, lineno in endpoints.items():
+        if name not in declared:
+            raise UnknownVariable(f"{path}:{lineno}: edge endpoint {name!r} not declared")
+    try:
+        return CausalGraph(variables, directed, bidirected)
+    except CycleError as exc:
+        raise CycleError(f"{path}: {exc}") from None
 
 
 def load_dataset(path, graph: CausalGraph) -> Dataset:
@@ -213,9 +221,14 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
         except StopIteration:
             raise ParseError("empty file", path) from None
         columns = [c.strip() for c in header]
-        for c in columns:
-            graph.variable(c)  # raises UnknownVariable
-        records = [(lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec]
+        declared = {v.name: v.domain_size for v in graph.variables}
+        for i, c in enumerate(columns):
+            if c not in declared:
+                raise UnknownVariable(f"{path}:{reader.line_num}: column {c!r} is not "
+                                      "declared in the graph")
+            if columns.index(c) != i:
+                raise ParseError(f"column {c!r} appears more than once", path, reader.line_num)
+        records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
     rows = None
     if all(len(rec) == len(columns) for _, rec in records):
         try:  # one conversion over every cell; Dataset range-checks the matrix
@@ -230,8 +243,15 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
                 rows.append(tuple(int(cell) for cell in rec))
             except ValueError:
                 raise ParseError(f"non-integer cell in {rec!r}", path, lineno) from None
-    domains = {c: graph.domain_size(c) for c in columns}
-    return Dataset(columns, rows, domains)
+        for lineno, rec in records:
+            if len(rec) != len(columns):
+                raise ParseError(f"{len(rec)} cells, expected {len(columns)}", path, lineno)
+    domains = {c: declared[c] for c in columns}
+    try:
+        return Dataset(columns, rows, domains)
+    except DomainViolation as exc:  # only now look up the bad row's line
+        raise DomainViolation(exc.row, exc.column, exc.value, path,
+                              records[exc.row][0]) from None
 
 
 def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":

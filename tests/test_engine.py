@@ -14,7 +14,7 @@ from pihte.decomposition import (
     select_root,
 )
 from pihte.engine import (
-    TableTracker,
+    LevelStats,
     brute_force_eval,
     cte,
     execute,
@@ -144,28 +144,46 @@ def test_plan_rejects_psi_naming_an_unknown_factor(capsys, tmp_path):
     assert "f9" in capsys.readouterr().err
 
 
-def test_tracker_cap(monkeypatch):
-    monkeypatch.setenv("PIHTE_MAX_ENTRIES", "3")
-    tracker = TableTracker()
+def one_level_stats(cap=None):
+    return LevelStats(0, n_vars=1, n_factors=1, w=0, hw=1, hw_no_outputs=1,
+                      is_hypertree=True, k=4, cap=cap)
+
+
+def test_tracker_cap():
+    stats = one_level_stats(cap=3)
     f = SparseFactor((Variable("A", 4),), {(i,): 1.0 for i in range(4)})
     with pytest.raises(ResourceLimitExceeded):
-        tracker.record(0, f)
+        stats.record(f)
 
 
 def test_tracker_charges_the_level_it_is_given():
-    tracker = TableTracker()
+    stats = one_level_stats()
     small = SparseFactor((Variable("A", 2),), {(0,): 1.0})
     wide = SparseFactor((Variable("A", 4),), {(i,): 1.0 for i in range(3)})
-    assert tracker.record(1, wide) is wide
-    tracker.record(0, small)
-    tracker.record(1, small)
-    assert tracker.levels == {1: [3, 4, 4], 0: [1, 2, 1]}
+    assert stats.record(wide) is wide
+    stats.record(small)
+    assert (stats.max_table_entries, stats.max_table_cells, stats.total_entries) == (3, 4, 4)
+    assert not {"cap", "max_table_cells"} & set(stats.as_dict())
 
 
 def test_tracker_env_cap(monkeypatch):
+    data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1), (1, 1)], {"A": 2, "B": 2})
+    hier = flatten(parse("P(B|A) P(A)"))
     monkeypatch.setenv("PIHTE_MAX_ENTRIES", "2")
-    tracker = TableTracker()
-    assert tracker.cap == 2
+    with pytest.raises(ResourceLimitExceeded, match="3 entries exceeds cap 2"):
+        pi_hte(hier, data)
+    monkeypatch.setenv("PIHTE_MAX_ENTRIES", "3")
+    assert pi_hte(hier, data).max_table_entries == 3
+
+
+def test_report_totals_come_from_its_levels():
+    # both levels peak at 2 entries: P(A) over 2 cells at the root, P(B)
+    # over 3 in the denominator's level; density comes from the first by id
+    data = Dataset(("A", "B"), [(0, 0), (1, 1)], {"A": 2, "B": 3})
+    rep = pi_hte(flatten(parse("P(A) / sum[B](P(B))")), data)
+    assert [(lv.level_id, lv.max_table_entries, lv.max_table_cells, lv.total_entries)
+            for lv in rep.levels] == [(0, 2, 2, 5), (1, 2, 3, 3)]
+    assert (rep.max_table_entries, rep.total_entries, rep.density) == (2, 8, 1.0)
 
 
 # -- pi_hte ----------------------------------------------------------------

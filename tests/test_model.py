@@ -157,9 +157,10 @@ def test_load_dataset_cells(tmp_path, text, rows):
     ("A,B\n0,1\n\n1,x\n", ParseError, r"d\.csv:4: non-integer cell in \['1', 'x'\]"),
     ("A,B\n0,1\n \n", ParseError, r"d\.csv:3: non-integer cell in \[' '\]"),
     ("A,B\n# note\n0,1\n", ParseError, r"d\.csv:2: non-integer cell"),
-    ("A,B\n0,1\n1\n", ParseError, "row 1 has 1 cells, expected 2"),
+    ("A,B\n0,1\n1\n", ParseError, r"d\.csv:3: 1 cells, expected 2"),
     ("A,B\n0,1\n1\n1,x\n", ParseError, r"d\.csv:4: non-integer cell"),
-    ("A,B\n0,1\n1,2\n", DomainViolation, "B"),
+    ("A,B\n0,1\n1,2\n", DomainViolation, r"d\.csv:3: column 'B': value 2 out of domain"),
+    ('A,B\n"0\n",1\n1,2\n', DomainViolation, r"d\.csv:4: column 'B'"),  # a cell over two lines
 ])
 def test_load_dataset_names_the_first_bad_line(tmp_path, text, error, message):
     g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])

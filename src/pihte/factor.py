@@ -48,6 +48,18 @@ def group_ids(codes):
     return ids.reshape(-1), first
 
 
+def take_columns(codes, positions):
+    """`codes[:, positions]` for ascending positions. A run of consecutive
+    positions is a slice, a row-major view that later gathers and
+    concatenations copy row by row; any other list is a fancy index, whose
+    result is column-major and costs a transposing copy to concatenate."""
+    positions = list(positions)
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return codes[:, start:start + len(positions)]
+    return codes[:, positions]
+
+
 class SparseFactor:
     """Immutable sparse table: sorted unique code rows -> non-zero floats."""
 
@@ -172,6 +184,8 @@ def _merged_scope(f: SparseFactor, g: SparseFactor):
                 f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}"
             )
         by_name.setdefault(v.name, v)
+    if len(by_name) == len(f.scope):  # g adds no name; f's scope is in order
+        return f.scope
     return tuple(sorted(by_name.values(), key=lambda v: name_key(v.name)))
 
 
@@ -187,7 +201,8 @@ def _shared_groups(f: SparseFactor, g: SparseFactor):
     g_pos = {n: j for j, n in enumerate(g.names)}
     f_shared = [i for i, n in enumerate(f.names) if n in g_pos]
     g_shared = [g_pos[f.scope[i].name] for i in f_shared]
-    ids, first = group_ids(np.concatenate([f.codes[:, f_shared], g.codes[:, g_shared]]))
+    ids, first = group_ids(np.concatenate([take_columns(f.codes, f_shared),
+                                           take_columns(g.codes, g_shared)]))
     f_ids, g_ids = ids[:len(f.values)], ids[len(f.values):]
     f_count = np.bincount(f_ids, minlength=len(first))
     g_count = np.bincount(g_ids, minlength=len(first))
@@ -227,7 +242,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
 
     values = f.values[f_rows] * g.values[g_rows]
     kept = np.abs(values) >= UNDERFLOW_FLOOR
-    codes = np.concatenate([f.codes[f_rows], g.codes[np.ix_(g_rows, g_only)]], axis=1)
+    codes = np.concatenate([f.codes[f_rows], take_columns(g.codes, g_only)[g_rows]], axis=1)
     dropped = len(values) - int(np.count_nonzero(kept))
     if dropped:
         codes, values = codes[kept], values[kept]
@@ -248,11 +263,12 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     if not out:
         return f
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
-    ids, first = group_ids(f.codes[:, keep])
+    kept_codes = take_columns(f.codes, keep)
+    ids, first = group_ids(kept_codes)
     sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
     kept = np.abs(sums) >= UNDERFLOW_FLOOR
     return SparseFactor.trusted(
-        tuple(f.scope[i] for i in keep), f.codes[np.ix_(first[kept], keep)], sums[kept],
+        tuple(f.scope[i] for i in keep), kept_codes[first[kept]], sums[kept],
         underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
     )
 

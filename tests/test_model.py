@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pihte.errors import (
     CycleError,
@@ -145,6 +147,8 @@ def test_load_dataset(tmp_path):
     ('A,B\n"0",1\n1, 0\n', ((0, 1), (1, 0))),  # quotes and spaces around an int
     ("A,B\n\n0,1\n\n1,0\n\n", ((0, 1), (1, 0))),  # blank lines are skipped
     ("A,B\n", ()),
+    ("\nA,B\n0,1\n1,0\n", ((0, 1), (1, 0))),  # blank lines before the header too
+    ("\n\nA,B\n", ()),
 ])
 def test_load_dataset_cells(tmp_path, text, rows):
     g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
@@ -161,6 +165,10 @@ def test_load_dataset_cells(tmp_path, text, rows):
     ("A,B\n0,1\n1\n1,x\n", ParseError, r"d\.csv:4: non-integer cell"),
     ("A,B\n0,1\n1,2\n", DomainViolation, r"d\.csv:3: column 'B': value 2 out of domain"),
     ('A,B\n"0\n",1\n1,2\n', DomainViolation, r"d\.csv:4: column 'B'"),  # a cell over two lines
+    ("\nA,B\n0,1\n1,x\n", ParseError, r"d\.csv:4: non-integer cell in \['1', 'x'\]"),
+    ("\n\nA,C\n", UnknownVariable, r"d\.csv:3: column 'C' is not declared"),
+    ("", ParseError, r"d\.csv: empty file"),
+    ("\n\n\n", ParseError, r"d\.csv: empty file"),
 ])
 def test_load_dataset_names_the_first_bad_line(tmp_path, text, error, message):
     g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
@@ -207,3 +215,68 @@ def test_empirical_prob_empty_dataset():
     d = Dataset(("A",), [], {"A": 2})
     with pytest.raises(EmptyDataset):
         empirical_prob(d, ("A",))
+
+
+# -- binding against a dict reference --------------------------------------
+
+COLUMNS = ("A", "B", "C", "D")
+
+
+@st.composite
+def datasets(draw):
+    """Up to 12 rows over COLUMNS in a drawn order; a domain of 10**6 makes
+    `Dataset.group` sort instead of relabelling through a boolean array."""
+    columns = draw(st.permutations(COLUMNS))
+    domains = {c: draw(st.sampled_from([1, 2, 3, 10**6])) for c in columns}
+    row = st.tuples(*(st.integers(0, min(domains[c], 3) - 1) | st.just(domains[c] - 1)
+                      for c in columns))
+    n = draw(st.integers(1, 12))
+    rows = [draw(row)] * n if draw(st.booleans()) else draw(st.lists(row, min_size=n, max_size=n))
+    return Dataset(columns, rows, domains)
+
+
+@st.composite
+def terms(draw):
+    """(left, right) over distinct columns, some read under primed names."""
+    bases = draw(st.permutations(COLUMNS))[:draw(st.integers(1, len(COLUMNS)))]
+    names = tuple(b + "'" * draw(st.integers(0, 2)) for b in bases)
+    cut = draw(st.integers(1, len(names)))
+    return names[:cut], names[cut:]
+
+
+def ref_prob(data, left, right):
+    """(names, {assignment: count / conditioning count}) from the rows."""
+    names = sorted(left + right, key=name_key)
+    where = [data.columns.index(base_name(n)) for n in names]
+    joint = Counter(tuple(row[i] for i in where) for row in data.rows)
+    on_right = [n in right for n in names]
+    cond = Counter(tuple(x for x, r in zip(key, on_right) if r) for key in joint.elements())
+    return tuple(names), {key: count / cond[tuple(x for x, r in zip(key, on_right) if r)]
+                          for key, count in joint.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), st.lists(terms(), min_size=1, max_size=6))
+def test_binding_matches_dict_reference(data, seq):
+    # forward then reversed: later binds hit groups cached by earlier ones, and
+    # every term is bound twice against the same dataset
+    for left, right in seq + seq[::-1]:
+        f = empirical_prob(data, left, right)
+        names, entries = ref_prob(data, left, right)
+        assert f.names == names
+        assert [v.domain_size for v in f.scope] == [data.domains[base_name(n)] for n in names]
+        assert f.codes.dtype == "int64"
+        assert [k for k, _ in f.items()] == sorted(entries)
+        assert all(value == entries[key] for key, value in f.items())  # exact
+
+        columns = tuple(base_name(n) for n in names)
+        ids, count = data.group(columns)
+        cells = [tuple(row[data.columns.index(c)] for c in columns) for row in data.rows]
+        rank = {key: i for i, key in enumerate(sorted(set(cells)))}
+        assert (ids.tolist(), count) == ([rank[key] for key in cells], len(rank))
+
+
+def test_group_of_no_columns_is_one_group():
+    d = Dataset(("A",), [(1,), (0,), (1,)], {"A": 2})
+    ids, count = d.group(())
+    assert (ids.tolist(), count) == ([0, 0, 0], 1)

@@ -8,6 +8,7 @@ cover per cluster measures the hypertree width.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -99,7 +100,10 @@ def gyo_acyclic(h: Hypergraph):
     The join tree keeps one cluster per original hyperedge with that edge as
     its single cover function, so hw = 1 by construction. Ears are removed
     shortest first, ties and witnesses in edge order (the order `remaining`
-    keeps).
+    keeps). A witness holds every vertex of the ear, so only the edges that
+    hold the ear's least shared vertex get the full subset test, and one hash
+    lookup rules out each other edge. An ear that lonely-vertex removal has
+    emptied takes the first other edge.
     """
     remaining = {fid: set(scope) for fid, scope in h.edges}
     parent = {}
@@ -107,15 +111,17 @@ def gyo_acyclic(h: Hypergraph):
     changed = True
     while changed and len(remaining) > 1:
         changed = False
-        counts = Counter(n for scope in remaining.values() for n in scope)
-        for fid in list(remaining):
-            lonely = {n for n in remaining[fid] if counts[n] == 1}
-            if lonely:
-                remaining[fid] -= lonely
+        counts = Counter(itertools.chain.from_iterable(remaining.values()))
+        lonely = {n for n, c in counts.items() if c == 1}
+        for scope in remaining.values():
+            if not scope.isdisjoint(lonely):
+                scope -= lonely
                 changed = True
         for fid in sorted(remaining, key=lambda f: len(remaining[f])):
-            witness = next((other for other in remaining
-                            if other != fid and remaining[fid] <= remaining[other]), None)
+            ear = remaining[fid]
+            least = min(ear, key=counts.__getitem__, default=None)
+            witness = next((other for other, scope in remaining.items() if other != fid
+                            and (least in scope or not ear) and ear <= scope), None)
             if witness is not None:
                 parent[fid] = witness
                 del remaining[fid]

@@ -74,11 +74,14 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
     for u in reversed(order):
         factors = tuple(sorted(td.clusters[u].psi, key=name_key))
         children = tuple(v for v in adj[u] if v != parent[u])
-        names = set().union(*(scopes[f] for f in factors), *(held[v] for v in children))
+        names = set().union(*(scopes[f] for f in factors), *(held.pop(v) for v in children))
         up = td.clusters[parent[u]].chi if parent[u] is not None else frozenset()
-        keep = free | (td.clusters[u].chi & up)
-        held[u] = names & keep
-        steps.append(Step(u, factors, children, frozenset(names - keep)))
+        # names lie in u's chi or are outputs, so a name is kept exactly
+        # when it is an output or u's parent holds it too
+        drop = frozenset(names.difference(free, up))
+        names -= drop
+        held[u] = names
+        steps.append(Step(u, factors, children, drop))
     return tuple(steps)
 
 
@@ -302,7 +305,7 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
     decompositions = decompositions or {}
     levels = {}
     for level in hier.levels:
-        names = {n for scope in level.factor_scopes for n in scope}
+        names = set().union(*level.factor_scopes)
         undeclared = {base_name(n) for n in names} - domains.keys()
         if undeclared:
             raise UnknownVariable(
@@ -379,27 +382,7 @@ def execute(p: Plan, data, do=None) -> EvalReport:
         raise ValueError(f"{MAX_ENTRIES_ENV} must be an integer >= 1, got {env!r}")
     level_stats = []
     start = time.monotonic()
-
-    def eval_level(level_id):
-        lp = p.levels[level_id]
-        t0 = time.monotonic()
-        stats = LevelStats(level_id, **lp.widths(), k=max(lp.hypergraph.domains.values()),
-                           cap=cap)
-
-        factors = {}
-        for i, term in enumerate(lp.level.factors):
-            bound = empirical_prob(data, term.left, term.right).restrict(do)
-            factors[f"f{i}"] = stats.record(bound)
-        for child_id, _ in lp.level.child_outputs:
-            factors[f"g{child_id}"] = stats.record(sf.invert(eval_level(child_id)))
-        stats.t = max(f.tightness for f in factors.values())
-
-        out = cte(lp.steps, factors, stats.record)
-        stats.wall_time = time.monotonic() - t0
-        level_stats.append(stats)
-        return out
-
-    result = eval_level(p.hier.root)
+    result = _eval_level(p, p.hier.root, data, do, cap, level_stats)
     wall = time.monotonic() - start
 
     outcome = tuple(n for n in result.names if n not in do) if do else ()
@@ -414,6 +397,31 @@ def execute(p: Plan, data, do=None) -> EvalReport:
         wall_time=wall,
         bounds=p.bounds(max(lv.t for lv in level_stats)),
     )
+
+
+def _eval_level(p: Plan, level_id, data, do, cap, level_stats):
+    """One level's output table, its child levels evaluated first; each
+    level's LevelStats is appended to `level_stats`. (A module function, not
+    a closure in `execute`: a recursive closure is a reference cycle, which
+    would keep the run's tables and dataset alive until the garbage
+    collector runs.)"""
+    lp = p.levels[level_id]
+    t0 = time.monotonic()
+    stats = LevelStats(level_id, **lp.widths(), k=max(lp.hypergraph.domains.values()), cap=cap)
+
+    factors = {}
+    for i, term in enumerate(lp.level.factors):
+        bound = empirical_prob(data, term.left, term.right).restrict(do)
+        factors[f"f{i}"] = stats.record(bound)
+    for child_id, _ in lp.level.child_outputs:
+        child = _eval_level(p, child_id, data, do, cap, level_stats)
+        factors[f"g{child_id}"] = stats.record(sf.invert(child))
+    stats.t = max(f.tightness for f in factors.values())
+
+    out = cte(lp.steps, factors, stats.record)
+    stats.wall_time = time.monotonic() - t0
+    level_stats.append(stats)
+    return out
 
 
 def pi_hte(hier, data, *, seed=0, restarts=0, decompositions=None, do=None) -> EvalReport:

@@ -26,20 +26,27 @@ from .model import name_key
 # -- AST -------------------------------------------------------------------
 
 
+# Each node holds `free`, the variables it leaves free, set once when it is
+# made (frozen dataclasses are written through object.__setattr__).
+
+
 @dataclass(frozen=True)
 class ProbTerm:
     left: tuple
     right: tuple = ()
+    free: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # for terms built in code; the parser reports the position
         if set(self.left) & set(self.right):
             raise EstimandSyntaxError(
                 f"variables on both sides of '|': {sorted(set(self.left) & set(self.right))}", 0
             )
+        object.__setattr__(self, "free", frozenset((*self.left, *self.right)))
 
     @cached_property
-    def scope(self):  # sorted once, on first use
-        return tuple(sorted(set(self.left) | set(self.right), key=name_key))
+    def scope(self):  # sorted once, on first use; text order is often sorted already
+        names = (*self.left, *self.right)
+        return tuple(sorted(names if len(names) == len(self.free) else self.free, key=name_key))
 
     def key(self) -> str:
         """Canonical text form, used to bind factors to terms."""
@@ -52,39 +59,42 @@ class ProbTerm:
 @dataclass(frozen=True)
 class Product:
     children: tuple
+    free: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", frozenset().union(*map(free_vars, self.children)))
 
 
 @dataclass(frozen=True)
 class Sum:
     bound: tuple
     child: object
+    free: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # for sums built in code; the parser reports the position
         used = free_vars(self.child)
         for name in self.bound:
             if name not in used:
                 raise UnusedBoundVar(name)
+        object.__setattr__(self, "free", used.difference(self.bound))
 
 
 @dataclass(frozen=True)
 class Ratio:
     numerator: object
     denominator: object
+    free: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free",
+                           free_vars(self.numerator) | free_vars(self.denominator))
 
 
 def free_vars(expr) -> frozenset:
-    if isinstance(expr, ProbTerm):
-        return frozenset(expr.left) | frozenset(expr.right)
-    if isinstance(expr, Product):
-        out = frozenset()
-        for c in expr.children:
-            out |= free_vars(c)
-        return out
-    if isinstance(expr, Sum):
-        return free_vars(expr.child) - frozenset(expr.bound)
-    if isinstance(expr, Ratio):
-        return free_vars(expr.numerator) | free_vars(expr.denominator)
-    raise TypeError(type(expr))
+    """The variables `expr` leaves free, which each node holds from when it is made."""
+    if not isinstance(expr, (ProbTerm, Product, Sum, Ratio)):
+        raise TypeError(type(expr))
+    return expr.free
 
 
 def prob_terms(expr):
@@ -109,34 +119,46 @@ def prob_terms(expr):
 # recursion limit of 1000.
 MAX_NESTING = 100
 
-# Every non-blank character starts a token; `bad` catches the first that
-# starts no valid one.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/])|(?P<bad>\S))"
-)
+# The first character that starts no token: one outside the grammar's
+# alphabet, or a digit that no name character precedes. (Written as one
+# character class and a look-behind, so the search skips blanks, letters and
+# punctuation without trying the pattern there.)
+_BAD_RE = re.compile(r"[^\sA-Za-z_()\[\]|,/](?<![A-Za-z0-9_][0-9])")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/]))")
+# A name list and the blanks after it; the part from its first blank on
+# is the second group.
+_LIST_RE = re.compile(r"[A-Za-z0-9_,]*([A-Za-z0-9_,\s]*)")
+_KEYWORDS = frozenset(("P", "sum"))
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-        self.tokens = []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            token = (kind, m.group(kind), m.start(kind))
-            if kind == "bad":
-                if token[1] == "'":
-                    raise EstimandSyntaxError("apostrophes are reserved for the renamer", token[2])
-                raise EstimandSyntaxError(f"unexpected character {token[1]!r}", token[2])
-            self.tokens.append(token)
+    """Recursive descent over tokens read lazily, one at a time; `tok` is the
+    current one, (kind, text, position), and `end` the offset just past it.
+    A text with a character that starts no token is rejected before any
+    parsing, so the first such character wins over every later error."""
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
+    def __init__(self, text: str):
+        bad = _BAD_RE.search(text)
+        if bad is not None:
+            if bad.group() == "'":
+                raise EstimandSyntaxError("apostrophes are reserved for the renamer", bad.start())
+            raise EstimandSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+        self.text = text
+        self.depth = 0
+        self.scan(0)
+
+    def scan(self, at):
+        """Make the token at offset `at`, after blanks, the current one."""
+        m = _TOKEN_RE.match(self.text, at)
+        if m is None:  # only blanks are left
+            self.tok, self.end = (None, None, len(self.text)), len(self.text)
+        else:
+            kind = m.lastgroup
+            self.tok, self.end = (kind, m.group(kind), m.start(kind)), m.end()
 
     def next(self):
-        tok = self.peek()
-        self.pos += 1
+        tok = self.tok
+        self.scan(self.end)
         return tok
 
     def expect(self, value):
@@ -146,22 +168,21 @@ class _Parser:
 
     def parse(self):
         expr = self.expr()
-        kind, val, at = self.peek()
+        kind, val, at = self.tok
         if kind is not None:
             raise EstimandSyntaxError(f"trailing input {val!r}", at)
         return expr
 
     def expr(self):
         num = self.product()
-        kind, val, _ = self.peek()
-        if val == "/":
+        if self.tok[1] == "/":
             self.next()
             return Ratio(num, self.factor())
         return num
 
     def group(self):
         """`( expr )`, at most MAX_NESTING deep."""
-        at = self.peek()[2]
+        at = self.tok[2]
         self.expect("(")
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -173,16 +194,12 @@ class _Parser:
 
     def product(self):
         factors = [self.factor()]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "ident" and val in ("P", "sum") or val == "(":
-                factors.append(self.factor())
-            else:
-                break
+        while self.tok[1] in ("P", "sum", "("):  # a punctuation token is never P or sum
+            factors.append(self.factor())
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self):
-        kind, val, at = self.peek()
+        kind, val, at = self.tok
         if val == "(":
             return self.group()
         if kind == "ident" and val == "P":
@@ -196,7 +213,7 @@ class _Parser:
         self.expect("(")
         left = self.varlist(distinct=True)
         right = ()
-        if self.peek()[1] == "|":
+        if self.tok[1] == "|":
             self.next()
             right = self.varlist(distinct=True, other_side=set(left))
         self.expect(")")
@@ -206,7 +223,7 @@ class _Parser:
         """`sum[names](expr)`; each name bound once and used in the body."""
         self.next()  # 'sum'
         self.expect("[")
-        first = self.pos
+        first = self.tok[2]
         bound = self.varlist()
         if len(set(bound)) != len(bound):
             raise DuplicateBoundVar(f"duplicate bound variable in sum{list(bound)}")
@@ -215,16 +232,35 @@ class _Parser:
         try:
             return Sum(bound, child)
         except UnusedBoundVar as exc:
-            at = self.tokens[first + 2 * bound.index(exc.name)][2]
-            raise UnusedBoundVar(exc.name, at) from None
+            self.scan(first)
+            for _ in range(2 * bound.index(exc.name)):  # to the name, past its commas
+                self.next()
+            raise UnusedBoundVar(exc.name, self.tok[2]) from None
 
     def varlist(self, distinct=False, other_side=()):
         """Comma-separated names; with `distinct`, each at most once and none
-        from `other_side` (the left of a term's '|')."""
+        from `other_side` (the left of a term's '|').
+
+        The whole list is read with one match, split at its commas and
+        checked as sets. Only when a check fails, or a piece between commas
+        is not one name, is it walked token by token to name the first
+        offending token and its position."""
+        kind, _, start = self.tok
+        if kind == "ident":
+            m = _LIST_RE.match(self.text, start)
+            names = m.group().split(",")
+            if m.group(1):
+                names = [p[0] if len(p) == 1 else "" for p in map(str.split, names)]
+            names = tuple(names)
+            seen = set(names)
+            if ("" not in seen and seen.isdisjoint(_KEYWORDS) and seen.isdisjoint(other_side)
+                    and (not distinct or len(seen) == len(names))):
+                self.scan(m.end())
+                return names
         names, seen = [], set()
         while True:
             kind, val, at = self.next()
-            if kind != "ident" or val in ("P", "sum"):
+            if kind != "ident" or val in _KEYWORDS:
                 raise EstimandSyntaxError(f"expected a variable name, found {val!r}", at)
             if distinct and val in seen:
                 raise EstimandSyntaxError(f"variable {val!r} repeated on one side of '|'", at)
@@ -232,8 +268,7 @@ class _Parser:
                 raise EstimandSyntaxError(f"variable {val!r} on both sides of '|'", at)
             names.append(val)
             seen.add(val)
-            kind, val, _ = self.peek()
-            if val == ",":
+            if self.tok[1] == ",":
                 self.next()
             else:
                 return tuple(names)
@@ -274,11 +309,11 @@ class Hierarchy:
 
     @property
     def depth(self) -> int:
-        def below(lid):
-            lv = self.levels[lid]
-            return 1 + max((below(c) for c in lv.children), default=0)
-
-        return below(self.root)
+        depth, frontier = 0, [self.root]
+        while frontier:
+            depth += 1
+            frontier = [c for lid in frontier for c in self.levels[lid].children]
+        return depth
 
 
 def _fresh(name: str, used: set) -> str:
@@ -294,66 +329,60 @@ def flatten(expr) -> Hierarchy:
     Bound variables are renamed (trailing primes) exactly when their name is
     already in use, either free anywhere in the estimand or bound by an
     already-processed summation. Ratio denominators spawn child levels;
-    numerators flatten into the enclosing level.
+    numerators flatten into the enclosing level. A term no renaming touches
+    is kept as it is, not copied.
     """
-    used = set(free_vars(expr))
-    levels = []
-    renames = {}  # level_id -> list of pairs
-
-    def new_level() -> FlatLevel:
-        lv = FlatLevel(level_id=len(levels))
-        levels.append(lv)
-        renames[lv.level_id] = []
-        return lv
-
-    def walk(node, level, subst):
-        if isinstance(node, ProbTerm):
-            level.factors.append(
-                ProbTerm(
-                    tuple(subst.get(n, n) for n in node.left),
-                    tuple(subst.get(n, n) for n in node.right),
-                )
-            )
-        elif isinstance(node, Product):
-            for c in node.children:
-                walk(c, level, subst)
-        elif isinstance(node, Sum):
-            inner = dict(subst)
-            hoisted = list(level.sum_vars)
-            for b in node.bound:  # the parser admits no bound name its body leaves unused
-                if b in used:
-                    fresh = _fresh(b, used)
-                    inner[b] = fresh
-                    renames[level.level_id].append((b, fresh))
-                else:
-                    fresh = b
-                used.add(fresh)
-                hoisted.append(fresh)
-            level.sum_vars = tuple(hoisted)
-            walk(node.child, level, inner)
-        elif isinstance(node, Ratio):
-            walk(node.numerator, level, subst)
-            child = new_level()
-            level.children.append(child.level_id)
-            walk(node.denominator, child, subst)
-            finish(child)
-            level.child_outputs.append((child.level_id, child.free_vars))
-        else:
-            raise TypeError(type(node))
-
-    def finish(level):
-        seen = set()
-        for scope in level.factor_scopes:
-            seen.update(scope)
-        level.free_vars = tuple(
-            sorted(seen - set(level.sum_vars), key=name_key)
-        )
-        level.rename_map = tuple(renames[level.level_id])
-
-    root = new_level()
-    walk(expr, root, {})
-    finish(root)
+    root = FlatLevel(level_id=0)
+    levels = [root]
+    _walk(expr, root, {}, set(free_vars(expr)), levels)
+    _finish(root)
     return Hierarchy(levels=levels, root=root.level_id)
+
+
+def _walk(node, level, subst, used, levels):
+    """Flatten `node` into `level` under the renaming `subst`; `used` holds
+    every name taken so far, and `levels` every level made so far. (Module
+    functions, not closures, so a flattening leaves no reference cycle that
+    would keep its levels alive until the garbage collector runs.)"""
+    if isinstance(node, ProbTerm):
+        if not subst.keys().isdisjoint(node.free):
+            node = ProbTerm(tuple(map(subst.get, node.left, node.left)),
+                            tuple(map(subst.get, node.right, node.right)))
+        level.factors.append(node)
+    elif isinstance(node, Product):
+        for c in node.children:
+            _walk(c, level, subst, used, levels)
+    elif isinstance(node, Sum):
+        inner = dict(subst)
+        hoisted = list(level.sum_vars)
+        for b in node.bound:  # the parser admits no bound name its body leaves unused
+            if b in used:
+                fresh = _fresh(b, used)
+                inner[b] = fresh
+                level.rename_map += ((b, fresh),)
+            else:
+                fresh = b
+            used.add(fresh)
+            hoisted.append(fresh)
+        level.sum_vars = tuple(hoisted)
+        _walk(node.child, level, inner, used, levels)
+    elif isinstance(node, Ratio):
+        _walk(node.numerator, level, subst, used, levels)
+        child = FlatLevel(level_id=len(levels))
+        levels.append(child)
+        level.children.append(child.level_id)
+        _walk(node.denominator, child, subst, used, levels)
+        _finish(child)
+        level.child_outputs.append((child.level_id, child.free_vars))
+    else:
+        raise TypeError(type(node))
+
+
+def _finish(level):
+    seen = set()
+    for scope in level.factor_scopes:
+        seen.update(scope)
+    level.free_vars = tuple(sorted(seen - set(level.sum_vars), key=name_key))
 
 
 # -- dense literal evaluation (flattening soundness oracle) ----------------
@@ -363,7 +392,11 @@ def dense_expr_eval(expr, bindings, assignment, domains, dense_limit=10**6):
     """Literal recursive AST evaluation at one assignment of its free variables.
 
     `bindings` maps ProbTerm.key() to a SparseFactor; sums enumerate their
-    bound variables densely; ratios divide, with 0/0 evaluating to 0.
+    bound variables densely; ratios divide, with 0/0 evaluating to 0. A
+    product is 0 when one of its children is 0, even where another divides
+    by zero, and else raises the first child's DivisionByZero, so its value
+    does not depend on the order of its children. It stops at the first
+    zero child, which keeps nested sums under zero factors unevaluated.
     """
     if isinstance(expr, ProbTerm):
         try:
@@ -372,11 +405,18 @@ def dense_expr_eval(expr, bindings, assignment, domains, dense_limit=10**6):
             raise KeyError(f"no factor bound for {expr.key()}") from None
         return factor.dense_eval(assignment)
     if isinstance(expr, Product):
-        out = 1.0
+        out, error = 1.0, None
         for c in expr.children:
-            out *= dense_expr_eval(c, bindings, assignment, domains, dense_limit)
-            if out == 0.0:
+            try:
+                value = dense_expr_eval(c, bindings, assignment, domains, dense_limit)
+            except DivisionByZero as exc:
+                error = error or exc
+                continue
+            if value == 0.0:  # no other child can change the product now
                 return 0.0
+            out *= value
+        if error is not None:
+            raise error
         return out
     if isinstance(expr, Sum):
         cells = 1

@@ -25,21 +25,44 @@ _RELABEL_SLOTS = 16
 
 
 @functools.lru_cache(maxsize=None)
-def name_key(name: str):
+def name_key(name: str) -> str:
     """Natural sort key: digit runs compare numerically, primes sort after the base.
 
     Gives the canonical global variable order (V2 < V10, V0 < V0' < V1). The
-    base name breaks ties between names whose digit runs are equal (V01 < V1)
-    before the primes count, so the order is total and priming a name never
-    moves it past another.
+    base name (the name without its trailing primes) breaks ties between
+    names whose digit runs are equal (V01 < V1) before the primes count, so
+    the order is total and priming a name never moves it past another.
+
+    The key is one string, so sorting compares it in C. The base splits into
+    text and decimal-digit runs (`\\d+`, any script's digits; `²`, a digit to
+    `str.isdigit` but not to `\\d`, is text). A text run becomes
+    `\\x01 text \\x00` and a digit run `\\x02 chr(len(d)) d`, with
+    `d = str(int(run))` its value in ASCII digits. Then come `\\x00`, the
+    base, `\\x00` and `chr(primes)`. In code-point order this is the order of
+    the tuple (runs, base, primes) with each run (0, text) or (1, value):
+    - text sorts before a number (`\\x01` < `\\x02`), and the `\\x00` that
+      closes the runs sorts before any further run, as a shorter tuple does;
+    - a text run's closing `\\x00` sorts before any character that would
+      continue it, as a prefix does;
+    - numbers compare by digit count and then digit by digit, which is
+      numeric order for numbers without leading zeros.
+    A NUL inside the base is written `\\x00\\U0010ffff`, which sorts above the
+    `\\x00` that ends a run or the base and below every other character, as
+    a NUL does among the name's own characters. The primes count must be
+    below 0x10ffff.
     """
     base = name.rstrip("'")
-    parts = tuple(
-        (1, int(tok)) if tok.isdigit() else (0, tok)
-        for tok in _NUM_RE.split(base)
-        if tok
-    )
-    return (parts, base, len(name) - len(base))
+    text = base.replace("\x00", "\x00\U0010ffff")
+    runs = _NUM_RE.split(text)
+    key = []
+    for i, run in enumerate(runs):
+        if i % 2:
+            d = str(int(run))
+            key.append(f"\x02{chr(len(d))}{d}")
+        elif run:
+            key.append(f"\x01{run}\x00")
+    key.append(f"\x00{text}\x00{chr(len(name) - len(base))}")
+    return "".join(key)
 
 
 def base_name(name: str) -> str:
@@ -151,7 +174,7 @@ class Dataset:
         cells = cells.astype(np.int64, copy=False)
         cells.flags.writeable = False
         self.cells = cells
-        self._groups = {(): (np.broadcast_to(np.intp(0), len(cells)), 1)}  # see `group`
+        self._groups = {(): (np.broadcast_to(np.uint8(0), len(cells)), 1)}  # see `group`
 
     @property
     def rows(self):
@@ -179,7 +202,9 @@ class Dataset:
         and one boolean array over the `count * k` possible keys and its
         `cumsum` relabel it densely without a sort. Keys that would need
         more than `_RELABEL_SLOTS` slots per row are grouped by
-        `factor.group_ids`.
+        `factor.group_ids`. The memo keeps each id array in the narrowest
+        unsigned dtype that holds `count - 1` (intp past 32 bits), widened
+        to intp again before it is multiplied.
         """
         columns = tuple(columns)
         hit = self._groups.get(columns)
@@ -193,7 +218,8 @@ class Dataset:
             cell = self.cells[:, self.column_index(name)]
             k = self.domains[name]
             if count * k <= _RELABEL_SLOTS * max(len(ids), 1):
-                key = ids * k + cell
+                key = np.multiply(ids, k, dtype=np.intp)
+                key += cell
                 seen = np.zeros(count * k, dtype=bool)
                 seen[key] = True
                 label = np.cumsum(seen) - 1
@@ -202,6 +228,8 @@ class Dataset:
                 from .factor import group_ids
                 ids, first = group_ids(np.column_stack([ids, cell]))
                 count = len(first)
+        narrow = np.min_scalar_type(max(count - 1, 0))
+        ids = ids.astype(narrow if narrow.itemsize <= 4 else np.intp, copy=False)
         ids.flags.writeable = False
         self._groups[columns] = (ids, count)
         return ids, count

@@ -1,7 +1,9 @@
 import os
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pihte.decomposition import (
     Cluster,
@@ -52,6 +54,58 @@ def test_gyo_alpha_acyclic_triangle_with_cover():
     td = gyo_acyclic(h)
     assert td is not None
     assert td.hyperwidth == 1
+
+
+def scan_every_edge_gyo(h):
+    """GYO ear removal that compares each ear with every other edge: the
+    join tree's edges as sorted cluster-id pairs, or None when cyclic."""
+    remaining = {fid: set(scope) for fid, scope in h.edges}
+    parent = {}
+    changed = True
+    while changed and len(remaining) > 1:
+        changed = False
+        counts = Counter(n for scope in remaining.values() for n in scope)
+        for fid in list(remaining):
+            lonely = {n for n in remaining[fid] if counts[n] == 1}
+            if lonely:
+                remaining[fid] -= lonely
+                changed = True
+        for fid in sorted(remaining, key=lambda f: len(remaining[f])):
+            witness = next((other for other in remaining
+                            if other != fid and remaining[fid] <= remaining[other]), None)
+            if witness is not None:
+                parent[fid] = witness
+                del remaining[fid]
+                changed = True
+    if len(remaining) > 1:
+        return None
+    index = {fid: i for i, (fid, _) in enumerate(h.edges)}
+    return sorted(tuple(sorted((index[a], index[b]))) for a, b in parent.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("ABCDEFG"), max_size=4, unique=True),
+                min_size=1, max_size=9),
+       st.data())
+def test_gyo_join_tree_matches_scanning_every_edge(scopes, data):
+    # repeated edges, nested edges, private vertices that lonely removal
+    # empties an edge of, and empty (scalar) edges all arise from these draws
+    scopes += [data.draw(st.sampled_from(scopes)) for _ in range(data.draw(st.integers(0, 2)))]
+    h = hg(*scopes)
+    td, want = gyo_acyclic(h), scan_every_edge_gyo(h)
+    assert (td is None) == (want is None)
+    if td is not None:
+        assert td.edges == want
+        assert not validate(td, h)
+
+
+def test_gyo_witness_is_the_first_superset_in_edge_order():
+    # f1 empties to {} (Z is lonely) and takes the first other edge, f0;
+    # f2 = {A} lies in f3, f4 and f5 and takes f3; the rest lie in f5
+    h = hg(("B", "C"), ("Z",), ("A",), ("A", "C"), ("A", "B"), ("A", "B", "C"))
+    want = [(0, 1), (0, 5), (2, 3), (3, 5), (4, 5)]
+    assert scan_every_edge_gyo(h) == want
+    assert gyo_acyclic(h).edges == want
 
 
 def test_gyo_chain7_estimand(fixture_path):

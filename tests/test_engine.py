@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -453,3 +454,20 @@ def test_empirical_prob_primed_reads_base_column():
     assert f.names == ("V0'", "V1")
     assert [v.domain_size for v in f.scope] == [v.domain_size for v in base.scope]
     assert dict(f.items()) == dict(base.items())
+
+
+def test_flatten_and_pi_hte_leave_no_reference_cycle():
+    # a cycle (a recursive closure) keeps a run's levels, tables and dataset
+    # alive until the collector runs, which raised peak memory over many
+    # queries in one process
+    instances = [make_instance(seed) for seed in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in instances:
+            hier = flatten(parse(inst.estimand))
+            assert hier.depth >= 1
+            pi_hte(hier, inst.data)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,8 +2,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pihte.errors import DuplicateBoundVar, EstimandSyntaxError
+from pihte.engine import brute_force_eval
+from pihte.errors import DivisionByZero, DuplicateBoundVar, EstimandSyntaxError, UnusedBoundVar
 from pihte.estimand import (
     ProbTerm,
     Product,
@@ -246,3 +248,117 @@ def test_dense_expr_eval_zero_over_zero():
 
 def _tiny_data():
     return Dataset(("A", "B"), [(0, 0), (0, 0)], {"A": 2, "B": 2})
+
+
+def test_product_value_does_not_depend_on_child_order():
+    # B=2 is never seen, so P(B) is 0 there and P(A) / (P(B)) divides a
+    # nonzero number by zero; P(B) = 0 beside it makes the product 0 in
+    # either order, as the engine's zero-suppressed join has it
+    data = Dataset(("A", "B"), [(0, 0), (1, 1), (1, 0)], {"A": 2, "B": 3})
+    tables = [brute_force_eval(parse(text), data)
+              for text in ("P(B) (P(A) / (P(B)))", "(P(A) / (P(B))) P(B)")]
+    assert tables[0].names == tables[1].names == ("A", "B")
+    assert dict(tables[0].items()) == dict(tables[1].items())
+    assert len(dict(tables[0].items())) == 4  # (A, B) for B in {0, 1}
+    with pytest.raises(DivisionByZero):  # no zero factor beside the ratio
+        brute_force_eval(parse("P(A) (P(A) / (P(B)))"), data)
+
+
+# -- the parser, against its own grammar and its earlier messages -----------
+
+# Each text with the error class, position and message the token-by-token
+# parser gave, which reading a name list in one match must keep.
+PARSE_ERRORS = [
+    ("P(A,)", EstimandSyntaxError, 4, "expected a variable name, found ')'"),
+    ("sum[A,]", EstimandSyntaxError, 6, "expected a variable name, found ']'"),
+    ("P(A,", EstimandSyntaxError, 4, "expected a variable name, found None"),
+    ("P(sum)", EstimandSyntaxError, 2, "expected a variable name, found 'sum'"),
+    ("P(A|P)", EstimandSyntaxError, 4, "expected a variable name, found 'P'"),
+    ("P(1A)", EstimandSyntaxError, 2, "unexpected character '1'"),
+    ("P(A,) '", EstimandSyntaxError, 6, "apostrophes are reserved for the renamer"),
+    ("P(A) $", EstimandSyntaxError, 5, "unexpected character '$'"),
+    ("P(A, B ,)", EstimandSyntaxError, 8, "expected a variable name, found ')'"),
+    ("P(A|B,\n)", EstimandSyntaxError, 7, "expected a variable name, found ')'"),
+    ("P(A,\t,B)", EstimandSyntaxError, 5, "expected a variable name, found ','"),
+    ("P(A,B|C,) 1", EstimandSyntaxError, 10, "unexpected character '1'"),
+    ("P(A1,1)", EstimandSyntaxError, 5, "unexpected character '1'"),
+    ("P(A|B,B)", EstimandSyntaxError, 6, "variable 'B' repeated on one side of '|'"),
+    ("P(A,A|B)", EstimandSyntaxError, 4, "variable 'A' repeated on one side of '|'"),
+    ("P(A|B,A)", EstimandSyntaxError, 6, "variable 'A' on both sides of '|'"),
+    ("P(A B)", EstimandSyntaxError, 4, "expected ')', found 'B'"),
+    ("P()", EstimandSyntaxError, 2, "expected a variable name, found ')'"),
+    ("sum[](P(A))", EstimandSyntaxError, 4, "expected a variable name, found ']'"),
+    ("P(A) )", EstimandSyntaxError, 5, "trailing input ')'"),
+    ("  ", EstimandSyntaxError, 2, "expected a factor, found None"),
+    ("sum[A]P(A)", EstimandSyntaxError, 6, "expected '(', found 'P'"),
+    ("sum[A, B](P(A))", UnusedBoundVar, 7, "sum over 'B' that its body never uses"),
+    ("sum[B,A](P(A) sum[C](P(C|A)))", UnusedBoundVar, 4,
+     "sum over 'B' that its body never uses"),
+]
+
+
+@pytest.mark.parametrize("text, cls, position, message", PARSE_ERRORS)
+def test_parse_error_class_position_and_message(text, cls, position, message):
+    with pytest.raises(EstimandSyntaxError) as exc:
+        parse(text)
+    assert type(exc.value) is cls
+    assert exc.value.position == position
+    assert str(exc.value) == f"at position {position}: {message}"
+
+
+def test_duplicate_bound_variable_message():
+    with pytest.raises(DuplicateBoundVar) as exc:
+        parse("sum[A,A](P(A))")
+    assert str(exc.value) == "duplicate bound variable in sum['A', 'A']"
+
+
+NAMES = st.sampled_from(["A", "B", "C1", "_x", "V10", "Px", "sumA", "P_", "sum0"])
+BLANKS = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c \xa0"), max_size=2)
+
+
+@st.composite
+def prob_terms_st(draw):
+    left = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    right = draw(st.lists(NAMES.filter(lambda n: n not in left), max_size=3, unique=True))
+    return ProbTerm(tuple(left), tuple(right))
+
+
+def _extend(inner):
+    summed = inner.filter(lambda e: free_vars(e)).flatmap(
+        lambda e: st.lists(st.sampled_from(sorted(free_vars(e))), min_size=1, max_size=3,
+                           unique=True).map(lambda bound: Sum(tuple(bound), e)))
+    return st.one_of(st.lists(inner, min_size=2, max_size=3).map(lambda cs: Product(tuple(cs))),
+                     st.tuples(inner, inner).map(lambda p: Ratio(*p)),
+                     summed)
+
+
+ASTS = st.recursive(prob_terms_st(), _extend, max_leaves=8)
+
+
+def write(expr, blank):
+    """Estimand text for `expr`, with `blank()` between any two tokens."""
+    def names(ns):
+        return f"{blank()},{blank()}".join(ns)
+
+    def factor(e):  # what may stand in a product or as a denominator
+        return f"({blank()}{write(e, blank)}{blank()})" if isinstance(e, (Product, Ratio)) else \
+            write(e, blank)
+
+    if isinstance(expr, ProbTerm):
+        right = f"{blank()}|{blank()}{names(expr.right)}" if expr.right else ""
+        return f"P{blank()}({blank()}{names(expr.left)}{right}{blank()})"
+    if isinstance(expr, Sum):
+        return f"sum{blank()}[{blank()}{names(expr.bound)}{blank()}]{blank()}(" \
+               f"{blank()}{write(expr.child, blank)}{blank()})"
+    if isinstance(expr, Product):
+        return "".join(blank() + factor(c) for c in expr.children)
+    num = expr.numerator
+    num_text = factor(num) if isinstance(num, Ratio) else write(num, blank)
+    return f"{num_text}{blank()}/{blank()}{factor(expr.denominator)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(ASTS, st.data())
+def test_written_ast_parses_back_equal(expr, data):
+    text = write(expr, lambda: data.draw(BLANKS))
+    assert parse(text) == expr

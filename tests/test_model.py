@@ -1,9 +1,12 @@
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from pihte.cli import main
 from pihte.errors import (
     CycleError,
     DomainViolation,
@@ -39,6 +42,57 @@ def test_name_key_is_a_total_order():
     want = ["A", "V0", "V01", "V01'", "V1", "V1'"]
     assert sorted(names, key=name_key) == want
     assert sorted(reversed(names), key=name_key) == want
+
+
+_NUM_RE = re.compile(r"(\d+)")
+
+
+def tuple_name_key(name):
+    """The tuple key that `name_key` encodes as one string: the reference order."""
+    base = name.rstrip("'")
+    parts = tuple((1, int(tok)) if tok.isdigit() else (0, tok)
+                  for tok in _NUM_RE.split(base) if tok)
+    return (parts, base, len(name) - len(base))
+
+
+# names as a graph file may hold them: no blanks; primes, leading zeros,
+# other scripts' decimal digits, a superscript digit and control characters
+NAME_CHARS = st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp")).filter(
+    lambda c: not c.isspace())
+NAMES = st.text(NAME_CHARS | st.sampled_from(list("V0019'٣٠²\x00\x01\x02\x7f")),
+                max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(NAMES, NAMES)
+@example("V1\x00", "V1")
+@example("A\x00", "A\x01")
+@example("V٣", "V3'")
+@example("V01", "V1")
+@example("V007''", "V7")
+def test_name_key_orders_as_the_tuple_key(a, b):
+    try:
+        ka, kb = tuple_name_key(a), tuple_name_key(b)
+    except ValueError:  # the tuple key could not read a digit that \d does not match
+        ka = kb = None
+    if ka is not None:
+        assert (name_key(a) < name_key(b)) == (ka < kb)
+    assert (name_key(a) == name_key(b)) == (a == b)
+
+
+def test_name_key_sorts_names_the_tuple_key_could_not_read():
+    # '²' is a digit to str.isdigit but not to \d, so int() refused it
+    names = ["²", "V1²", "V0", "A"]
+    assert sorted(names, key=name_key) == ["A", "V0", "V1²", "²"]
+
+
+def test_simulate_reads_a_graph_with_a_superscript_name(tmp_path):
+    graph = tmp_path / "sup.graph"
+    graph.write_text("var ² 2\nvar A 2\n² -> A\n", encoding="utf-8")
+    out = tmp_path / "sup.csv"
+    assert main(["simulate", "--graph", str(graph), "--rows", "5", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "A,²"
 
 
 def test_base_name():
@@ -274,6 +328,28 @@ def test_binding_matches_dict_reference(data, seq):
         cells = [tuple(row[data.columns.index(c)] for c in columns) for row in data.rows]
         rank = {key: i for i, key in enumerate(sorted(set(cells)))}
         assert (ids.tolist(), count) == ([rank[key] for key in cells], len(rank))
+
+
+def test_group_ids_are_narrow_and_exact_across_dtype_limits():
+    # 70,000 rows: A alone has 300 groups (past 2**8), and A,B has 70,000
+    # (past 2**16), built from A's cached uint16 ids, which must be widened
+    # before `ids * k`; D's domain of 10**6 takes the sorting path
+    i = np.arange(70_000)
+    rows = np.column_stack([i % 300, (i // 300) % 300, i % 7, (i * 13) % 10**6])
+    data = Dataset(("A", "B", "C", "D"), rows, {"A": 300, "B": 300, "C": 7, "D": 10**6})
+    for columns in [("C",), ("A",), ("A", "B"), ("A", "B", "C"), ("D",), ("C", "D"),
+                    ("A", "C")]:
+        ids, count = data.group(columns)
+        cells = data.cells[:, [data.columns.index(c) for c in columns]]
+        unique, inverse = np.unique(cells, axis=0, return_inverse=True)
+        assert count == len(unique)
+        assert np.array_equal(ids, inverse.reshape(-1))
+        want = np.uint8 if count <= 1 << 8 else np.uint16 if count <= 1 << 16 else np.uint32
+        assert ids.dtype == want, columns
+    f = empirical_prob(data, ("B", "C"), ("A",))
+    names, entries = ref_prob(data, ("B", "C"), ("A",))
+    assert f.names == names
+    assert dict(f.items()) == entries
 
 
 def test_group_of_no_columns_is_one_group():

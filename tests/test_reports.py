@@ -2,7 +2,8 @@
 tests/reports/ byte for byte once its timing figures are masked.
 
 The inputs are `napkin.csv` and `chain7.csv` in that folder, 30 rows each
-from `pihte simulate --rows 30 --seed 3`. After a deliberate change to a
+from `pihte simulate --rows 30 --seed 3`; `analyze` on cone_cloud reads no
+data. After a deliberate change to a
 report, rewrite the expected files with
 `PYTHONPATH=src python tests/test_reports.py` and review their diff.
 """
@@ -29,6 +30,10 @@ def _inputs(stem, data=True):
 
 NAPKIN_SIZES = ["--sizes", "10,20,30"]
 CASES = {
+    "analyze_chain7.json": ["analyze", *_inputs("chain7")],
+    "analyze_napkin.json": ["analyze", *_inputs("napkin")],
+    "analyze_cone_td.json": ["analyze", *_inputs("cone_cloud", data=False),
+                             "--decomposition", os.path.join(FIXTURES, "cone_cloud.td")],
     "estimate_chain7.json": ["estimate", *_inputs("chain7")],
     "estimate_chain7.csv": ["estimate", *_inputs("chain7"), "--format", "csv"],
     "estimate_napkin.json": ["estimate", *_inputs("napkin")],

@@ -346,8 +346,7 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
 def _check_inputs(p: Plan, data, do):
     """The dataset has every column the plan binds, and `do` fixes only free
     variables of the root level, inside their domains."""
-    bound = {base_name(n) for lp in p.levels.values() for t in lp.level.factors
-             for n in t.left + t.right}
+    bound = {base_name(n) for lp in p.levels.values() for n in lp.hypergraph.nodes}
     missing = sorted(bound - set(data.domains), key=name_key)
     if missing:
         raise UnknownVariable(f"dataset has no column {missing[0]!r}")

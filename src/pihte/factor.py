@@ -5,9 +5,12 @@ a scope in the canonical global variable order, an int64 code matrix of unique
 rows sorted lexicographically, and a float64 value vector, so merges and
 serialized output are deterministic. Entries are validated where they enter
 from outside (`SparseFactor(scope, entries)` and `model.Dataset`); the
-algebra, the sort-based join and aggregate of Yannakakis (VLDB 1981) and FAQ
-(Abo Khamis, Ngo & Rudra, PODS 2016) as array kernels, builds its results
-with `SparseFactor.trusted`.
+algebra builds its results with `SparseFactor.trusted`. It is the join and
+aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
+2016) as array kernels over `row_keys`, each row one big-endian byte key: a
+product whose one scope holds the other binary-searches the wider table's
+rows among the narrower's, any other product is a sort-merge, and a marginal
+sums each group found by a sort.
 """
 
 from __future__ import annotations
@@ -29,22 +32,33 @@ from .model import name_key
 UNDERFLOW_FLOOR = 1e-300
 
 
+def row_keys(codes, top):
+    """Each row of a non-negative int64 code matrix as one opaque key of
+    big-endian bytes, every code narrowed to the one, two or eight bytes that
+    hold `top`. For codes up to `top` the keys' memcmp order is numeric
+    lexicographic row order, so a whole row compares as one value; two
+    matrices encoded at the same `top` give comparable keys. A matrix with no
+    columns gives equal keys."""
+    n, width = codes.shape
+    if width == 0:
+        return np.zeros(n, dtype=np.uint8)
+    dtype = np.dtype(">u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">i8")
+    keys = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
+    return keys.reshape(-1)
+
+
 def group_ids(codes):
     """Dense group ids of the rows of an int64 code matrix, numbered in
     lexicographic row order, and the index of each group's first row.
 
-    Each row is viewed as one opaque key of big-endian bytes; for
-    non-negative codes their memcmp order is numeric lexicographic order, so
-    one `np.unique` call sorts and groups every column at once. Codes are
-    narrowed to one or two bytes when they fit, which shortens every compare.
+    One `np.unique` over the rows' `row_keys`, narrowed to the largest code,
+    sorts and groups every column at once.
     """
     n, width = codes.shape
     if width == 0:
         return np.zeros(n, dtype=np.intp), np.zeros(min(n, 1), dtype=np.intp)
-    top = codes.max(initial=0)
-    dtype = np.dtype(">u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">i8")
-    keys = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
-    _, first, ids = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    _, first, ids = np.unique(row_keys(codes, codes.max(initial=0)),
+                              return_index=True, return_inverse=True)
     return ids.reshape(-1), first
 
 
@@ -63,7 +77,8 @@ def take_columns(codes, positions):
 class SparseFactor:
     """Immutable sparse table: sorted unique code rows -> non-zero floats."""
 
-    __slots__ = ("scope", "codes", "values", "require_support", "underflow_dropped", "_lookup")
+    __slots__ = ("scope", "names", "codes", "values", "require_support", "underflow_dropped",
+                 "_lookup")
 
     def __init__(self, scope, entries, require_support=False, underflow_dropped=0):
         """Validate a mapping of assignment tuples to non-zero values."""
@@ -93,6 +108,7 @@ class SparseFactor:
 
     def _set(self, scope, codes, values, require_support, underflow_dropped):
         self.scope = scope
+        self.names = tuple(v.name for v in scope)
         self.codes = codes
         self.values = values
         self.require_support = require_support
@@ -108,10 +124,6 @@ class SparseFactor:
         return f
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def names(self):
-        return tuple(v.name for v in self.scope)
 
     @property
     def tightness(self) -> int:
@@ -176,6 +188,8 @@ def unit_factor() -> SparseFactor:
 
 
 def _merged_scope(f: SparseFactor, g: SparseFactor):
+    """The union scope in canonical order; f's or g's own scope tuple, the
+    same object, when that scope holds the other's."""
     by_name = {v.name: v for v in f.scope}
     for v in g.scope:
         prior = by_name.get(v.name)
@@ -186,6 +200,8 @@ def _merged_scope(f: SparseFactor, g: SparseFactor):
         by_name.setdefault(v.name, v)
     if len(by_name) == len(f.scope):  # g adds no name; f's scope is in order
         return f.scope
+    if len(by_name) == len(g.scope):  # f adds no name
+        return g.scope
     return tuple(sorted(by_name.values(), key=lambda v: name_key(v.name)))
 
 
@@ -219,14 +235,23 @@ def join_size(f: SparseFactor, g: SparseFactor) -> int:
 
 
 def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
-    """Sort-merge join on the shared variables; output keyed on the union scope.
+    """The join of f and g on their shared variables, keyed on the union
+    scope, each entry the product of the two it joins.
 
     An output entry exists iff both projections exist, so multiplication is
     absorbing relative to zero. If one operand is flagged `require_support`
     (an inverted denominator output), any partner entry falling outside its
-    support means a nonzero numerator over a zero denominator.
+    support means a nonzero numerator over a zero denominator; g's flag is
+    checked first, and the error names the partner's first such entry.
+
+    When one scope holds the other, the join is a semi-join of the wider
+    table (Yannakakis, VLDB 1981): `_contained_product` looks each wide row
+    up among the narrower table's rows. Any other pair is a sort-merge on
+    the shared columns with range expansion.
     """
     scope = _merged_scope(f, g)
+    if scope is f.scope or scope is g.scope:  # an operand's own scope holds the other's
+        return _contained_product(f, g, scope is f.scope)
     f_ids, g_ids, f_count, g_count, g_only = _shared_groups(f, g)
     if g.require_support and not g_count[f_ids].all():
         raise _unsupported(f, g_count[f_ids] == 0)
@@ -241,16 +266,52 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     g_rows = np.argsort(g_ids, kind="stable")[np.repeat(g_start[f_ids], reps) + offset]
 
     values = f.values[f_rows] * g.values[g_rows]
-    kept = np.abs(values) >= UNDERFLOW_FLOOR
     codes = np.concatenate([f.codes[f_rows], take_columns(g.codes, g_only)[g_rows]], axis=1)
-    dropped = len(values) - int(np.count_nonzero(kept))
-    if dropped:
-        codes, values = codes[kept], values[kept]
     if scope[:len(f.scope)] != f.scope:  # else f's rows, expanded in order, are sorted
         column = {n: i for i, n in enumerate(f.names + tuple(g.names[j] for j in g_only))}
         codes = codes[:, [column[v.name] for v in scope]]
         _, first = group_ids(codes)
         codes, values = codes[first], values[first]
+    return _trusted_product(scope, codes, values)
+
+
+def _contained_product(f: SparseFactor, g: SparseFactor, f_wide: bool) -> SparseFactor:
+    """`product(f, g)` when the wider operand's scope holds the narrower's.
+
+    The narrower table's rows and the wider's projection onto its columns
+    are `row_keys` at one width, fixed by the narrower scope's domains; the
+    narrower's keys are unique and sorted, so one binary search per wide row
+    finds its partner, or finds that it has none. The output is the wide rows
+    that have one, in their own order, which is already the canonical order.
+    """
+    wide, narrow = (f, g) if f_wide else (g, f)
+    column = {n: i for i, n in enumerate(wide.names)}
+    top = max((v.domain_size for v in narrow.scope), default=1) - 1
+    keys = row_keys(narrow.codes, top)
+    wide_keys = row_keys(take_columns(wide.codes, [column[n] for n in narrow.names]), top)
+    left = np.searchsorted(keys, wide_keys, "left")
+    hit = np.searchsorted(keys, wide_keys, "right") > left  # without == on void keys
+    for flagged, partner_wide in ((g, f_wide), (f, not f_wide)):
+        if flagged.require_support:
+            if partner_wide:
+                missing = ~hit
+            else:
+                missing = np.ones(len(narrow.values), dtype=bool)
+                missing[left[hit]] = False
+            if missing.any():
+                raise _unsupported(wide if partner_wide else narrow, missing)
+    codes, values = wide.codes, wide.values
+    if not hit.all():
+        codes, values, left = codes[hit], values[hit], left[hit]
+    return _trusted_product(wide.scope, codes, values * narrow.values[left])
+
+
+def _trusted_product(scope, codes, values) -> SparseFactor:
+    """A product's canonical rows and values, less the values that underflow."""
+    kept = np.abs(values) >= UNDERFLOW_FLOOR
+    dropped = len(values) - int(np.count_nonzero(kept))
+    if dropped:
+        codes, values = codes[kept], values[kept]
     return SparseFactor.trusted(scope, codes, values, underflow_dropped=dropped)
 
 

@@ -80,6 +80,11 @@ class Variable:
             raise ValueError(f"domain_size of {self.name!r} must be >= 1")
 
 
+# one shared Variable per (name, domain): the same names are bound again by
+# every query, and a frozen dataclass is slow to build
+_variable = functools.lru_cache(maxsize=None)(Variable)
+
+
 class CausalGraph:
     """DAG over observed variables with bidirected confounder surrogates.
 
@@ -340,20 +345,21 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     right = tuple(right)
     if not left:
         raise ValueError("left variable set must be non-empty")
-    if len({base_name(n) for n in left + right}) != len(left + right):
+    scope_names = sorted(left + right, key=name_key)
+    columns = tuple(base_name(n) for n in scope_names)
+    if len(set(columns)) != len(columns):
         term = ",".join(left) + ("|" + ",".join(right) if right else "")
         raise ValueError(f"term P({term}) reads a column more than once")
     if data.n_rows == 0:
         raise EmptyDataset("cannot extract probabilities from zero rows")
 
-    scope_names = sorted(left + right, key=name_key)
-    columns = tuple(base_name(n) for n in scope_names)
     positions = [data.column_index(c) for c in columns]  # names a missing column
-    scope = tuple(Variable(n, data.domains[c]) for n, c in zip(scope_names, columns))
+    scope = tuple(_variable(n, data.domains[c]) for n, c in zip(scope_names, columns))
     # the conditioning side first: when its names sort first, it is the
     # prefix the term's own grouping then extends; with right empty it is
     # the one group of all rows
-    right_ids, _ = data.group(base_name(n) for n in sorted(right, key=name_key))
+    conditioning = set(right)
+    right_ids, _ = data.group(c for n, c in zip(scope_names, columns) if n in conditioning)
     ids, count = data.group(columns)
     first = np.empty(count, dtype=np.intp)
     first[ids] = np.arange(data.n_rows)  # any row of a group holds its cells

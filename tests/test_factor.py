@@ -78,6 +78,26 @@ def joint_factors():
     return pair()
 
 
+@st.composite
+def contained_pairs(draw):
+    """A wider and a narrower factor, the narrower scope a subset of the
+    wider (either may be empty, as may either table), each flagged
+    `require_support` or not."""
+    domains = {"A": 2, "B": 3, "C": 2, "D": 2}
+    wide = [v for v in names if draw(st.booleans())]
+    narrow = [v for v in wide if draw(st.booleans())]
+
+    def table(chosen):
+        keys = list(_all_keys([domains[v] for v in chosen]))
+        subset = draw(st.sets(st.sampled_from(keys), max_size=len(keys)))
+        vals = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+        return SparseFactor(tuple(Variable(v, domains[v]) for v in chosen),
+                            {k: draw(vals) for k in sorted(subset)},
+                            require_support=draw(st.booleans()))
+
+    return table(wide), table(narrow)
+
+
 # -- construction ----------------------------------------------------------
 
 
@@ -307,6 +327,42 @@ def test_algebra_matches_dict_reference(pair, data):
     assert_matches(inv, (f.names, {k: 1.0 / v for k, v in f.items()}))
 
 
+def ref_unsupported(f, g):
+    """The message `product(f, g)` raises, or None: g's flag is checked
+    first, and each names the partner's first entry, in canonical order,
+    whose projection onto the shared names the flagged table lacks."""
+    for flagged, partner in ((g, f), (f, g)):
+        if flagged.require_support:
+            shared = [n for n in partner.names if n in flagged.names]
+            have = {tuple(dict(zip(flagged.names, k))[n] for n in shared)
+                    for k, _ in flagged.items()}
+            for key, _ in partner.items():
+                entry = dict(zip(partner.names, key))
+                if tuple(entry[n] for n in shared) not in have:
+                    return f"entry {entry} has no denominator support"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(contained_pairs(), st.booleans())
+@example((SparseFactor((Variable("A", 2),), {(0,): 1.0, (1,): 2.0}),
+          SparseFactor((), {}, require_support=True)), False)  # nothing supports A
+@example((SparseFactor((Variable("A", 2),), {}, require_support=True),
+          SparseFactor((), {(): 3.0})), True)  # the flagged wider table is empty
+def test_contained_product_matches_reference(pair, narrow_first):
+    """One scope inside the other: the same entries, in the same order, and
+    the same first unsupported entry as the reference, in either order."""
+    wide, narrow = pair
+    f, g = (narrow, wide) if narrow_first else (wide, narrow)
+    message = ref_unsupported(f, g)
+    if message is None:
+        assert_matches(product(f, g), ref_product(f, g))
+    else:
+        with pytest.raises(DivisionInconsistency) as err:
+            product(f, g)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("top", [255, 256, 65535, 65536])
 def test_canonical_order_past_one_byte(top):
     """Row order is numeric for codes of every width, not signed-byte order."""
@@ -316,6 +372,14 @@ def test_canonical_order_past_one_byte(top):
     want = sorted((a, b) for a in codes for b in (1, 0))
     assert [k for k, _ in f.items()] == want
     assert [k for k, _ in marginalize(f, {"B"}).items()] == sorted((a,) for a in codes)
+    # a scope inside f's: its keys and f's projection must be encoded at one
+    # width, also when the narrower table holds only codes below 256
+    small = [a for a in codes if a < 256 and a != 127]
+    for narrow in (SparseFactor((Variable("A", top + 1),), {(a,): 0.5 + a for a in codes[1:]}),
+                   SparseFactor((Variable("A", top + 1),), {(a,): 2.0 for a in small}),
+                   SparseFactor((Variable("B", 2),), {(1,): 0.25})):
+        for x, y in ((f, narrow), (narrow, f)):
+            assert_matches(product(x, y), ref_product(x, y))
 
 
 def test_items_are_python_scalars_in_sorted_order():
@@ -364,8 +428,10 @@ def _den(support):
 def test_require_support_on_either_operand(num_support, den_support, den_first):
     num = make([("A", 4), ("B", 2)], {(a, 0): 0.5 for a in num_support})
     den = _den(den_support)
-    with pytest.raises(DivisionInconsistency):
+    first = min(set(num_support) - set(den_support))
+    with pytest.raises(DivisionInconsistency) as err:
         product(den, num) if den_first else product(num, den)
+    assert str(err.value) == f"entry {{'A': {first}, 'B': 0}} has no denominator support"
 
 
 def test_both_operands_requiring_support():

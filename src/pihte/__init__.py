@@ -21,15 +21,11 @@ from .decomposition import (
     gyo_acyclic,
     hypertree_cover,
     load_decomposition,
-    min_fill_order,
-    select_root,
-    tree_decomposition,
     validate,
 )
 from .engine import (
     EvalReport,
     brute_force_eval,
-    cte,
     execute,
     pi_hte,
     plan,
@@ -53,10 +49,9 @@ __all__ = [
     "FlatLevel", "Hierarchy", "ProbTerm", "Product", "Ratio", "Sum",
     "flatten", "parse",
     "Cluster", "Hypergraph", "TreeDecomposition", "build_hypergraph",
-    "decompose", "gyo_acyclic", "hypertree_cover", "load_decomposition",
-    "min_fill_order", "select_root", "tree_decomposition", "validate",
-    "EvalReport", "brute_force_eval", "cte",
-    "execute", "pi_hte", "plan", "predicted_bounds", "run_metrics",
+    "decompose", "gyo_acyclic", "hypertree_cover", "load_decomposition", "validate",
+    "EvalReport", "brute_force_eval", "execute", "pi_hte", "plan",
+    "predicted_bounds", "run_metrics",
     "CBN", "interventional_truth", "random_cbn", "sample_dataset",
     "total_variation",
 ]

@@ -4,10 +4,10 @@ Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
 computed), the width statistics and the CTE schedule. `execute` then binds
 each level's probability terms to frequency tables extracted from a dataset
-(primed variables read their base column), injects child denominator outputs
-inverted as ordinary factors, and runs the schedule, which alone says which
-tables meet where and what each message sums out. One plan serves any number
-of datasets.
+(primed variables read their base column), checks that each child denominator
+output covers the support of the level's terms, injects it inverted as an
+ordinary factor, and runs the schedule, which alone says which tables meet
+where and what each message sums out. One plan serves any number of datasets.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .decomposition import (
 )
 from .errors import (
     DenseLimitExceeded,
+    DivisionInconsistency,
     ResourceLimitExceeded,
     UnknownVariable,
     ValidationError,
@@ -57,8 +58,9 @@ class Step:
 
 def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
     """The steps of one-way message passing to `root`, leaves first; `scopes`
-    maps factor ids to their variables. A message keeps its edge separator and
-    every output variable it holds, so outputs straddling clusters meet at the root."""
+    maps factor ids to their variables, and a factor id of a `psi` that it
+    lacks is left out. A message keeps its edge separator and every output
+    variable it holds, so outputs straddling clusters meet at the root."""
     free = frozenset(free_vars)
     adj = td.adjacency()
     parent = {root: None}
@@ -72,7 +74,7 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
     held = {}  # cluster -> the variables of its message
     steps = []
     for u in reversed(order):
-        factors = tuple(sorted(td.clusters[u].psi, key=name_key))
+        factors = tuple(sorted(td.clusters[u].psi & scopes.keys(), key=name_key))
         children = tuple(v for v in adj[u] if v != parent[u])
         names = set().union(*(scopes[f] for f in factors), *(held.pop(v) for v in children))
         up = td.clusters[parent[u]].chi if parent[u] is not None else frozenset()
@@ -118,25 +120,49 @@ def _join(tables, record):
 
 
 def cte(steps, factors, record):
-    """Run a schedule: each step multiplies its ordinary tables (its bound
-    factors and its children's messages) in the order `_join` picks, then
-    its inverted child outputs in planned order, and sums its `drop` out.
-    The inverted outputs come last so that each checks its support against
-    the whole cluster's join. Returns the last (root) step's message.
-    `record` is handed every table made; a step that sums nothing out passes
-    its table on as it is."""
+    """Run a schedule: each step multiplies its tables (its factors and its
+    children's messages) in the order `_join` picks and sums its `drop` out.
+    Returns the last (root) step's message. `record` is handed every table
+    made; a step that sums nothing out passes its table on as it is."""
     messages = {}
     for step in steps:
         tables = [factors[f] for f in step.factors] + [messages.pop(v) for v in step.children]
-        ordinary = [g for g in tables if not g.require_support]
-        inverted = [g for g in tables if g.require_support]
-        if not ordinary:
-            ordinary, inverted = inverted[:1], inverted[1:]
-        h = _join(ordinary, record)
-        for g in inverted:
-            h = record(sf.product(h, g))
+        h = _join(tables, record)
         messages[step.cluster] = record(sf.marginalize(h, step.drop)) if step.drop else h
     return messages[steps[-1].cluster]
+
+
+def _support(steps, ones, context, keep, hold):
+    """The support of the join of `context`, if any, and the tables `steps`
+    meets in `ones` (all-ones copies of bound terms, so no underflow can hide
+    an entry), projected onto `keep`. `hold` is handed every table made."""
+    s = cte(steps, ones, hold)
+    if context is not None:
+        s = hold(sf.product(s, context))
+    drop = set(s.names).difference(keep)
+    return hold(sf.marginalize(s, drop)) if drop else s
+
+
+def check_support(steps, ones, context, g, hold):
+    """Raise DivisionInconsistency where the child output `g` is zero under
+    a nonzero numerator: a semi-join of the level's bound terms onto g
+    (Yannakakis, VLDB 1981) in the Boolean semiring of FAQ (Abo Khamis, Ngo
+    & Rudra, PODS 2016).
+
+    `steps` schedules the level's bound terms alone, keeping g's scope.
+    Below the root, `context` holds the assignments of the level's free
+    variables where the terms outside its ratio's numerator are nonzero (in
+    their own context): elsewhere the product holding the ratio is zero
+    whatever its denominator raises. Each support row must meet one row of
+    g per assignment of g's variables that the support lacks; the error
+    names the first row that does not.
+    """
+    support = _support(steps, ones, context, g.names, hold)
+    ids, _, _, g_count, g_only = sf.shared_groups(support, g)
+    short = np.flatnonzero(g_count[ids] != math.prod(g.scope[j].domain_size for j in g_only))
+    if len(short):
+        key = dict(zip(support.names, support.codes[short[0]].tolist()))
+        raise DivisionInconsistency(f"entry {key} has no denominator support")
 
 
 # -- evaluation report -----------------------------------------------------
@@ -163,14 +189,18 @@ class LevelStats:
     wall_time: float = 0.0
 
     def record(self, f: sf.SparseFactor):
-        """Charge `f` to this level and return it."""
+        """Charge `f` to this level, hold it to `cap`, and return it."""
         t = f.tightness
         if t > self.max_table_entries:
             self.max_table_entries = t
             self.max_table_cells = math.prod(v.domain_size for v in f.scope)
         self.total_entries += t
-        if self.cap is not None and t > self.cap:
-            raise ResourceLimitExceeded(f"table with {t} entries exceeds cap {self.cap}")
+        return self.hold(f)
+
+    def hold(self, f: sf.SparseFactor):
+        """Hold `f` to `cap` without charging it, and return it."""
+        if self.cap is not None and f.tightness > self.cap:
+            raise ResourceLimitExceeded(f"table with {f.tightness} entries exceeds cap {self.cap}")
         return f
 
     def as_dict(self):
@@ -259,6 +289,7 @@ class LevelPlan:
     hypergraph: Hypergraph
     td: TreeDecomposition
     steps: tuple  # the CTE schedule, leaves to root
+    support: tuple  # per child output, check_support's schedule and its context's, if needed
     hw_no_outputs: object  # int or None when outputs are needed for coverage
     is_hypertree: bool
     supplied: bool  # td was given by the caller, not computed by decompose
@@ -327,12 +358,24 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
         # with no g-edge to exclude, the level's cover is already an f-edge cover
         hw_no_outputs = (cover_width_excluding_outputs(td, hg) if level.child_outputs
                          else td.hyperwidth)
+        # a level below the root is checked in a context over its free variables
+        carried = set() if level.level_id == hier.root else set(level.free_vars)
+        support = []
+        for child_id, scope in level.child_outputs:
+            child = hier.level(child_id)
+            root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
+            bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
+            outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
+            reach = (schedule(td, outside, carried.union(child.free_vars), root)
+                     if child.child_outputs else None)
+            support.append((schedule(td, bound, carried.union(scope), root), reach))
         levels[level.level_id] = LevelPlan(
             level=level,
             hypergraph=hg,
             td=td,
             steps=schedule(td, dict(hg.edges), level.free_vars,
                            select_root(td, level.free_vars)),
+            support=tuple(support),
             hw_no_outputs=hw_no_outputs,
             is_hypertree=is_hypertree,
             supplied=level.level_id in decompositions,
@@ -398,12 +441,13 @@ def execute(p: Plan, data, do=None) -> EvalReport:
     )
 
 
-def _eval_level(p: Plan, level_id, data, do, cap, level_stats):
+def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     """One level's output table, its child levels evaluated first; each
     level's LevelStats is appended to `level_stats`. (A module function, not
     a closure in `execute`: a recursive closure is a reference cycle, which
     would keep the run's tables and dataset alive until the garbage
-    collector runs.)"""
+    collector runs.) Each child output is checked by `check_support`
+    before it is inverted; a child with checks of its own gets its context."""
     lp = p.levels[level_id]
     t0 = time.monotonic()
     stats = LevelStats(level_id, **lp.widths(), k=max(lp.hypergraph.domains.values()), cap=cap)
@@ -412,8 +456,13 @@ def _eval_level(p: Plan, level_id, data, do, cap, level_stats):
     for i, term in enumerate(lp.level.factors):
         bound = empirical_prob(data, term.left, term.right).restrict(do)
         factors[f"f{i}"] = stats.record(bound)
-    for child_id, _ in lp.level.child_outputs:
-        child = _eval_level(p, child_id, data, do, cap, level_stats)
+    ones = {fid: sf.SparseFactor.trusted(f.scope, f.codes, np.ones(f.tightness))
+            for fid, f in factors.items()} if lp.support else {}
+    for (child_id, _), (check, reach) in zip(lp.level.child_outputs, lp.support):
+        inner = None if reach is None else _support(
+            reach, ones, context, p.hier.level(child_id).free_vars, stats.hold)
+        child = _eval_level(p, child_id, data, do, cap, level_stats, inner)
+        check_support(check, ones, context, child, stats.hold)
         factors[f"g{child_id}"] = stats.record(sf.invert(child))
     stats.t = max(f.tightness for f in factors.values())
 

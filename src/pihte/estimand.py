@@ -291,6 +291,7 @@ class FlatLevel:
     free_vars: tuple = ()
     children: list = field(default_factory=list)
     rename_map: tuple = ()  # ((original, fresh), ...) in renaming order
+    numerator: range = range(0)  # the parent's factors under this level's ratio's numerator
 
     @property
     def factor_scopes(self):
@@ -367,8 +368,9 @@ def _walk(node, level, subst, used, levels):
         level.sum_vars = tuple(hoisted)
         _walk(node.child, level, inner, used, levels)
     elif isinstance(node, Ratio):
+        start = len(level.factors)
         _walk(node.numerator, level, subst, used, levels)
-        child = FlatLevel(level_id=len(levels))
+        child = FlatLevel(level_id=len(levels), numerator=range(start, len(level.factors)))
         levels.append(child)
         level.children.append(child.level_id)
         _walk(node.denominator, child, subst, used, levels)

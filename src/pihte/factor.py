@@ -10,21 +10,15 @@ aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
 2016) as array kernels over `row_keys`, each row one big-endian byte key: a
 product whose one scope holds the other binary-searches the wider table's
 rows among the narrower's, any other product is a sort-merge, and a marginal
-sums each group found by a sort.
+sums each group found by a sort. The algebra knows nothing of ratios: the
+engine checks each denominator's support once per level, before any product.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import (
-    DivisionInconsistency,
-    IncompleteAssignment,
-    ScopeConflict,
-    UnknownVariable,
-)
+from .errors import IncompleteAssignment, ScopeConflict, UnknownVariable
 from .model import name_key
 
 # Values whose magnitude falls below this after arithmetic are treated as an
@@ -77,10 +71,9 @@ def take_columns(codes, positions):
 class SparseFactor:
     """Immutable sparse table: sorted unique code rows -> non-zero floats."""
 
-    __slots__ = ("scope", "names", "codes", "values", "require_support", "underflow_dropped",
-                 "_lookup")
+    __slots__ = ("scope", "names", "codes", "values", "underflow_dropped", "_lookup")
 
-    def __init__(self, scope, entries, require_support=False, underflow_dropped=0):
+    def __init__(self, scope, entries, underflow_dropped=0):
         """Validate a mapping of assignment tuples to non-zero values."""
         scope = tuple(scope)
         keys = list(entries)
@@ -103,24 +96,22 @@ class SparseFactor:
         order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
         codes = codes[:, order]
         _, first = group_ids(codes)  # rows sorted; keys are unique, coming from a mapping
-        self._set(tuple(scope[i] for i in order), codes[first], values[first],
-                  require_support, underflow_dropped)
+        self._set(tuple(scope[i] for i in order), codes[first], values[first], underflow_dropped)
 
-    def _set(self, scope, codes, values, require_support, underflow_dropped):
+    def _set(self, scope, codes, values, underflow_dropped):
         self.scope = scope
         self.names = tuple(v.name for v in scope)
         self.codes = codes
         self.values = values
-        self.require_support = require_support
         self.underflow_dropped = int(underflow_dropped)
         self._lookup = None
 
     @classmethod
-    def trusted(cls, scope, codes, values, require_support=False, underflow_dropped=0):
+    def trusted(cls, scope, codes, values, underflow_dropped=0):
         """A factor from arrays already in canonical form: scope in name
         order, unique in-domain rows sorted lexicographically, no zeros."""
         f = cls.__new__(cls)
-        f._set(scope, codes, values, require_support, underflow_dropped)
+        f._set(scope, codes, values, underflow_dropped)
         return f
 
     # -- introspection -----------------------------------------------------
@@ -129,17 +120,10 @@ class SparseFactor:
     def tightness(self) -> int:
         return len(self.values)
 
-    @property
-    def density(self) -> float:
-        return self.tightness / math.prod(v.domain_size for v in self.scope)
-
     def items(self):
         """(assignment tuple, value) pairs of Python ints and floats, in
         canonical order."""
         return zip(map(tuple, self.codes.tolist()), self.values.tolist())
-
-    def total(self) -> float:
-        return math.fsum(self.values.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, SparseFactor):
@@ -178,8 +162,7 @@ class SparseFactor:
         keep = np.ones(len(self.values), dtype=bool)
         for i, want in positions:
             keep &= self.codes[:, i] == want
-        return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep],
-                                    self.require_support)
+        return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep])
 
 
 def unit_factor() -> SparseFactor:
@@ -205,13 +188,7 @@ def _merged_scope(f: SparseFactor, g: SparseFactor):
     return tuple(sorted(by_name.values(), key=lambda v: name_key(v.name)))
 
 
-def _unsupported(f: SparseFactor, rows):
-    """The error for f's first entry among `rows` that its partner lacks."""
-    key = f.codes[np.flatnonzero(rows)[0]].tolist()
-    return DivisionInconsistency(f"entry {dict(zip(f.names, key))} has no denominator support")
-
-
-def _shared_groups(f: SparseFactor, g: SparseFactor):
+def shared_groups(f: SparseFactor, g: SparseFactor):
     """Group f's and g's rows by the variables they share: each side's group
     ids, the rows of each group on each side, and g's other columns."""
     g_pos = {n: j for j, n in enumerate(g.names)}
@@ -230,7 +207,7 @@ def join_size(f: SparseFactor, g: SparseFactor) -> int:
     """The number of entries `product(f, g)` holds before underflow drops,
     counted without building it: the rows each shared assignment has on
     one side times those it has on the other."""
-    _, _, f_count, g_count, _ = _shared_groups(f, g)
+    _, _, f_count, g_count, _ = shared_groups(f, g)
     return int(f_count @ g_count)
 
 
@@ -239,10 +216,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     scope, each entry the product of the two it joins.
 
     An output entry exists iff both projections exist, so multiplication is
-    absorbing relative to zero. If one operand is flagged `require_support`
-    (an inverted denominator output), any partner entry falling outside its
-    support means a nonzero numerator over a zero denominator; g's flag is
-    checked first, and the error names the partner's first such entry.
+    absorbing relative to zero.
 
     When one scope holds the other, the join is a semi-join of the wider
     table (Yannakakis, VLDB 1981): `_contained_product` looks each wide row
@@ -252,11 +226,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     scope = _merged_scope(f, g)
     if scope is f.scope or scope is g.scope:  # an operand's own scope holds the other's
         return _contained_product(f, g, scope is f.scope)
-    f_ids, g_ids, f_count, g_count, g_only = _shared_groups(f, g)
-    if g.require_support and not g_count[f_ids].all():
-        raise _unsupported(f, g_count[f_ids] == 0)
-    if f.require_support and not f_count[g_ids].all():
-        raise _unsupported(g, f_count[g_ids] == 0)
+    f_ids, g_ids, _, g_count, g_only = shared_groups(f, g)
 
     # each f row meets its group's g rows, taken in g's (canonical) order
     reps = g_count[f_ids]
@@ -291,15 +261,6 @@ def _contained_product(f: SparseFactor, g: SparseFactor, f_wide: bool) -> Sparse
     wide_keys = row_keys(take_columns(wide.codes, [column[n] for n in narrow.names]), top)
     left = np.searchsorted(keys, wide_keys, "left")
     hit = np.searchsorted(keys, wide_keys, "right") > left  # without == on void keys
-    for flagged, partner_wide in ((g, f_wide), (f, not f_wide)):
-        if flagged.require_support:
-            if partner_wide:
-                missing = ~hit
-            else:
-                missing = np.ones(len(narrow.values), dtype=bool)
-                missing[left[hit]] = False
-            if missing.any():
-                raise _unsupported(wide if partner_wide else narrow, missing)
     codes, values = wide.codes, wide.values
     if not hit.all():
         codes, values, left = codes[hit], values[hit], left[hit]
@@ -335,6 +296,6 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
 
 
 def invert(f: SparseFactor) -> SparseFactor:
-    """Entrywise reciprocal over the same support, flagged `require_support`:
-    a partner entry outside that support is a nonzero over a zero."""
-    return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values, require_support=True)
+    """Entrywise reciprocal over the same support; outside it the reciprocal
+    is undefined, which `engine.check_support` rules out before any product."""
+    return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values)

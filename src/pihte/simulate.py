@@ -147,22 +147,10 @@ def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
     return Dataset(cols, rows, domains)
 
 
-def joint_observed(cbn: CBN) -> SparseFactor:
-    """Exact observational joint over the observed variables (latents summed)."""
-    return _truncated_joint(cbn, {})
-
-
 def interventional_truth(cbn: CBN, do: dict, outcome) -> SparseFactor:
     """Exact P(outcome | do(...)) by the truncated product: drops the CPTs of
-    intervened variables, fixes their values, multiplies the rest, and
-    marginalizes onto `outcome`."""
-    joint = _truncated_joint(cbn, do)
-    return marginalize(joint, set(joint.names) - set(outcome))
-
-
-def _truncated_joint(cbn: CBN, do: dict) -> SparseFactor:
-    """The product of every non-intervened CPT, restricted to `do`, summed
-    over the latents and the intervened variables."""
+    intervened variables, fixes their values, multiplies the rest, sums out
+    the latents and the intervened variables, and marginalizes onto `outcome`."""
     joint = unit_factor()
     for name in sorted(cbn.graph.names, key=name_key):
         if name in do:
@@ -172,7 +160,8 @@ def _truncated_joint(cbn: CBN, do: dict) -> SparseFactor:
         cells = map(tuple, np.argwhere(table).tolist())
         cpt = SparseFactor(scope, dict(zip(cells, table[table != 0].tolist())))
         joint = product(joint, cpt.restrict(do))
-    return marginalize(joint, set(joint.names) - (set(cbn.observed) - set(do)))
+    observed = marginalize(joint, set(joint.names) - (set(cbn.observed) - set(do)))
+    return marginalize(observed, set(observed.names) - set(outcome))
 
 
 def total_variation(p: SparseFactor, q: SparseFactor) -> float:

@@ -164,7 +164,7 @@ def test_criterion_7_truncation_convergence():
                 for key, val in res.restrict({"V0": v0}).items()
             }
             est = SparseFactor((Variable("V4", 2),), entries)
-            total = est.total()
+            total = math.fsum(est.values)
             est = SparseFactor(est.scope, {k: v / total for k, v in est.items()})
             out.append(total_variation(est, truth))
         return max(out)

@@ -463,9 +463,9 @@ AB_ROWS = "A,B\n0,0\n0,1\n1,1\n1,1\n"
     ("estimate", None, "entry {'A': 1, 'B': 0} has no denominator support"),
 ])
 def test_nonzero_over_zero_denominator_exit3(capsys, tmp_path, cmd, td, message):
-    # P(A=1) P(B=0) = 0.125 but no row has A=1, B=0. The GYO join tree meets
-    # P(A) and P(B) one at a time, each supported alone; the denominator is
-    # multiplied in after both, so every decomposition exits 3
+    # P(A=1) P(B=0) = 0.125 but no row has A=1, B=0. P(A) and P(B) are each
+    # supported alone; the support check joins both before it meets the
+    # denominator, so every decomposition exits 3
     (tmp_path / "ab.graph").write_text(AB_GRAPH)
     (tmp_path / "ab.csv").write_text(AB_ROWS)
     argv = [cmd, "--graph", str(tmp_path / "ab.graph"), "--data", str(tmp_path / "ab.csv"),
@@ -476,6 +476,18 @@ def test_nonzero_over_zero_denominator_exit3(capsys, tmp_path, cmd, td, message)
     code, out, err = run(capsys, *argv)
     assert code == 3 and not out
     assert message in err
+
+
+@pytest.mark.parametrize("cap, want", [("3", 4), ("4", 3)])
+def test_support_tables_are_held_to_the_cap(capsys, tmp_path, monkeypatch, cap, want):
+    # every table the level charges holds at most 3 entries, but the support
+    # check joins P(A) and P(B) into 4 before it finds (A=1, B=0) unsupported
+    (tmp_path / "ab.graph").write_text(AB_GRAPH)
+    (tmp_path / "ab.csv").write_text(AB_ROWS)
+    monkeypatch.setenv("PIHTE_MAX_ENTRIES", cap)
+    code, out, _ = run(capsys, "estimate", "--graph", str(tmp_path / "ab.graph"),
+                       "--data", str(tmp_path / "ab.csv"), "--estimand", "P(A) P(B) / P(A,B)")
+    assert code == want and not out
 
 
 ABCD_GRAPH = "var A 2\nvar B 2\nvar C 2\nvar D 2\n"
@@ -489,21 +501,64 @@ def run_abcd(capsys, tmp_path, cmd, estimand):
                "--data", str(tmp_path / "abcd.csv"), "--estimand", estimand)
 
 
-@pytest.mark.xfail(strict=True, reason="the support check sees one cluster's partial join, "
-                   "where (A=0, B=1, D=1) has no denominator although P(B,C|A), met in "
-                   "another cluster, is zero there; a semi-join reduction would mend it")
 def test_denominator_zero_only_where_the_numerator_is_zero_agrees(capsys, tmp_path):
+    # (A=0, B=1, D=1) has no denominator, but P(B,C|A), met in another cluster, is zero there
     code, out, err = run_abcd(capsys, tmp_path, "oracle", "P(D,A) P(B,C|A) P(B|D) / (P(A,B))")
     assert code == 0, err
     assert json.loads(out)["pass"]
 
 
-@pytest.mark.xfail(strict=True, reason="the denominator's cluster meets only part of the "
-                   "numerator, each part supported alone, so the engine drops 0.25 / 0 "
-                   "where the oracle raises DivisionByZero")
 def test_nonzero_over_zero_across_clusters_exit3(capsys, tmp_path):
+    # the denominator's cluster meets only part of the numerator, each part
+    # supported alone; the numerator is 0.25 where the denominator is 0
     code, out, _ = run_abcd(capsys, tmp_path, "estimate", "P(C) P(B) / (P(D,A|C))")
     assert code == 3 and not out
+
+
+def run_ab3(capsys, tmp_path, cmd, estimand):
+    # B=2 is never observed, so P(B) is zero there
+    (tmp_path / "ab3.graph").write_text("var A 2\nvar B 3\nA -> B\n")
+    (tmp_path / "ab3.csv").write_text("A,B\n0,0\n1,1\n1,0\n")
+    return run(capsys, cmd, "--graph", str(tmp_path / "ab3.graph"),
+               "--data", str(tmp_path / "ab3.csv"), "--estimand", estimand)
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "oracle"])
+@pytest.mark.parametrize("estimand", ["P(A) / (P(B))", "sum[A](P(A)) / (P(B))"])
+def test_numerator_without_the_denominator_variable_exit3(capsys, tmp_path, cmd, estimand):
+    # the numerator never binds B, so it is nonzero at the unseen B=2 as well
+    code, out, err = run_ab3(capsys, tmp_path, cmd, estimand)
+    assert code == 3 and not out
+    assert "has no denominator support" in err
+
+
+@pytest.mark.parametrize("estimand", ["P(B) (P(A) / (P(B)))", "(P(A) / (P(B))) P(B)"])
+def test_zero_factor_beside_a_zero_denominator_evaluates(capsys, tmp_path, estimand):
+    # P(B) is zero at B=2 in the product too, in either operand order
+    code, out, err = run_ab3(capsys, tmp_path, "estimate", estimand)
+    assert code == 0, err
+    assert [k for k, _ in json.loads(out)["result"]["entries"]] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    code, out, err = run_ab3(capsys, tmp_path, "oracle", estimand)
+    assert code == 0, err
+    assert json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("estimand, rows", [
+    # C=1 is never seen: P(B=0, C=1) is zero where P(B=0) is not, but so is P(C=1)
+    ("P(C) (P(B) / (P(B) / (P(B,C))))", "0,0,0\n0,1,0\n"),
+    # P(B=0, C=1) is zero where P(A=0, B=0) is not, but so is P(A=0, C=1); checked
+    # against the context's C values alone, without A, this would exit 3
+    ("P(A,C) (P(A,B) / (P(A,B) / (P(B,C))))", "0,0,0\n1,1,1\n"),
+])
+def test_zero_factor_outside_a_numerator_hides_a_nested_zero_denominator(
+        capsys, tmp_path, estimand, rows):
+    # a zero factor beside a ratio makes the product zero, whatever its denominator raises
+    (tmp_path / "abc.graph").write_text("var A 2\nvar B 2\nvar C 2\n")
+    (tmp_path / "abc.csv").write_text("A,B,C\n" + rows)
+    code, out, err = run(capsys, "oracle", "--graph", str(tmp_path / "abc.graph"),
+                         "--data", str(tmp_path / "abc.csv"), "--estimand", estimand)
+    assert code == 0, err
+    assert json.loads(out)["pass"]
 
 
 @pytest.mark.parametrize("cmd", ["estimate", "oracle", "analyze"])

@@ -25,8 +25,14 @@ from pihte.engine import (
     run_metrics,
     schedule,
 )
-from pihte.errors import ResourceLimitExceeded, UnknownVariable, ValidationError
-from pihte.estimand import MAX_NESTING, flatten, parse
+from pihte.errors import (
+    DivisionByZero,
+    DivisionInconsistency,
+    ResourceLimitExceeded,
+    UnknownVariable,
+    ValidationError,
+)
+from pihte.estimand import MAX_NESTING, ProbTerm, Product, Ratio, Sum, flatten, parse
 from pihte.factor import SparseFactor, product, unit_factor
 from pihte.model import CausalGraph, Dataset, Variable, empirical_prob, name_key
 from pihte.simulate import random_cbn, sample_dataset
@@ -381,6 +387,66 @@ def test_cyclic_levels_match_brute_force():
         for value in range(data.domains[free]):
             got = execute(p, data, {free: value}).result
             assert got.allclose(want.restrict({free: value}), rel=1e-9), (text, value)
+
+
+RATIO_VARS = ("A", "B", "C", "D")
+
+
+def random_term(rng):
+    names = rng.sample(RATIO_VARS, rng.randint(1, 3))
+    cut = rng.randint(1, len(names))
+    return ProbTerm(tuple(names[:cut]), tuple(names[cut:]))
+
+
+def random_side(rng, depth):
+    """A product of one to three parts at depth 1, one or two below, each a
+    term or, at depth 1, one time in five a ratio of two sides; three times
+    in ten summed over some of its free variables, or all of them."""
+    parts = [Ratio(random_side(rng, depth + 1), random_side(rng, depth + 1))
+             if depth < 2 and rng.random() < 0.2 else random_term(rng)
+             for _ in range(rng.randint(1, 4 - depth))]
+    expr = parts[0] if len(parts) == 1 else Product(tuple(parts))
+    free = sorted(expr.free)
+    if free and rng.random() < 0.3:
+        expr = Sum(tuple(rng.sample(free, rng.randint(1, len(free)))), expr)
+    return expr
+
+
+def ratio_instance(rng):
+    """A ratio of two random sides, three times in ten beside a term on
+    either side of it, and 3-6 random rows over four binary variables."""
+    expr = Ratio(random_side(rng, 1), random_side(rng, 1))
+    if rng.random() < 0.3:
+        term = random_term(rng)
+        expr = Product((term, expr) if rng.random() < 0.5 else (expr, term))
+    rows = [tuple(rng.randrange(2) for _ in RATIO_VARS) for _ in range(rng.randint(3, 6))]
+    return expr, rows
+
+
+def test_ratio_estimands_match_brute_force():
+    """On 3,000 random ratio estimands, nested ratios among them, the engine
+    raises DivisionInconsistency exactly where brute force divides a nonzero
+    by zero, and otherwise gives its values; every tenth is also run under
+    restarts."""
+    rng = random.Random(0)
+    raised = 0
+    for i in range(3000):
+        expr, rows = ratio_instance(rng)
+        data = Dataset(RATIO_VARS, rows, {v: 2 for v in RATIO_VARS})
+        try:
+            want = brute_force_eval(expr, data)
+        except DivisionByZero:
+            want = None
+            raised += 1
+        hier = flatten(expr)
+        for restarts in (0, 2) if i % 10 == 0 else (0,):
+            try:
+                got = pi_hte(hier, data, restarts=restarts).result
+            except DivisionInconsistency:
+                got = None
+            assert (got is None) == (want is None), (expr, rows, restarts)
+            assert got is None or got.allclose(want, rel=1e-9), (expr, rows, restarts)
+    assert 1000 < raised < 2000  # both outcomes are well represented
 
 
 # -- brute force -----------------------------------------------------------

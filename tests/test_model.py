@@ -237,7 +237,7 @@ def test_empirical_prob_marginal():
     f = empirical_prob(d, ("A",))
     assert f.dense_eval({"A": 0}) == 0.75
     assert f.dense_eval({"A": 1}) == 0.25
-    assert math.isclose(f.total(), 1.0)
+    assert math.isclose(math.fsum(f.values), 1.0)
 
 
 def test_empirical_prob_conditional_rows_normalize():

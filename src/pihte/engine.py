@@ -143,7 +143,7 @@ def _support(steps, ones, context, keep, hold):
     return hold(sf.marginalize(s, drop)) if drop else s
 
 
-def check_support(steps, ones, context, g, hold):
+def check_support(steps, ones, context, g, do, hold):
     """Raise DivisionInconsistency where the child output `g` is zero under
     a nonzero numerator: a semi-join of the level's bound terms onto g
     (Yannakakis, VLDB 1981) in the Boolean semiring of FAQ (Abo Khamis, Ngo
@@ -154,14 +154,20 @@ def check_support(steps, ones, context, g, hold):
     variables where the terms outside its ratio's numerator are nonzero (in
     their own context): elsewhere the product holding the ratio is zero
     whatever its denominator raises. Each support row must meet one row of
-    g per assignment of g's variables that the support lacks; the error
-    names the first row that does not.
+    g per assignment of g's variables that the support lacks (`do` fixes
+    some); the error names the first row that does not, and where g lacks it.
     """
     support = _support(steps, ones, context, g.names, hold)
-    ids, _, _, g_count, g_only = sf.shared_groups(support, g)
-    short = np.flatnonzero(g_count[ids] != math.prod(g.scope[j].domain_size for j in g_only))
+    ids, g_ids, _, g_count, g_only = sf.shared_groups(support, g)
+    ranges = [(do[v.name],) if v.name in do else range(v.domain_size)
+              for v in (g.scope[j] for j in g_only)]
+    short = np.flatnonzero(g_count[ids] != math.prod(map(len, ranges)))
     if len(short):
         key = dict(zip(support.names, support.codes[short[0]].tolist()))
+        met = set(map(tuple, g.codes[g_ids == ids[short[0]]][:, g_only].tolist()))
+        lacking = next(a for a in itertools.product(*ranges) if a not in met)
+        key.update(zip((g.names[j] for j in g_only), lacking))
+        key = {n: key[n] for n in g.names}
         raise DivisionInconsistency(f"entry {key} has no denominator support")
 
 
@@ -462,7 +468,7 @@ def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
         inner = None if reach is None else _support(
             reach, ones, context, p.hier.level(child_id).free_vars, stats.hold)
         child = _eval_level(p, child_id, data, do, cap, level_stats, inner)
-        check_support(check, ones, context, child, stats.hold)
+        check_support(check, ones, context, child, do, stats.hold)
         factors[f"g{child_id}"] = stats.record(sf.invert(child))
     stats.t = max(f.tightness for f in factors.values())
 
@@ -492,13 +498,14 @@ def _renormalize(result, outcome):
 # -- brute-force oracle ----------------------------------------------------
 
 
-def brute_force_eval(expr, data, dense_limit=10**6) -> sf.SparseFactor:
+def brute_force_eval(expr, data, dense_limit=10**6, do=None) -> sf.SparseFactor:
     """Literal dense evaluation of the original (unflattened) estimand.
 
     Binds every probability term empirically from the same dataset and
-    enumerates all assignments of the free variables. The parser admits no
-    primed names, so every variable is a dataset column.
+    enumerates the free variables' assignments in the `do` slice alone. The
+    parser admits no primed names, so every variable is a dataset column.
     """
+    do = do or {}
     free = tuple(sorted(free_vars(expr), key=name_key))
     bindings = {}
     for term in prob_terms(expr):
@@ -507,15 +514,14 @@ def brute_force_eval(expr, data, dense_limit=10**6) -> sf.SparseFactor:
             bindings[key] = empirical_prob(data, term.left, term.right)
     domains = data.domains
 
-    cells = 1
-    for n in free:
-        cells *= domains[n]
+    ranges = [(do[n],) if n in do else range(domains[n]) for n in free]
+    cells = math.prod(map(len, ranges))
     if cells > dense_limit:
         raise DenseLimitExceeded(f"{cells} free-variable cells exceeds {dense_limit}")
 
     scope = tuple(Variable(n, domains[n]) for n in free)
     entries = {}
-    for key in itertools.product(*(range(domains[n]) for n in free)):
+    for key in itertools.product(*ranges):
         val = dense_expr_eval(expr, bindings, dict(zip(free, key)), domains, dense_limit)
         if val != 0.0:
             entries[key] = val

@@ -515,21 +515,37 @@ def test_nonzero_over_zero_across_clusters_exit3(capsys, tmp_path):
     assert code == 3 and not out
 
 
-def run_ab3(capsys, tmp_path, cmd, estimand):
+def run_ab3(capsys, tmp_path, cmd, estimand, *extra):
     # B=2 is never observed, so P(B) is zero there
     (tmp_path / "ab3.graph").write_text("var A 2\nvar B 3\nA -> B\n")
     (tmp_path / "ab3.csv").write_text("A,B\n0,0\n1,1\n1,0\n")
     return run(capsys, cmd, "--graph", str(tmp_path / "ab3.graph"),
-               "--data", str(tmp_path / "ab3.csv"), "--estimand", estimand)
+               "--data", str(tmp_path / "ab3.csv"), "--estimand", estimand, *extra)
 
 
 @pytest.mark.parametrize("cmd", ["estimate", "oracle"])
-@pytest.mark.parametrize("estimand", ["P(A) / (P(B))", "sum[A](P(A)) / (P(B))"])
-def test_numerator_without_the_denominator_variable_exit3(capsys, tmp_path, cmd, estimand):
-    # the numerator never binds B, so it is nonzero at the unseen B=2 as well
-    code, out, err = run_ab3(capsys, tmp_path, cmd, estimand)
+@pytest.mark.parametrize("estimand, do", [
+    ("P(A) / (P(B))", ()),
+    ("sum[A](P(A)) / (P(B))", ()),
+    ("P(A) / (P(B))", ("--do", "B=2")),
+])
+def test_numerator_without_the_denominator_variable_exit3(capsys, tmp_path, cmd, estimand, do):
+    # the numerator never binds B, so it is nonzero at the unseen B=2 as well;
+    # the error names the value of B the denominator lacks
+    code, out, err = run_ab3(capsys, tmp_path, cmd, estimand, *do)
     assert code == 3 and not out
-    assert "has no denominator support" in err
+    assert "entry {'B': 2} has no denominator support" in err
+
+
+def test_do_slice_without_a_zero_denominator_evaluates(capsys, tmp_path):
+    # under do(B=1) the ratio is read at B=1 alone, where P(B) is nonzero,
+    # by the engine and by the oracle's brute force alike
+    code, out, err = run_ab3(capsys, tmp_path, "estimate", "P(A) / (P(B))", "--do", "B=1")
+    assert code == 0, err
+    assert [k for k, _ in json.loads(out)["result"]["entries"]] == [[0, 1], [1, 1]]
+    code, out, err = run_ab3(capsys, tmp_path, "oracle", "P(A) / (P(B))", "--do", "B=1")
+    assert code == 0, err
+    assert json.loads(out)["pass"]
 
 
 @pytest.mark.parametrize("estimand", ["P(B) (P(A) / (P(B)))", "(P(A) / (P(B))) P(B)"])

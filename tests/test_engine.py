@@ -423,30 +423,44 @@ def ratio_instance(rng):
     return expr, rows
 
 
+def divides_by_zero(expr, data, restarts=0, do=None):
+    """Whether brute force divides a nonzero by zero, once the engine is
+    seen to raise DivisionInconsistency exactly then and otherwise to give
+    brute force's values."""
+    try:
+        want = brute_force_eval(expr, data, do=do)
+    except DivisionByZero:
+        want = None
+    try:
+        got = pi_hte(flatten(expr), data, restarts=restarts, do=do).result
+    except DivisionInconsistency:
+        got = None
+    assert (got is None) == (want is None), (expr, data.rows, restarts, do)
+    assert got is None or got.allclose(want, rel=1e-9), (expr, data.rows, restarts, do)
+    return want is None
+
+
 def test_ratio_estimands_match_brute_force():
-    """On 3,000 random ratio estimands, nested ratios among them, the engine
+    """On 2,000 random ratio estimands, nested ratios among them, the engine
     raises DivisionInconsistency exactly where brute force divides a nonzero
-    by zero, and otherwise gives its values; every tenth is also run under
-    restarts."""
-    rng = random.Random(0)
-    raised = 0
-    for i in range(3000):
+    by zero, and otherwise gives its values. Every tenth is also run under
+    restarts, and every tenth from the fifth on a slice that fixes one free
+    variable, where brute force evaluates that slice alone."""
+    rng, slicer = random.Random(0), random.Random(1)
+    raised = rescued = 0
+    for i in range(2000):
         expr, rows = ratio_instance(rng)
         data = Dataset(RATIO_VARS, rows, {v: 2 for v in RATIO_VARS})
-        try:
-            want = brute_force_eval(expr, data)
-        except DivisionByZero:
-            want = None
-            raised += 1
-        hier = flatten(expr)
-        for restarts in (0, 2) if i % 10 == 0 else (0,):
-            try:
-                got = pi_hte(hier, data, restarts=restarts).result
-            except DivisionInconsistency:
-                got = None
-            assert (got is None) == (want is None), (expr, rows, restarts)
-            assert got is None or got.allclose(want, rel=1e-9), (expr, rows, restarts)
+        whole = divides_by_zero(expr, data)
+        raised += whole
+        if i % 10 == 0:
+            divides_by_zero(expr, data, restarts=2)
+        free = sorted(expr.free)
+        if i % 10 == 5 and free:
+            do = {slicer.choice(free): slicer.randrange(2)}
+            rescued += whole and not divides_by_zero(expr, data, do=do)
     assert 1000 < raised < 2000  # both outcomes are well represented
+    assert rescued > 10  # slices that evaluate where the whole estimand raises
 
 
 # -- brute force -----------------------------------------------------------
@@ -458,6 +472,17 @@ def test_brute_force_hand_example():
     # P(B=1) = P(A=0)P(B=1|A=0) + P(A=1)P(B=1|A=1) = .5*.5 + .5*1
     assert out.dense_eval({"B": 1}) == pytest.approx(0.75)
     assert out.dense_eval({"B": 0}) == pytest.approx(0.25)
+
+
+def test_brute_force_do_evaluates_the_slice_alone():
+    # B=2 is never observed, so the whole estimand divides by zero there
+    data = Dataset(("A", "B"), [(0, 0), (1, 1), (1, 0)], {"A": 2, "B": 3})
+    expr = parse("P(A) / (P(B))")
+    with pytest.raises(DivisionByZero):
+        brute_force_eval(expr, data)
+    out = brute_force_eval(expr, data, do={"B": 1})
+    assert out.names == ("A", "B")
+    assert dict(out.items()) == pytest.approx({(0, 1): 1.0, (1, 1): 2.0})
 
 
 def test_brute_force_single_term_is_marginal():

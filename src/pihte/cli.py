@@ -178,8 +178,26 @@ def cmd_oracle(args) -> int:
     for case in cases:
         expr = parse(case.estimand)
         do = _parse_do(args.do)  # after the estimand, whose syntax error is named first
-        got = engine.execute(_plan(args, flatten(expr), case.graph), case.data, do).result
-        want = engine.brute_force_eval(expr, case.data, args.dense_limit, do)
+        # a zero denominator is an outcome to compare: both sides raising agree
+        raised = {}
+        try:
+            got = engine.execute(_plan(args, flatten(expr), case.graph), case.data, do).result
+        except DivisionInconsistency as exc:
+            raised["engine"] = exc
+        try:
+            want = engine.brute_force_eval(expr, case.data, args.dense_limit, do)
+        except DivisionByZero as exc:
+            raised["brute force"] = exc
+        if len(raised) == 1:
+            (side, exc), = raised.items()
+            print(f"error: {side} alone raised: {exc}", file=sys.stderr)
+            failures.append({"seed": case.seed, "estimand": case.estimand,
+                             "raised": side, "error": str(exc)})
+            continue
+        if raised:
+            if not args.suite:
+                raise raised["engine"]  # exit 3, as `estimate` does
+            continue
         max_abs, rel = _max_discrepancy(got, want)
         worst_abs = max(worst_abs, max_abs)
         worst_rel = max(worst_rel, rel)

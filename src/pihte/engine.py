@@ -214,11 +214,27 @@ class LevelStats:
         return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.repr}
 
 
-def _table_dict(f: sf.SparseFactor):
-    return {
-        "scope": [[v.name, v.domain_size] for v in f.scope],
-        "entries": [[list(k), v] for k, v in f.items()],
-    }
+def _table_json(f: sf.SparseFactor) -> str:
+    """`f` as `json.dumps(..., indent=2, sort_keys=True)` writes the dict
+    `{"entries": [[list(key), value], ...], "scope": [[name, k], ...]}` as a
+    value of the report's top-level object, rendered from its arrays: ints
+    as `str` does, floats as `json` does (`float.__repr__`, or `NaN` and
+    `Infinity`), one `%` format per entry."""
+    key = "[\n" + ",\n".join(["          %s"] * len(f.names)) + "\n        ]" if f.names else "[]"
+    entry = "      [\n        " + key + ",\n        %s\n      ]"
+    values = f.values.tolist()
+    if not np.isfinite(f.values).all():
+        values = [json.dumps(v) for v in values]
+    entries = [entry % (*row, v) for row, v in zip(f.codes.tolist(), values)]
+    scope = [f"      [\n        {json.dumps(v.name)},\n        {v.domain_size}\n      ]"
+             for v in f.scope]
+    return "".join([
+        '{\n    "entries": ',
+        "[\n" + ",\n".join(entries) + "\n    ]" if entries else "[]",
+        ',\n    "scope": ',
+        "[\n" + ",\n".join(scope) + "\n    ]" if scope else "[]",
+        "\n  }",
+    ])
 
 
 @dataclass
@@ -248,7 +264,14 @@ class EvalReport:
         """The largest table's entries over its own cell count."""
         return self._largest.max_table_entries / self._largest.max_table_cells
 
-    def to_dict(self, include_timing=True):
+    def to_json(self, include_timing=True) -> str:
+        """The report as `json.dumps(..., indent=2, sort_keys=True)` of its
+        dict writes it. The rest is dumped with `null` for each table, and
+        each table's text (`_table_json`) replaces its `null`: the report's
+        top-level keys are its only lines indented by two spaces."""
+        tables = {"result": self.result}
+        if self.normalized is not None:
+            tables["normalized"] = self.normalized
         out = {
             "n_rows": self.n_rows,
             "max_table_entries": self.max_table_entries,
@@ -258,19 +281,17 @@ class EvalReport:
             "hierarchy_bound_exponent": self.bounds["sum_hw"],
             "levels": [lv.as_dict() for lv in self.levels],
             "bounds": self.bounds,
-            "result": _table_dict(self.result),
+            **dict.fromkeys(tables),
         }
-        if self.normalized is not None:
-            out["normalized"] = _table_dict(self.normalized)
         if include_timing:
             out["wall_time"] = self.wall_time
         else:
             for lv in out["levels"]:
                 lv.pop("wall_time", None)
-        return out
-
-    def to_json(self, include_timing=True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+        text = json.dumps(out, indent=2, sort_keys=True)
+        for key, f in tables.items():
+            text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {_table_json(f)}', 1)
+        return text
 
 
 def run_metrics(report: EvalReport):

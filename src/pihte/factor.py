@@ -134,14 +134,6 @@ class SparseFactor:
     def __repr__(self):
         return f"SparseFactor({','.join(self.names)}; t={self.tightness})"
 
-    def allclose(self, other, rel=1e-9, abs_tol=0.0):
-        if self.names != other.names:
-            return False
-        a, b = dict(self.items()), dict(other.items())
-        return all(abs(a.get(k, 0.0) - b.get(k, 0.0))
-                   <= max(rel * max(abs(a.get(k, 0.0)), abs(b.get(k, 0.0))), abs_tol)
-                   for k in a.keys() | b.keys())
-
     # -- evaluation --------------------------------------------------------
 
     def dense_eval(self, assignment) -> float:

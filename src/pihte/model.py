@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
+import io
 import re
 from dataclasses import dataclass
 
@@ -287,40 +287,64 @@ def load_graph(path) -> CausalGraph:
         raise CycleError(f"{path}: {exc}") from None
 
 
+# the characters of a plain dataset body: numpy's C reader takes it whole
+_PLAIN = b"0123456789,\r\n"
+
+
+def _plain_cells(body: str, width: int):
+    """The cells of a non-empty plain body (only digits, commas and line
+    breaks) as an int64 matrix of `width` columns, read by numpy's C reader
+    (`np.loadtxt`, numpy >= 1.23), or None when the body is not one. Python
+    splits the lines, so line endings mean what they mean to `csv`."""
+    if body.encode().translate(None, _PLAIN) or not body.strip("\r\n"):
+        return None
+    try:
+        cells = np.loadtxt(body.splitlines(), delimiter=",", dtype=np.int64,
+                           ndmin=2, comments=None)
+    except ValueError:  # an empty cell, a ragged row, an int64 overflow
+        return None
+    return cells if cells.shape[1] == width else None
+
+
 def load_dataset(path, graph: CausalGraph) -> Dataset:
-    """Load a CSV of integer cells, range-checked against the graph's domains."""
+    """Load a CSV of integer cells, range-checked against the graph's domains.
+
+    A plain body is read by `_plain_cells`; any other body, and a plain one
+    that fails, is read record by record with `csv`, whose errors name the
+    `path:line` of the first bad record.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next((rec for rec in reader if rec), None)  # blank lines come as []
-        if header is None:
-            raise ParseError("empty file", path)
-        columns = [c.strip() for c in header]
-        declared = {v.name: v.domain_size for v in graph.variables}
-        for i, c in enumerate(columns):
-            if c not in declared:
-                raise UnknownVariable(f"{path}:{reader.line_num}: column {c!r} is not "
-                                      "declared in the graph")
-            if columns.index(c) != i:
-                raise ParseError(f"column {c!r} appears more than once", path, reader.line_num)
-        records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
-    rows = None
-    if all(len(rec) == len(columns) for _, rec in records):
-        try:  # one conversion over every cell; Dataset range-checks the matrix
-            cells = list(map(int, itertools.chain.from_iterable(rec for _, rec in records)))
-            rows = np.array(cells).reshape(len(records), len(columns))
-        except ValueError:
-            pass
-    if rows is None:  # row by row, so the error names the line
-        rows = []
-        for lineno, rec in records:
-            try:
-                rows.append(tuple(int(cell) for cell in rec))
-            except ValueError:
-                raise ParseError(f"non-integer cell in {rec!r}", path, lineno) from None
-        for lineno, rec in records:
-            if len(rec) != len(columns):
-                raise ParseError(f"{len(rec)} cells, expected {len(columns)}", path, lineno)
+        text = fh.read()
+    buf = io.StringIO(text, newline="")
+    reader = csv.reader(buf)
+    header = next((rec for rec in reader if rec), None)  # blank lines come as []
+    if header is None:
+        raise ParseError("empty file", path)
+    columns = [c.strip() for c in header]
+    declared = {v.name: v.domain_size for v in graph.variables}
+    for i, c in enumerate(columns):
+        if c not in declared:
+            raise UnknownVariable(f"{path}:{reader.line_num}: column {c!r} is not "
+                                  "declared in the graph")
+        if columns.index(c) != i:
+            raise ParseError(f"column {c!r} appears more than once", path, reader.line_num)
     domains = {c: declared[c] for c in columns}
+    cells = _plain_cells(text[buf.tell():], len(columns))
+    if cells is not None:
+        try:
+            return Dataset(columns, cells, domains)
+        except DomainViolation:
+            pass  # the records below name its line
+    records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
+    rows = []
+    for lineno, rec in records:
+        try:
+            rows.append(tuple(int(cell) for cell in rec))
+        except ValueError:
+            raise ParseError(f"non-integer cell in {rec!r}", path, lineno) from None
+    for lineno, rec in records:
+        if len(rec) != len(columns):
+            raise ParseError(f"{len(rec)} cells, expected {len(columns)}", path, lineno)
     try:
         return Dataset(columns, rows, domains)
     except DomainViolation as exc:  # only now look up the bad row's line

@@ -5,6 +5,17 @@ import pytest
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
+def factors_close(a, b, rel=1e-9, abs_tol=0.0):
+    """Whether two factors have the same names and, at every key either
+    holds (absent is 0), |x - y| <= max(rel * max(|x|, |y|), abs_tol)."""
+    if a.names != b.names:
+        return False
+    x, y = dict(a.items()), dict(b.items())
+    return all(abs(x.get(k, 0.0) - y.get(k, 0.0))
+               <= max(rel * max(abs(x.get(k, 0.0)), abs(y.get(k, 0.0))), abs_tol)
+               for k in x.keys() | y.keys())
+
+
 @pytest.fixture
 def fixture_path():
     def get(name):

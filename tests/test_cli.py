@@ -7,7 +7,12 @@ import sys
 import pytest
 
 import pihte
+from pihte import engine
 from pihte.cli import main
+from pihte.engine import brute_force_eval
+from pihte.errors import DivisionByZero
+from pihte.factor import unit_factor
+from pihte.suite import make_instance
 
 
 def run(capsys, *argv):
@@ -456,7 +461,7 @@ AB_ROWS = "A,B\n0,0\n0,1\n1,1\n1,1\n"
 
 
 @pytest.mark.parametrize("cmd, td, message", [
-    # the engine runs before the brute-force evaluation and stops first
+    # brute force raises as well, so the oracle agrees and exits as estimate does
     ("oracle", None, "entry {'A': 1, 'B': 0} has no denominator support"),
     ("estimate", "cluster 0: chi={A,B} psi={f0,f1,g1}\n",
      "entry {'A': 1, 'B': 0} has no denominator support"),
@@ -535,6 +540,48 @@ def test_numerator_without_the_denominator_variable_exit3(capsys, tmp_path, cmd,
     code, out, err = run_ab3(capsys, tmp_path, cmd, estimand, *do)
     assert code == 3 and not out
     assert "entry {'B': 2} has no denominator support" in err
+
+
+def test_oracle_agrees_when_both_sides_raise(capsys, tmp_path, monkeypatch):
+    # brute force runs after the engine raises, and raises too
+    seen = []
+
+    def brute_force(*args):
+        try:
+            return brute_force_eval(*args)
+        except DivisionByZero as exc:
+            seen.append(exc)
+            raise
+
+    monkeypatch.setattr(engine, "brute_force_eval", brute_force)
+    code, out, err = run_ab3(capsys, tmp_path, "oracle", "P(A) / (P(B))")
+    assert code == 3 and not out
+    assert "entry {'B': 2} has no denominator support" in err
+    assert len(seen) == 1
+
+
+def test_oracle_mismatch_when_only_the_engine_raises(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "brute_force_eval", lambda *args: unit_factor())
+    code, out, err = run_ab3(capsys, tmp_path, "oracle", "P(A) / (P(B))")
+    assert code == 5
+    assert json.loads(out)["pass"] is False
+    assert "engine alone raised: entry {'B': 2} has no denominator support" in err
+
+
+def test_oracle_mismatch_when_only_brute_force_raises(capsys, tmp_path, monkeypatch):
+    def brute_force(*args):
+        raise DivisionByZero("0.5 / 0 at {'B': 1}")
+
+    monkeypatch.setattr(engine, "brute_force_eval", brute_force)
+    code, out, err = run_ab3(capsys, tmp_path, "oracle", "P(A) / (P(B))", "--do", "B=1")
+    assert code == 5
+    assert json.loads(out)["pass"] is False
+    assert "brute force alone raised: 0.5 / 0 at {'B': 1}" in err
+    code, out, _ = run(capsys, "oracle", "--suite", "2")
+    assert code == 5
+    assert json.loads(out)["failures"] == [
+        {"seed": seed, "estimand": make_instance(seed).estimand, "raised": "brute force",
+         "error": "0.5 / 0 at {'B': 1}"} for seed in (0, 1)]
 
 
 def test_do_slice_without_a_zero_denominator_evaluates(capsys, tmp_path):

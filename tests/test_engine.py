@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -5,7 +6,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import factors_close
 from pihte.cli import main
 from pihte.decomposition import (
     Cluster,
@@ -113,7 +116,7 @@ def test_cte_root_invariance():
     factors = {"f0": f0, "f1": f1}
     a = run_cte(td, factors, {"V0", "V2"}, root=0)
     b = run_cte(td, factors, {"V0", "V2"}, root=1)
-    assert a.allclose(b, rel=1e-9)
+    assert factors_close(a, b, rel=1e-9)
 
 
 def test_cte_scalar_factors():
@@ -201,7 +204,7 @@ def test_pi_hte_depth_one_equals_brute_force():
     expr = parse("sum[V1](P(V1|V0) P(V2|V1))")
     got = pi_hte(flatten(expr), data).result
     want = brute_force_eval(expr, data)
-    assert got.allclose(want, rel=1e-9)
+    assert factors_close(got, want, rel=1e-9)
 
 
 def test_pi_hte_napkin_matches_oracle(fixture_path):
@@ -213,7 +216,7 @@ def test_pi_hte_napkin_matches_oracle(fixture_path):
     expr = parse(open(fixture_path("napkin.estimand")).read())
     got = pi_hte(flatten(expr), data).result
     want = brute_force_eval(expr, data)
-    assert got.allclose(want, rel=1e-9)
+    assert factors_close(got, want, rel=1e-9)
 
 
 def test_pi_hte_do_restricts_slice():
@@ -255,6 +258,52 @@ def test_pi_hte_deterministic(seed):
     assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
 
+def report_dict_json(report, include_timing):
+    """The report as `to_json` wrote it before it rendered tables from their
+    arrays: `json.dumps` of the whole dict, the reference it must match."""
+    def table(f):
+        return {"scope": [[v.name, v.domain_size] for v in f.scope],
+                "entries": [[list(k), v] for k, v in f.items()]}
+
+    out = {"n_rows": report.n_rows, "max_table_entries": report.max_table_entries,
+           "total_entries": report.total_entries, "tightness": report.bounds["t"],
+           "density": report.density, "hierarchy_bound_exponent": report.bounds["sum_hw"],
+           "levels": [lv.as_dict() for lv in report.levels], "bounds": report.bounds,
+           "result": table(report.result)}
+    if report.normalized is not None:
+        out["normalized"] = table(report.normalized)
+    if include_timing:
+        out["wall_time"] = report.wall_time
+    else:
+        for lv in out["levels"]:
+            lv.pop("wall_time")
+    return json.dumps(out, indent=2, sort_keys=True)
+
+
+@st.composite
+def report_tables(draw):
+    """A factor over up to three of a few names (some need JSON escapes),
+    with any non-zero float values, 1e-300 and 1e300 among them."""
+    names = draw(st.lists(st.sampled_from(["A", "V10", "V2'", 'q"\\', "é"]),
+                          max_size=3, unique=True))
+    scope = [Variable(n, draw(st.integers(1, 3))) for n in names]
+    keys = list(itertools.product(*(range(v.domain_size) for v in scope)))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+    value = st.one_of(st.sampled_from([1e-300, 1e300, -1e300, 0.5]),
+                      st.floats().filter(bool))
+    return SparseFactor(scope, {k: draw(value) for k in chosen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_tables(), st.one_of(st.none(), report_tables()), st.booleans())
+@example(unit_factor(), None, True)
+@example(SparseFactor([Variable("A", 2)], {}), SparseFactor([Variable("A", 2)], {}), False)
+def test_to_json_matches_json_dumps_of_the_report_dict(result, normalized, include_timing):
+    base = pi_hte(flatten(parse("sum[V1](P(V1|V0) P(V2|V1))")), small_data(seed=3))
+    report = dataclasses.replace(base, result=result, normalized=normalized)
+    assert report.to_json(include_timing) == report_dict_json(report, include_timing)
+
+
 def test_level_stats_reported():
     data = small_data(seed=9)
     rep = pi_hte(flatten(parse("sum[V1](P(V1|V0) P(V2|V1))")), data)
@@ -294,7 +343,7 @@ def test_supplied_cone_td_does_not_fan_out(fixture_path, monkeypatch, seed):
     data = sample_dataset(random_cbn(g, dist="dirichlet", alpha=10, seed=seed), 400, seed=seed)
     supplied = pi_hte(hier, data, decompositions={hier.root: td})
     assert supplied.max_table_entries <= 1.5 * data.n_rows
-    assert supplied.result.allclose(pi_hte(hier, data).result, rel=1e-12)
+    assert factors_close(supplied.result, pi_hte(hier, data).result, rel=1e-12)
 
 
 def test_plan_names_undeclared_variable():
@@ -329,7 +378,7 @@ def test_nesting_at_the_parser_limit_evaluates():
         expr = parse(text)
         hier = flatten(expr)
         assert hier.depth == (n + 1 if text == ratios else 1)
-        assert pi_hte(hier, data).result.allclose(brute_force_eval(expr, data), rel=1e-9)
+        assert factors_close(pi_hte(hier, data).result, brute_force_eval(expr, data), rel=1e-9)
 
 
 def test_density_is_largest_table_over_its_cells():
@@ -383,10 +432,10 @@ def test_cyclic_levels_match_brute_force():
             p = plan(hier, data.domains, restarts=restarts, decompositions=supplied)
             if supplied is None:
                 assert p.levels[hier.root].td.hyperwidth >= 2, text
-            assert execute(p, data).result.allclose(want, rel=1e-9), (text, restarts, supplied)
+            assert factors_close(execute(p, data).result, want, rel=1e-9), (text, restarts, supplied)
         for value in range(data.domains[free]):
             got = execute(p, data, {free: value}).result
-            assert got.allclose(want.restrict({free: value}), rel=1e-9), (text, value)
+            assert factors_close(got, want.restrict({free: value}), rel=1e-9), (text, value)
 
 
 RATIO_VARS = ("A", "B", "C", "D")
@@ -436,7 +485,7 @@ def divides_by_zero(expr, data, restarts=0, do=None):
     except DivisionInconsistency:
         got = None
     assert (got is None) == (want is None), (expr, data.rows, restarts, do)
-    assert got is None or got.allclose(want, rel=1e-9), (expr, data.rows, restarts, do)
+    assert got is None or factors_close(got, want, rel=1e-9), (expr, data.rows, restarts, do)
     return want is None
 
 
@@ -489,7 +538,7 @@ def test_brute_force_single_term_is_marginal():
     data = small_data(seed=10)
     out = brute_force_eval(parse("P(V0)"), data)
     want = empirical_prob(data, ("V0",))
-    assert out.allclose(want, rel=1e-15)
+    assert factors_close(out, want, rel=1e-15)
 
 
 # -- bounds / metrics ------------------------------------------------------

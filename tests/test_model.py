@@ -1,11 +1,13 @@
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pihte import model
 from pihte.cli import main
 from pihte.errors import (
     CycleError,
@@ -24,6 +26,7 @@ from pihte.model import (
     load_graph,
     name_key,
 )
+from pihte.model import _plain_cells as plain_cells
 
 
 def test_name_key_orders_numerically():
@@ -230,6 +233,65 @@ def test_load_dataset_names_the_first_bad_line(tmp_path, text, error, message):
     p.write_text(text)
     with pytest.raises(error, match=message):
         load_dataset(p, g)
+
+
+@st.composite
+def dataset_texts(draw):
+    """CSV texts under the header A,B, with LF, CRLF or lone CR line ends,
+    blank lines, leading zeros and maybe no final line end: plain digit
+    files and, when `odd` is drawn, quotes, spaces, empty or bad cells and
+    ragged rows."""
+    odd = draw(st.booleans())
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    cell = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["00", "01", "010"]))
+    if odd:
+        cell = st.one_of(cell, st.sampled_from(['"1"', " 0", "2 ", "", "x", "-1", "1.0"]))
+    rows = draw(st.lists(st.lists(cell, min_size=1 if odd else 2, max_size=3 if odd else 2),
+                         max_size=6))
+    lines = [""] * draw(st.integers(0, 2)) + ["A,B"]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [",".join(row)]
+    return "".join(line + draw(ends) for line in lines[:-1]) + lines[-1] + draw(
+        st.sampled_from(["", "\n", "\r\n"]))
+
+
+def load_outcome(path, graph):
+    try:
+        d = load_dataset(path, graph)
+    except (ParseError, DomainViolation) as exc:
+        return type(exc), str(exc)
+    return d.columns, d.cells.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dataset_texts())
+@example("A,B\r\n0,1\r\n2,10\r\n")  # CRLF
+@example("\n\r\nA,B\n\n0,1\n\n")  # blank lines before and after the header
+@example("A,B\n0,1\n2,3")  # no final newline
+@example("A,B\n007,0010\n")  # leading zeros
+@example("A,B\r0,1\r1,0\r")  # lone CRs
+@example('A,B\n"0",1\n')  # a quoted cell
+@example("A,B\n0, 1\n")  # a space before a cell
+@example("A,B\n0,1\n1\n")  # a ragged row
+@example("A,B\n0,1\n\n3,11\n")  # B=11 is out of domain on line 4
+@example("A,B\n99999999999999999999,1\n")  # past int64
+@example("A,B\n")  # the header alone
+@example("A,B\r\n\r\n")  # the header and a blank line
+def test_load_dataset_matches_the_record_reader(tmp_path_factory, text):
+    # a plain body is read by numpy, any other by csv records; both must give
+    # the same cells, or the same error naming the same line
+    g = CausalGraph([Variable("A", 13), Variable("B", 11)], [])
+    p = tmp_path_factory.getbasetemp() / "d.csv"
+    p.write_bytes(text.encode())
+    fast = []
+    with mock.patch.object(model, "_plain_cells",
+                           lambda body, width: fast.append(plain_cells(body, width)) or fast[-1]):
+        got = load_outcome(p, g)
+    with mock.patch.object(model, "_plain_cells", lambda body, width: None):
+        want = load_outcome(p, g)
+    assert got == want
+    if set(text.split("A,B", 1)[1]) <= set("0123456789,\r\n") and got[0] == ("A", "B") and got[1]:
+        assert fast[0] is not None  # a plain file with rows takes numpy's reader
 
 
 def test_empirical_prob_marginal():

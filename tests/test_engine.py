@@ -432,7 +432,8 @@ def test_cyclic_levels_match_brute_force():
             p = plan(hier, data.domains, restarts=restarts, decompositions=supplied)
             if supplied is None:
                 assert p.levels[hier.root].td.hyperwidth >= 2, text
-            assert factors_close(execute(p, data).result, want, rel=1e-9), (text, restarts, supplied)
+            assert factors_close(execute(p, data).result, want, rel=1e-9), (
+                text, restarts, supplied)
         for value in range(data.domains[free]):
             got = execute(p, data, {free: value}).result
             assert factors_close(got, want.restrict({free: value}), rel=1e-9), (text, value)

@@ -17,6 +17,7 @@ from pihte.errors import (
     UnknownVariable,
 )
 from pihte.model import (
+    _plain_cells,
     CausalGraph,
     Dataset,
     Variable,
@@ -26,7 +27,6 @@ from pihte.model import (
     load_graph,
     name_key,
 )
-from pihte.model import _plain_cells as plain_cells
 
 
 def test_name_key_orders_numerically():
@@ -284,8 +284,12 @@ def test_load_dataset_matches_the_record_reader(tmp_path_factory, text):
     p = tmp_path_factory.getbasetemp() / "d.csv"
     p.write_bytes(text.encode())
     fast = []
-    with mock.patch.object(model, "_plain_cells",
-                           lambda body, width: fast.append(plain_cells(body, width)) or fast[-1]):
+
+    def plain_cells(body, width):
+        fast.append(_plain_cells(body, width))
+        return fast[-1]
+
+    with mock.patch.object(model, "_plain_cells", plain_cells):
         got = load_outcome(p, g)
     with mock.patch.object(model, "_plain_cells", lambda body, width: None):
         want = load_outcome(p, g)

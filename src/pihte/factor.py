@@ -1,11 +1,13 @@
 """Relational (zero-suppressed) factors and the algebra CTE needs.
 
 A factor stores only non-zero assignments; everything absent is zero. It holds
-a scope in the canonical global variable order, an int64 code matrix of unique
-rows sorted lexicographically, and a float64 value vector, so merges and
-serialized output are deterministic. Entries are validated where they enter
-from outside (`SparseFactor(scope, entries)` and `model.Dataset`); the
-algebra builds its results with `SparseFactor.trusted`. It is the join and
+a scope in the canonical global variable order, a code matrix of unique rows
+sorted lexicographically, and a float64 value vector, so merges and serialized
+output are deterministic. Codes enter in the `model.code_dtype` of their
+largest domain, one byte each when no domain passes 256, and every result
+keeps its inputs' dtype, or the wider of two. Entries are validated where
+they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
+the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
 2016) as array kernels over `row_keys`, each row one big-endian byte key: a
 product whose one scope holds the other binary-searches the wider table's
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IncompleteAssignment, ScopeConflict, UnknownVariable
-from .model import name_key
+from .model import code_dtype, name_key
 
 # Values whose magnitude falls below this after arithmetic are treated as an
 # underflow to zero and dropped (the no-zero invariant is kept explicit).
@@ -27,22 +29,23 @@ UNDERFLOW_FLOOR = 1e-300
 
 
 def row_keys(codes, top):
-    """Each row of a non-negative int64 code matrix as one opaque key of
-    big-endian bytes, every code narrowed to the one, two or eight bytes that
-    hold `top`. For codes up to `top` the keys' memcmp order is numeric
-    lexicographic row order, so a whole row compares as one value; two
-    matrices encoded at the same `top` give comparable keys. A matrix with no
+    """Each row of a non-negative code matrix as one opaque key of big-endian
+    bytes, every code in the `code_dtype` of `top`. For codes up to `top` the
+    keys' memcmp order is numeric lexicographic row order, so a whole row
+    compares as one value; two matrices encoded at the same `top` give
+    comparable keys. The keys of a C-contiguous `uint8` matrix at a `top`
+    below 256 are a view of it; any other matrix is copied. A matrix with no
     columns gives equal keys."""
     n, width = codes.shape
     if width == 0:
         return np.zeros(n, dtype=np.uint8)
-    dtype = np.dtype(">u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">i8")
+    dtype = code_dtype(top).newbyteorder(">")
     keys = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
     return keys.reshape(-1)
 
 
 def group_ids(codes):
-    """Dense group ids of the rows of an int64 code matrix, numbered in
+    """Dense group ids of the rows of a non-negative code matrix, numbered in
     lexicographic row order, and the index of each group's first row.
 
     One `np.unique` over the rows' `row_keys`, narrowed to the largest code,
@@ -69,7 +72,11 @@ def take_columns(codes, positions):
 
 
 class SparseFactor:
-    """Immutable sparse table: sorted unique code rows -> non-zero floats."""
+    """Immutable sparse table: sorted unique code rows -> non-zero floats.
+
+    `SparseFactor(scope, entries)` checks its entries as int64 and then keeps
+    the codes in the `code_dtype` of the scope's largest domain; `trusted`
+    keeps the dtype it is given."""
 
     __slots__ = ("scope", "names", "codes", "values", "underflow_dropped", "_lookup")
 
@@ -94,7 +101,7 @@ class SparseFactor:
         if len(set(names)) != len(names):
             raise ScopeConflict(f"repeated variable in scope {names}")
         order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
-        codes = codes[:, order]
+        codes = codes[:, order].astype(code_dtype(sizes.max(initial=1) - 1))
         _, first = group_ids(codes)  # rows sorted; keys are unique, coming from a mapping
         self._set(tuple(scope[i] for i in order), codes[first], values[first], underflow_dropped)
 

@@ -65,6 +65,16 @@ def name_key(name: str) -> str:
     return "".join(key)
 
 
+def code_dtype(top) -> np.dtype:
+    """The one dtype rule for code matrices and group ids: the narrowest
+    unsigned dtype that holds every value 0..top (`uint8`, `uint16` or
+    `uint32`), else `int64`. numpy promotes two such dtypes to the wider, so
+    what the algebra builds from them keeps the rule."""
+    top = int(top)
+    return np.dtype(np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16
+                    else np.uint32 if top < 1 << 32 else np.int64)
+
+
 def base_name(name: str) -> str:
     """Strip renamer primes, recovering the dataset column a variable reads."""
     return name.rstrip("'")
@@ -146,8 +156,10 @@ class CausalGraph:
 
 
 class Dataset:
-    """Integer-coded sample rows over named columns, held as one int64 matrix
-    (`cells`, one row per sample) that is range-checked once. Immutable."""
+    """Integer-coded sample rows over named columns, held as one matrix
+    (`cells`, one row per sample) that is range-checked once and then kept in
+    the `code_dtype` of the largest domain: one byte per cell when every
+    domain has at most 256 values. Immutable."""
 
     def __init__(self, columns, rows, domains):
         self.columns = tuple(columns)
@@ -161,12 +173,10 @@ class Dataset:
         width = len(self.columns)
         sizes = np.array([self.domains[c] for c in self.columns], dtype=np.int64)
         try:
-            cells = np.array(rows).reshape(len(rows), width)  # no cast: int64 would truncate 1.7
-            ok = ((cells.dtype.kind in "biu" or not cells.size)
-                  and ((cells >= 0) & (cells < sizes)).all())
+            cells = np.asarray(rows).reshape(len(rows), width)  # no cast: int64 would truncate 1.7
         except (ValueError, OverflowError):
-            ok = False
-        if not ok:
+            cells = None
+        if cells is None or (cells.dtype.kind not in "biu" and cells.size):
             for i, row in enumerate(rows):  # name the first bad row and cell
                 if len(row) != width:
                     raise ParseError(f"row {i} has {len(row)} cells, expected {width}")
@@ -176,7 +186,11 @@ class Dataset:
                     if not 0 <= v < self.domains[c]:
                         raise DomainViolation(i, c, v)
             raise ParseError("dataset cells must be integers")
-        cells = cells.astype(np.int64, copy=False)
+        bad = (cells < 0) | (cells >= sizes)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]  # row-major: the cell a scan meets first
+            raise DomainViolation(int(i), self.columns[j], rows[i][j])
+        cells = cells.astype(code_dtype(sizes.max(initial=1) - 1))  # a copy of its own
         cells.flags.writeable = False
         self.cells = cells
         self._groups = {(): (np.broadcast_to(np.uint8(0), len(cells)), 1)}  # see `group`
@@ -207,9 +221,9 @@ class Dataset:
         and one boolean array over the `count * k` possible keys and its
         `cumsum` relabel it densely without a sort. Keys that would need
         more than `_RELABEL_SLOTS` slots per row are grouped by
-        `factor.group_ids`. The memo keeps each id array in the narrowest
-        unsigned dtype that holds `count - 1` (intp past 32 bits), widened
-        to intp again before it is multiplied.
+        `factor.group_ids`. The memo keeps each id array in the
+        `code_dtype` of `count - 1`, widened to intp again before it is
+        multiplied.
         """
         columns = tuple(columns)
         hit = self._groups.get(columns)
@@ -233,8 +247,7 @@ class Dataset:
                 from .factor import group_ids
                 ids, first = group_ids(np.column_stack([ids, cell]))
                 count = len(first)
-        narrow = np.min_scalar_type(max(count - 1, 0))
-        ids = ids.astype(narrow if narrow.itemsize <= 4 else np.intp, copy=False)
+        ids = ids.astype(code_dtype(count - 1), copy=False)
         ids.flags.writeable = False
         self._groups[columns] = (ids, count)
         return ids, count
@@ -295,7 +308,9 @@ def _plain_cells(body: str, width: int):
     """The cells of a non-empty plain body (only digits, commas and line
     breaks) as an int64 matrix of `width` columns, read by numpy's C reader
     (`np.loadtxt`, numpy >= 1.23), or None when the body is not one. Python
-    splits the lines, so line endings mean what they mean to `csv`."""
+    splits the lines, so line endings mean what they mean to `csv`. The
+    cells are read as int64, so that a value past it fails here rather than
+    wrap, and `Dataset` narrows them once they are range-checked."""
     if body.encode().translate(None, _PLAIN) or not body.strip("\r\n"):
         return None
     try:

@@ -1,8 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
 from conftest import factors_close
 from pihte.errors import IncompleteAssignment, ScopeConflict, UnknownVariable
@@ -12,6 +13,7 @@ from pihte.factor import (
     join_size,
     marginalize,
     product,
+    row_keys,
     unit_factor,
 )
 from pihte.model import Dataset, Variable, empirical_prob, name_key
@@ -368,3 +370,73 @@ def test_underflow_drop_counts():
                           (2, 1): 0.25}), {"B"})
     assert m.underflow_dropped == 2  # 2e-301 is under the floor; 1 - 1 is zero
     assert dict(m.items()) == {(2,): 0.25}
+
+
+# -- narrow codes -----------------------------------------------------------
+
+
+def as_int64(f):
+    return SparseFactor.trusted(f.scope, f.codes.astype(np.int64), f.values)
+
+
+def assert_same_as_int64(got, want):
+    """`got`, computed from narrow codes, equals `want`, computed from the
+    same operands held as int64, entry for entry and bit for bit."""
+    assert got.scope == want.scope
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.values, want.values)
+    assert got.underflow_dropped == want.underflow_dropped
+
+
+@st.composite
+def mixed_dtype_operands(draw):
+    """A dataset's bound term and a factor built by `SparseFactor` over some
+    of the dataset's variables. Domains fall on both sides of 256: a term
+    takes the dtype of the dataset's largest domain and the factor that of
+    its own scope's, so the two often hold their codes in different dtypes."""
+    domains = {c: draw(st.sampled_from([2, 3, 256, 257, 300])) for c in names}
+    cell = {c: st.integers(0, min(domains[c], 3) - 1) | st.just(domains[c] - 1) for c in names}
+    columns = draw(st.permutations(names))
+    rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), min_size=1, max_size=10))
+    data = Dataset(columns, rows, domains)
+    chosen = draw(st.permutations(names))
+    cut = draw(st.integers(1, len(names)))
+    split = draw(st.integers(1, cut))
+    term = empirical_prob(data, tuple(chosen[:split]), tuple(chosen[split:cut]))
+    scope = [c for c in names if draw(st.booleans())]
+    keys = draw(st.sets(st.tuples(*(cell[c] for c in scope)), max_size=12))
+    vals = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+    f = SparseFactor(tuple(Variable(c, domains[c]) for c in scope),
+                     {k: draw(vals) for k in sorted(keys)})
+    return f, term
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_dtype_operands(), st.data())
+def test_mixed_dtypes_match_the_int64_algebra(pair, data):
+    f, g = pair
+    note(f"{f.codes.dtype} x {g.codes.dtype}")
+    for x, y in ((f, g), (g, f)):
+        got = product(x, y)
+        assert_same_as_int64(got, product(as_int64(x), as_int64(y)))
+        assert got.codes.dtype in (x.codes.dtype, y.codes.dtype)  # never wider than both
+        assert join_size(x, y) == join_size(as_int64(x), as_int64(y))
+    h = product(f, g)
+    out = set(data.draw(st.lists(st.sampled_from(h.names), unique=True))) if h.names else set()
+    assert_same_as_int64(marginalize(h, out), marginalize(as_int64(h), out))
+    partial = {v.name: data.draw(st.sampled_from(sorted({0, v.domain_size - 1})))
+               for v in h.scope if data.draw(st.booleans())}
+    assert_same_as_int64(h.restrict(partial), as_int64(h).restrict(partial))
+    assert_same_as_int64(invert(h), invert(as_int64(h)))
+
+
+def test_row_keys_of_a_contiguous_byte_matrix_are_a_view():
+    codes = np.array([[1, 2], [0, 3], [1, 0]], dtype=np.uint8)
+    keys = row_keys(codes, 3)
+    assert np.shares_memory(keys, codes)
+    assert np.argsort(keys, kind="stable").tolist() == [1, 2, 0]
+    # a column run that is not the whole row, and codes past one byte, are copied
+    assert not np.shares_memory(row_keys(codes[:, :1], 3), codes)
+    wide = codes.astype(np.uint16)
+    assert not np.shares_memory(row_keys(wide, 3), wide)
+    assert np.array_equal(row_keys(wide, 3), keys)  # the same keys from either dtype

@@ -16,12 +16,14 @@ from pihte.errors import (
     ParseError,
     UnknownVariable,
 )
+from pihte.factor import SparseFactor
 from pihte.model import (
     _plain_cells,
     CausalGraph,
     Dataset,
     Variable,
     base_name,
+    code_dtype,
     empirical_prob,
     load_dataset,
     load_graph,
@@ -159,11 +161,32 @@ def test_dataset_domain_check():
     ([(0, 0), (0, 1), (3, 7)], 2, "A", 3),
     ([(0, 1), (-1, 0)], 1, "A", -1),
     ([(0, 1), (0, 2**70)], 1, "B", 2**70),
+    # integer matrices: the first bad cell in row-major order, as a loop finds it
+    (np.array([(0, 1), (1, 2), (5, 0)]), 1, "B", 2),
+    (np.array([(0, 1), (2**63, 7)], dtype=np.uint64), 1, "A", 2**63),
 ])
 def test_dataset_names_first_bad_row_and_column(rows, row, column, value):
     with pytest.raises(DomainViolation) as exc:
         Dataset(("A", "B"), rows, {"A": 2, "B": 2})
     assert (exc.value.row, exc.value.column, exc.value.value) == (row, column, value)
+    assert str(exc.value) == f"row {row}, column {column!r}: value {value} out of domain"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 4)] * 3), max_size=8), st.booleans())
+def test_first_bad_cell_matches_a_row_by_row_scan(rows, as_array):
+    # the integer matrix is checked in one pass; the cell it names must be
+    # the one a scan in row-major order meets first
+    domains = {"A": 2, "B": 3, "C": 4}
+    want = next(((i, c, v) for i, row in enumerate(rows)
+                 for c, v in zip("ABC", row) if not 0 <= v < domains[c]), None)
+    cells = np.array(rows, dtype=np.int64).reshape(-1, 3) if as_array else rows
+    if want is None:
+        assert Dataset(("A", "B", "C"), cells, domains).rows == tuple(rows)
+        return
+    with pytest.raises(DomainViolation) as exc:
+        Dataset(("A", "B", "C"), cells, domains)
+    assert (exc.value.row, exc.value.column, exc.value.value) == want
 
 
 def test_dataset_rejects_non_integer_cell():
@@ -184,11 +207,31 @@ def test_dataset_repeated_column():
         Dataset(("W", "W", "X"), [(0, 1, 0)], {"W": 2, "X": 2})
 
 
-def test_dataset_cells_are_one_int64_matrix():
+def test_dataset_cells_are_one_narrow_matrix():
     d = Dataset(("A", "B"), [(0, 1), (1, 1)], {"A": 2, "B": 2})
-    assert d.cells.dtype == "int64" and d.cells.shape == (2, 2)
+    assert d.cells.dtype == "uint8" and d.cells.shape == (2, 2)
+    assert not d.cells.flags.writeable
     assert d.rows == ((0, 1), (1, 1))
     assert all(type(c) is int for row in d.rows for c in row)
+
+
+@pytest.mark.parametrize("domain, dtype", [
+    (2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+    (65_537, np.uint32), (2**32, np.uint32), (2**32 + 1, np.int64),
+])
+def test_codes_take_the_narrowest_dtype_of_the_largest_domain(domain, dtype):
+    # both input boundaries, Dataset cells and SparseFactor codes, follow the
+    # one rule, decided by the largest domain and not by the cells present
+    assert code_dtype(domain - 1) == dtype
+    d = Dataset(("A", "B"), [(0, domain - 1), (1, 0)], {"A": 2, "B": domain})
+    assert d.cells.dtype == dtype
+    assert d.rows == ((0, domain - 1), (1, 0))
+    f = SparseFactor((Variable("A", 2), Variable("B", domain)), {(1, 0): 0.5, (0, 0): 2.0})
+    assert f.codes.dtype == dtype
+    assert list(f.items()) == [((0, 0), 2.0), ((1, 0), 0.5)]
+    bound = empirical_prob(d, ("A",), ("B",))
+    assert bound.codes.dtype == dtype  # a gather of the cells keeps their dtype
+    assert list(bound.items()) == [((0, domain - 1), 1.0), ((1, 0), 1.0)]
 
 
 def test_load_dataset(tmp_path):
@@ -385,7 +428,7 @@ def test_binding_matches_dict_reference(data, seq):
         names, entries = ref_prob(data, left, right)
         assert f.names == names
         assert [v.domain_size for v in f.scope] == [data.domains[base_name(n)] for n in names]
-        assert f.codes.dtype == "int64"
+        assert f.codes.dtype == data.cells.dtype == code_dtype(max(data.domains.values()) - 1)
         assert [k for k, _ in f.items()] == sorted(entries)
         assert all(value == entries[key] for key, value in f.items())  # exact
 

@@ -16,6 +16,7 @@ from .errors import (
     DenseLimitExceeded,
     DivisionByZero,
     DivisionInconsistency,
+    EmptyDataset,
     PihteError,
     ResourceLimitExceeded,
 )
@@ -90,6 +91,9 @@ def cmd_analyze(args) -> int:
     graph = load_graph(args.graph)
     start = time.monotonic()
     p = _plan(args, hier, graph)
+    n_rows = load_dataset(args.data, graph).n_rows if args.data else 1
+    if n_rows == 0:  # no tightness to bound by; `estimate` fails on this file too
+        raise EmptyDataset(f"{args.data}: cannot bound tables by zero rows")
     levels_out = [
         {
             "level": lp.level.level_id,
@@ -99,7 +103,7 @@ def cmd_analyze(args) -> int:
             "sum_vars": list(lp.level.sum_vars),
             "free_vars": list(lp.level.free_vars),
             "rename_map": [list(pair) for pair in lp.level.rename_map],
-            "children": list(lp.level.children),
+            "children": [c for c, _ in lp.level.child_outputs],
             "n_clusters": lp.td.n_clusters,
             "supplied_decomposition": lp.supplied,
         }
@@ -110,7 +114,7 @@ def cmd_analyze(args) -> int:
         "levels": levels_out,
         "max_hw": max(lv["hw"] for lv in levels_out),
         "max_w": max(lv["w"] for lv in levels_out),
-        "bounds": p.bounds(load_dataset(args.data, graph).n_rows if args.data else 1),
+        "bounds": p.bounds(n_rows),
         "wall_time": round(time.monotonic() - start, 6),
     }
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
@@ -329,6 +333,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand takes --seed; numpy rejects a negative one
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (DivisionInconsistency, DivisionByZero) as exc:
         print(f"error: {exc}", file=sys.stderr)

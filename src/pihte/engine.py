@@ -264,7 +264,7 @@ class EvalReport:
         """The largest table's entries over its own cell count."""
         return self._largest.max_table_entries / self._largest.max_table_cells
 
-    def to_json(self, include_timing=True) -> str:
+    def to_json(self) -> str:
         """The report as `json.dumps(..., indent=2, sort_keys=True)` of its
         dict writes it. The rest is dumped with `null` for each table, and
         each table's text (`_table_json`) replaces its `null`: the report's
@@ -282,12 +282,8 @@ class EvalReport:
             "levels": [lv.as_dict() for lv in self.levels],
             "bounds": self.bounds,
             **dict.fromkeys(tables),
+            "wall_time": self.wall_time,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        else:
-            for lv in out["levels"]:
-                lv.pop("wall_time", None)
         text = json.dumps(out, indent=2, sort_keys=True)
         for key, f in tables.items():
             text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {_table_json(f)}', 1)

@@ -15,8 +15,6 @@ class ParseError(PihteError):
         if line is not None:
             loc += f":{line}"
         super().__init__(f"{loc}: {message}" if loc else message)
-        self.path = path
-        self.line = line
 
 
 class CycleError(PihteError):
@@ -87,7 +85,6 @@ class ValidationError(PihteError):
 
     def __init__(self, violations):
         super().__init__("; ".join(str(v) for v in violations))
-        self.violations = list(violations)
 
 
 class UncoverableCluster(PihteError):

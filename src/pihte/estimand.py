@@ -289,7 +289,6 @@ class FlatLevel:
     child_outputs: list = field(default_factory=list)  # (child_level_id, scope tuple)
     sum_vars: tuple = ()
     free_vars: tuple = ()
-    children: list = field(default_factory=list)
     rename_map: tuple = ()  # ((original, fresh), ...) in renaming order
     numerator: range = range(0)  # the parent's factors under this level's ratio's numerator
 
@@ -313,7 +312,7 @@ class Hierarchy:
         depth, frontier = 0, [self.root]
         while frontier:
             depth += 1
-            frontier = [c for lid in frontier for c in self.levels[lid].children]
+            frontier = [c for lid in frontier for c, _ in self.levels[lid].child_outputs]
         return depth
 
 
@@ -372,7 +371,6 @@ def _walk(node, level, subst, used, levels):
         _walk(node.numerator, level, subst, used, levels)
         child = FlatLevel(level_id=len(levels), numerator=range(start, len(level.factors)))
         levels.append(child)
-        level.children.append(child.level_id)
         _walk(node.denominator, child, subst, used, levels)
         _finish(child)
         level.child_outputs.append((child.level_id, child.free_vars))

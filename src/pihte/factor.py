@@ -80,7 +80,7 @@ class SparseFactor:
 
     __slots__ = ("scope", "names", "codes", "values", "underflow_dropped", "_lookup")
 
-    def __init__(self, scope, entries, underflow_dropped=0):
+    def __init__(self, scope, entries):
         """Validate a mapping of assignment tuples to non-zero values."""
         scope = tuple(scope)
         keys = list(entries)
@@ -103,7 +103,7 @@ class SparseFactor:
         order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
         codes = codes[:, order].astype(code_dtype(sizes.max(initial=1) - 1))
         _, first = group_ids(codes)  # rows sorted; keys are unique, coming from a mapping
-        self._set(tuple(scope[i] for i in order), codes[first], values[first], underflow_dropped)
+        self._set(tuple(scope[i] for i in order), codes[first], values[first], 0)
 
     def _set(self, scope, codes, values, underflow_dropped):
         self.scope = scope
@@ -131,12 +131,6 @@ class SparseFactor:
         """(assignment tuple, value) pairs of Python ints and floats, in
         canonical order."""
         return zip(map(tuple, self.codes.tolist()), self.values.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseFactor):
-            return NotImplemented
-        return (self.scope == other.scope and np.array_equal(self.codes, other.codes)
-                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
         return f"SparseFactor({','.join(self.names)}; t={self.tightness})"

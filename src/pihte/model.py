@@ -278,8 +278,8 @@ def load_graph(path) -> CausalGraph:
                     k = int(parts[2])
                 except ValueError:
                     raise ParseError(f"bad domain size {parts[2]!r}", path, lineno) from None
-                if k < 1:
-                    raise ParseError(f"domain size must be >= 1, got {k}", path, lineno)
+                if not 1 <= k < 2**63:  # cells and codes are checked as int64
+                    raise ParseError(f"domain size must be in 1..2**63-1, got {k}", path, lineno)
                 if parts[1] in declared:
                     raise ParseError(f"variable {parts[1]!r} declared twice", path, lineno)
                 declared.add(parts[1])

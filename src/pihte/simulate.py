@@ -69,19 +69,6 @@ class CBN:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CBN":
-        payload = json.loads(text)
-        graph = CausalGraph(
-            [Variable(n, k) for n, k in payload["variables"]],
-            [tuple(e) for e in payload["directed_edges"]],
-        )
-        cpts = {
-            name: np.asarray(spec["probs"], dtype=float).reshape(spec["shape"])
-            for name, spec in payload["cpts"].items()
-        }
-        return cls(graph, tuple(payload["latents"]), cpts)
-
 
 def _cond_dist(rng, k, dist, alpha):
     if dist == "uniform":

@@ -1,8 +1,9 @@
 """The program surface the benchmark in perfbench/ relies on.
 
-perfbench/ wraps pihte functions by name and calls `engine.pi_hte` with two
-positional arguments; a refactor that renames either would break the
-benchmark silently. perfbench/tracing.py is read as source, not imported.
+perfbench/ wraps pihte functions by name, calls `engine.pi_hte` with two
+positional arguments, and reads a few names outside the functions it wraps;
+a refactor that renames or deletes any of them would break the benchmark
+silently. perfbench/tracing.py is read as source, not imported.
 """
 
 import ast
@@ -11,7 +12,8 @@ import os
 
 from pihte.engine import pi_hte
 from pihte.estimand import flatten, parse
-from pihte.model import Dataset
+from pihte.factor import marginalize, product
+from pihte.model import Dataset, empirical_prob
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -39,3 +41,14 @@ def test_pi_hte_takes_hierarchy_and_data_positionally():
     report = pi_hte(flatten(parse("sum[A](P(A) P(B|A))")), data)
     assert report.result.names == ("B",)
     assert report.max_table_entries >= 1
+
+
+def test_names_read_outside_the_traced_functions():
+    # workloads.py writes `Dataset.rows` and checks peaks by `Dataset.project`;
+    # tracing.py counts `underflow_dropped` on products and marginals
+    data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1)], {"A": 2, "B": 2})
+    assert data.rows == ((0, 0), (0, 1), (1, 1))
+    assert data.project(("B", "A")) == [(0, 0), (1, 0), (1, 1)]
+    joint = product(empirical_prob(data, ("A",)), empirical_prob(data, ("B",), ("A",)))
+    assert joint.underflow_dropped == 0
+    assert marginalize(joint, ["A"]).underflow_dropped == 0

@@ -343,6 +343,10 @@ def test_oracle_suite_rejects_decomposition(capsys, fixture_path):
       "--estimand-file", "napkin.estimand", option, value], option)
     for option, value in (("--tolerance", "nan"), ("--tolerance", "-1"),
                           ("--dense-limit", "0"), ("--dense-limit", "-1"))
+] + [
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["bench", "--estimand-file", "napkin.estimand", "--sizes", "50", "--seed", "-1"], "--seed"),
+    (["oracle", "--suite", "1", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_integer_option_exit2(capsys, napkin, argv, option):
     graph, estimand, data = napkin
@@ -407,6 +411,8 @@ BAD_FILES = {
     "graph_var_no_size": ("graph", "var A\n", "bad.graph:1"),
     "graph_var_bad_size": ("graph", "var A x\n", "bad.graph:1"),
     "graph_var_size_0": ("graph", "var A 0\n", "bad.graph:1"),
+    "graph_var_size_2**63": ("graph", f"var A {2**63}\n",
+                             "bad.graph:1: domain size must be in 1..2**63-1"),
     "graph_bad_arrow": ("graph", "var A 2\nvar B 2\nA => B\n", "bad.graph:3"),
     "graph_undeclared_endpoint": ("graph", "var A 2\nA -> B\nvar C 2\nC -> Z\n",
                                   "bad.graph:2: edge endpoint 'B' not declared"),
@@ -647,6 +653,17 @@ def test_analyze_bounds_come_from_the_plan(capsys, napkin, tmp_path):
     a, e = json.loads(analyzed)["bounds"], json.loads(estimated)["bounds"]
     assert a["k"] == e["k"] == 3
     assert a["tw_bound_log10"] == e["tw_bound_log10"]
+
+
+def test_header_only_data_exit2(capsys, napkin, tmp_path):
+    graph, estimand, _ = napkin
+    empty = tmp_path / "empty.csv"
+    empty.write_text("R,W,X,Y\n")
+    for cmd in ("analyze", "estimate"):
+        code, out, err = run(capsys, cmd, "--graph", graph, "--estimand-file", estimand,
+                             "--data", str(empty))
+        assert code == 2 and not out
+        assert "zero rows" in err
 
 
 def test_oracle_orders_names_with_equal_digit_runs_under_any_hash_seed(capsys, tmp_path):

@@ -151,7 +151,6 @@ def test_flatten_ratio_builds_child_level():
     h = flatten(parse("sum[W](P(X,Y|R,W) P(W)) / (sum[W](P(X|R,W) P(W)))"))
     assert h.depth == 2
     root, child = h.level(0), h.level(1)
-    assert root.children == [1]
     assert root.child_outputs == [(1, ("R", "X"))]
     assert child.sum_vars == ("W'",)
     assert child.free_vars == ("R", "X")

@@ -137,6 +137,12 @@ def test_load_graph(tmp_path):
     assert g.bidirected_edges == (("A", "B"),)
 
 
+def test_load_graph_largest_domain(tmp_path):
+    p = tmp_path / "g.graph"
+    p.write_text(f"var A {2**63 - 1}\n")  # 2**63 is a ParseError (tests/test_cli.py)
+    assert load_graph(p).variables[0].domain_size == 2**63 - 1
+
+
 def test_load_graph_bad_line(tmp_path):
     p = tmp_path / "g.graph"
     p.write_text("var A 2\nA => B\n")

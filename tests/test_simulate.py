@@ -8,7 +8,6 @@ from pihte.estimand import dense_expr_eval, parse, prob_terms
 from pihte.factor import SparseFactor
 from pihte.model import CausalGraph, Variable, empirical_prob, name_key
 from pihte.simulate import (
-    CBN,
     expand_bidirected,
     interventional_truth,
     random_cbn,
@@ -56,12 +55,6 @@ def test_same_seed_same_cbn():
     a = random_cbn(g, dist="mixture", alpha=2.0, seed=5)
     b = random_cbn(g, dist="mixture", alpha=2.0, seed=5)
     assert a.to_json() == b.to_json()
-
-
-def test_cbn_json_roundtrip():
-    cbn = random_cbn(chain(3), seed=3)
-    back = CBN.from_json(cbn.to_json())
-    assert back.to_json() == cbn.to_json()
 
 
 def test_sample_dataset_excludes_latents():

@@ -74,6 +74,14 @@ def _emit(text: str, out_path):
             sys.stdout.write("\n")
 
 
+def _load_data(args, graph):
+    """The --data dataset, which must hold a row to bind or bound any table."""
+    data = load_dataset(args.data, graph)
+    if data.n_rows == 0:
+        raise EmptyDataset(f"{args.data}: no probability can be read from zero rows")
+    return data
+
+
 def _plan(args, hier, graph):
     """The one plan every subcommand runs or reports: the graph's domains,
     --seed, --restarts, and --decomposition for the root level."""
@@ -91,9 +99,7 @@ def cmd_analyze(args) -> int:
     graph = load_graph(args.graph)
     start = time.monotonic()
     p = _plan(args, hier, graph)
-    n_rows = load_dataset(args.data, graph).n_rows if args.data else 1
-    if n_rows == 0:  # no tightness to bound by; `estimate` fails on this file too
-        raise EmptyDataset(f"{args.data}: cannot bound tables by zero rows")
+    n_rows = _load_data(args, graph).n_rows if args.data else 1
     levels_out = [
         {
             "level": lp.level.level_id,
@@ -123,7 +129,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_estimate(args) -> int:
     graph = load_graph(args.graph)
-    data = load_dataset(args.data, graph)
+    data = _load_data(args, graph)
     hier = flatten(parse(_read_estimand(args)))
     report = engine.execute(_plan(args, hier, graph), data, _parse_do(args.do))
     if args.format == "csv":
@@ -174,7 +180,7 @@ def cmd_oracle(args) -> int:
         if not args.graph or not args.data:
             raise ValueError("oracle needs --graph and --data unless --suite is used")
         graph = load_graph(args.graph)
-        data = load_dataset(args.data, graph)
+        data = _load_data(args, graph)
         cases = [suite.Instance(args.seed, graph, data, _read_estimand(args))]
 
     failures = []

@@ -158,13 +158,13 @@ def check_support(steps, ones, context, g, do, hold):
     some); the error names the first row that does not, and where g lacks it.
     """
     support = _support(steps, ones, context, g.names, hold)
-    ids, g_ids, _, g_count, g_only = sf.shared_groups(support, g)
+    lo, hi, _, g_only = sf.matches(support, g)
     ranges = [(do[v.name],) if v.name in do else range(v.domain_size)
               for v in (g.scope[j] for j in g_only)]
-    short = np.flatnonzero(g_count[ids] != math.prod(map(len, ranges)))
+    short = np.flatnonzero(hi - lo != math.prod(map(len, ranges)))
     if len(short):
         key = dict(zip(support.names, support.codes[short[0]].tolist()))
-        met = set(map(tuple, g.codes[g_ids == ids[short[0]]][:, g_only].tolist()))
+        met = set(map(tuple, g.restrict(key).codes[:, g_only].tolist()))
         lacking = next(a for a in itertools.product(*ranges) if a not in met)
         key.update(zip((g.names[j] for j in g_only), lacking))
         key = {n: key[n] for n in g.names}
@@ -502,14 +502,13 @@ def pi_hte(hier, data, *, seed=0, restarts=0, decompositions=None, do=None) -> E
 
 
 def _renormalize(result, outcome):
-    """Divide by the per-group total over the outcome variables; a group
-    whose total is zero or underflows (absent from the marginal) is dropped."""
-    group = [i for i, n in enumerate(result.names) if n not in set(outcome)]
-    ids, _ = sf.group_ids(result.codes[:, group])
-    denom = np.bincount(ids, weights=result.values)[ids]  # as marginalize sums
-    kept = np.abs(denom) >= sf.UNDERFLOW_FLOOR
+    """Divide each entry by its group's total over the outcome variables, their
+    marginal; a group absent from it (zero or underflowed) is dropped."""
+    totals = sf.marginalize(result, outcome)
+    lo, hi, _, _ = sf.matches(result, totals)
+    kept = hi > lo
     return sf.SparseFactor.trusted(result.scope, result.codes[kept],
-                                   result.values[kept] / denom[kept])
+                                   result.values[kept] / totals.values[lo[kept]])
 
 
 # -- brute-force oracle ----------------------------------------------------

@@ -53,7 +53,6 @@ class EstimandSyntaxError(PihteError):
 
     def __init__(self, message, position):
         super().__init__(f"at position {position}: {message}")
-        self.position = position
 
 
 class UnusedBoundVar(EstimandSyntaxError):

@@ -9,11 +9,12 @@ keeps its inputs' dtype, or the wider of two. Entries are validated where
 they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
 the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
-2016) as array kernels over `row_keys`, each row one big-endian byte key: a
-product whose one scope holds the other binary-searches the wider table's
-rows among the narrower's, any other product is a sort-merge, and a marginal
-sums each group found by a sort. The algebra knows nothing of ratios: the
-engine checks each denominator's support once per level, before any product.
+2016) as array kernels over `row_keys`, each row one big-endian byte key:
+every join finds its partners by one binary search, `matches`, whose runs a
+product expands, `join_size` counts and the engine's support check and
+renormalization read, and a marginal sums each group found by a sort. The
+algebra knows nothing of ratios: the engine checks each denominator's
+support once per level, before any product.
 """
 
 from __future__ import annotations
@@ -168,12 +169,11 @@ def _merged_scope(f: SparseFactor, g: SparseFactor):
     same object, when that scope holds the other's."""
     by_name = {v.name: v for v in f.scope}
     for v in g.scope:
-        prior = by_name.get(v.name)
-        if prior is not None and prior.domain_size != v.domain_size:
+        prior = by_name.setdefault(v.name, v)
+        if prior.domain_size != v.domain_size:
             raise ScopeConflict(
                 f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}"
             )
-        by_name.setdefault(v.name, v)
     if len(by_name) == len(f.scope):  # g adds no name; f's scope is in order
         return f.scope
     if len(by_name) == len(g.scope):  # f adds no name
@@ -181,83 +181,77 @@ def _merged_scope(f: SparseFactor, g: SparseFactor):
     return tuple(sorted(by_name.values(), key=lambda v: name_key(v.name)))
 
 
-def shared_groups(f: SparseFactor, g: SparseFactor):
-    """Group f's and g's rows by the variables they share: each side's group
-    ids, the rows of each group on each side, and g's other columns."""
-    g_pos = {n: j for j, n in enumerate(g.names)}
-    f_shared = [i for i, n in enumerate(f.names) if n in g_pos]
-    g_shared = [g_pos[f.scope[i].name] for i in f_shared]
-    ids, first = group_ids(np.concatenate([take_columns(f.codes, f_shared),
-                                           take_columns(g.codes, g_shared)]))
-    f_ids, g_ids = ids[:len(f.values)], ids[len(f.values):]
-    f_count = np.bincount(f_ids, minlength=len(first))
-    g_count = np.bincount(g_ids, minlength=len(first))
-    g_only = sorted(set(range(len(g_pos))) - set(g_shared))
-    return f_ids, g_ids, f_count, g_count, g_only
+def matches(f: SparseFactor, g: SparseFactor):
+    """For each row of f, the run of g's rows that agree with it on their
+    shared variables, in g's canonical order: for f's row i, g's rows
+    `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None. `g_only`
+    lists g's other columns. The shared columns are `row_keys` at the width
+    of the wider code dtype; g's keys are sorted when its shared columns lead
+    its scope, else one stable argsort sorts them into `g_rows`. Two binary
+    searches bound each run; with nothing shared, each f row meets all of g.
+    """
+    f_pos = {n: i for i, n in enumerate(f.names)}
+    g_shared = [j for j, n in enumerate(g.names) if n in f_pos]
+    g_only = []  # g's other columns, none when f holds all of g's
+    if len(g_shared) < len(g.names):
+        g_only = [j for j, n in enumerate(g.names) if n not in f_pos]
+    top = (1 << 8 * max(f.codes.itemsize, g.codes.itemsize)) - 1  # the wider dtype's bytes
+    keys = row_keys(take_columns(g.codes, g_shared), top)
+    g_rows = None
+    if g_only and g_only[0] < len(g_shared):  # g's shared columns do not lead its scope
+        g_rows = np.argsort(keys, kind="stable")
+        keys = keys[g_rows]
+    probe = row_keys(take_columns(f.codes, [f_pos[g.names[j]] for j in g_shared]), top)
+    lo = np.searchsorted(keys, probe, "left")
+    return lo, np.searchsorted(keys, probe, "right"), g_rows, g_only
 
 
 def join_size(f: SparseFactor, g: SparseFactor) -> int:
     """The number of entries `product(f, g)` holds before underflow drops,
-    counted without building it: the rows each shared assignment has on
-    one side times those it has on the other."""
-    _, _, f_count, g_count, _ = shared_groups(f, g)
-    return int(f_count @ g_count)
+    counted without building it: the partners each row of the smaller
+    table has in the other, which searches fewer rows than the converse."""
+    small, large = (f, g) if f.tightness <= g.tightness else (g, f)
+    lo, hi, _, _ = matches(small, large)
+    return int((hi - lo).sum())
 
 
 def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     """The join of f and g on their shared variables, keyed on the union
-    scope, each entry the product of the two it joins.
+    scope, each entry the product of the two it joins. An output entry
+    exists iff both projections exist, so multiplication is absorbing
+    relative to zero.
 
-    An output entry exists iff both projections exist, so multiplication is
-    absorbing relative to zero.
-
-    When one scope holds the other, the join is a semi-join of the wider
-    table (Yannakakis, VLDB 1981): `_contained_product` looks each wide row
-    up among the narrower table's rows. Any other pair is a sort-merge on
-    the shared columns with range expansion.
+    The operand whose scope holds the other's, else f, probes the other
+    through `matches` (Yannakakis, VLDB 1981) and is repeated once per
+    partner. When the other adds no column, a probe row has one partner at
+    most, and the output is the probe rows that have one, in their order.
     """
     scope = _merged_scope(f, g)
-    if scope is f.scope or scope is g.scope:  # an operand's own scope holds the other's
-        return _contained_product(f, g, scope is f.scope)
-    f_ids, g_ids, _, g_count, g_only = shared_groups(f, g)
+    if scope is g.scope and scope is not f.scope:  # g's scope holds f's
+        f, g = g, f
+    lo, hi, g_rows, g_only = matches(f, g)
+    count = hi - lo
+    if not g_only:  # one partner at most, and f's scope is the output's
+        codes, values = f.codes, f.values
+        if not count.all():
+            hit = count > 0
+            codes, values, lo = codes[hit], values[hit], lo[hit]
+        return _trusted_product(scope, codes, values * g.values[lo])
 
-    # each f row meets its group's g rows, taken in g's (canonical) order
-    reps = g_count[f_ids]
-    f_rows = np.repeat(np.arange(len(f.values)), reps)
-    g_start = np.cumsum(g_count) - g_count
-    offset = np.arange(len(f_rows)) - np.repeat(np.cumsum(reps) - reps, reps)
-    g_rows = np.argsort(g_ids, kind="stable")[np.repeat(g_start[f_ids], reps) + offset]
+    # output k, the j-th of f row i's, meets g's run row lo[i] + j, in g's canonical order
+    f_rows = np.repeat(np.arange(len(f.values)), count)
+    rows = np.arange(len(f_rows)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    if g_rows is not None:
+        rows = g_rows[rows]
 
-    values = f.values[f_rows] * g.values[g_rows]
-    codes = np.concatenate([f.codes[f_rows], take_columns(g.codes, g_only)[g_rows]], axis=1)
+    values = f.values[f_rows] * g.values[rows]
+    codes = np.concatenate([f.codes[f_rows], take_columns(g.codes, g_only)[rows]], axis=1)
     if scope[:len(f.scope)] != f.scope:  # else f's rows, expanded in order, are sorted
         column = {n: i for i, n in enumerate(f.names + tuple(g.names[j] for j in g_only))}
         codes = codes[:, [column[v.name] for v in scope]]
         _, first = group_ids(codes)
         codes, values = codes[first], values[first]
     return _trusted_product(scope, codes, values)
-
-
-def _contained_product(f: SparseFactor, g: SparseFactor, f_wide: bool) -> SparseFactor:
-    """`product(f, g)` when the wider operand's scope holds the narrower's.
-
-    The narrower table's rows and the wider's projection onto its columns
-    are `row_keys` at one width, fixed by the narrower scope's domains; the
-    narrower's keys are unique and sorted, so one binary search per wide row
-    finds its partner, or finds that it has none. The output is the wide rows
-    that have one, in their own order, which is already the canonical order.
-    """
-    wide, narrow = (f, g) if f_wide else (g, f)
-    column = {n: i for i, n in enumerate(wide.names)}
-    top = max((v.domain_size for v in narrow.scope), default=1) - 1
-    keys = row_keys(narrow.codes, top)
-    wide_keys = row_keys(take_columns(wide.codes, [column[n] for n in narrow.names]), top)
-    left = np.searchsorted(keys, wide_keys, "left")
-    hit = np.searchsorted(keys, wide_keys, "right") > left  # without == on void keys
-    codes, values = wide.codes, wide.values
-    if not hit.all():
-        codes, values, left = codes[hit], values[hit], left[hit]
-    return _trusted_product(wide.scope, codes, values * narrow.values[left])
 
 
 def _trusted_product(scope, codes, values) -> SparseFactor:

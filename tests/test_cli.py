@@ -659,11 +659,11 @@ def test_header_only_data_exit2(capsys, napkin, tmp_path):
     graph, estimand, _ = napkin
     empty = tmp_path / "empty.csv"
     empty.write_text("R,W,X,Y\n")
-    for cmd in ("analyze", "estimate"):
+    for cmd in ("analyze", "estimate", "oracle"):
         code, out, err = run(capsys, cmd, "--graph", graph, "--estimand-file", estimand,
                              "--data", str(empty))
         assert code == 2 and not out
-        assert "zero rows" in err
+        assert f"{empty}: " in err and "zero rows" in err
 
 
 def test_oracle_orders_names_with_equal_digit_runs_under_any_hash_seed(capsys, tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from pihte.decomposition import (
 )
 from pihte.engine import (
     LevelStats,
+    _renormalize,
     brute_force_eval,
     cte,
     execute,
@@ -36,7 +38,7 @@ from pihte.errors import (
     ValidationError,
 )
 from pihte.estimand import MAX_NESTING, ProbTerm, Product, Ratio, Sum, flatten, parse
-from pihte.factor import SparseFactor, product, unit_factor
+from pihte.factor import UNDERFLOW_FLOOR, SparseFactor, product, unit_factor
 from pihte.model import CausalGraph, Dataset, Variable, empirical_prob, name_key
 from pihte.simulate import random_cbn, sample_dataset
 from pihte.suite import make_instance
@@ -617,3 +619,24 @@ def test_flatten_and_pi_hte_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_renormalize_drops_a_group_whose_total_underflows():
+    # a result over a do variable X and the outcomes A and Y: each X value is
+    # one group. Group X=1 sums to 5e-301, below the floor, though none of
+    # its entries is; the others are divided by their totals as np.bincount
+    # sums them, in row order
+    rng = random.Random(0)
+    scope = (Variable("A", 3), Variable("X", 3), Variable("Y", 4))
+    entries = {k: rng.uniform(0.01, 1.0) for k in itertools.product(range(3), range(3), range(4))
+               if k[1] != 1 and rng.random() < 0.8}
+    entries.update({(0, 1, 2): 3e-300, (2, 1, 1): -2.5e-300})
+    result = SparseFactor(scope, entries)
+    got = _renormalize(result, ("A", "Y"))
+    ids = result.codes[:, 1].astype(np.intp)
+    want = result.values / np.bincount(ids, weights=result.values)[ids]
+    kept = ids != 1
+    assert abs(math.fsum(result.values[~kept])) < UNDERFLOW_FLOOR
+    assert got.scope == result.scope
+    assert np.array_equal(got.codes, result.codes[kept])
+    assert np.array_equal(got.values, want[kept])

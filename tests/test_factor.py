@@ -12,6 +12,7 @@ from pihte.factor import (
     invert,
     join_size,
     marginalize,
+    matches,
     product,
     row_keys,
     unit_factor,
@@ -318,6 +319,57 @@ def test_contained_product_matches_reference(pair, narrow_first):
     wide, narrow = pair
     f, g = (narrow, wide) if narrow_first else (wide, narrow)
     assert_matches(product(f, g), ref_product(f, g))
+
+
+@st.composite
+def match_pairs(draw):
+    """f and g whose shared columns lead g's scope, are scattered in it (g's
+    first name is never shared), or are none, with the layout drawn. Domains
+    fall on both sides of 256, so shared keys are one or two bytes, and
+    either table may be empty."""
+    pool = ["A", "B", "C", "D", "E"]
+    domains = {n: draw(st.sampled_from([2, 3, 256, 300])) for n in pool}
+    layout = draw(st.sampled_from(["lead", "scattered", "none"]))
+    g_names = sorted(draw(st.sets(st.sampled_from(pool),
+                                  min_size=2 if layout == "scattered" else 0)))
+    if layout == "lead":
+        shared = g_names[:draw(st.integers(min(1, len(g_names)), len(g_names)))]
+    elif layout == "scattered":
+        shared = [n for n in g_names[1:] if draw(st.booleans())] or g_names[-1:]
+    else:
+        shared = []
+    f_names = sorted(shared + [n for n in pool if n not in g_names and draw(st.booleans())])
+
+    def table(chosen):
+        # 256 is 0 in one byte: a key narrower than the codes would match it to 0
+        cell = [st.sampled_from([c for c in (0, 1, 2, 256, domains[n] - 1) if c < domains[n]])
+                for n in chosen]
+        keys = draw(st.sets(st.tuples(*cell), max_size=12))
+        vals = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+        return SparseFactor(tuple(Variable(n, domains[n]) for n in chosen),
+                            {k: draw(vals) for k in sorted(keys)})
+
+    return layout, table(f_names), table(g_names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(match_pairs())
+def test_matches_agree_with_a_dict_reference(drawn):
+    """Each f row's run is the g rows that agree with it on the shared
+    names, in g's order; only scattered shared columns sort g."""
+    layout, f, g = drawn
+    lo, hi, g_rows, g_only = matches(f, g)
+    got = [list(range(a, b)) if g_rows is None else g_rows[a:b].tolist()
+           for a, b in zip(lo.tolist(), hi.tolist())]
+    g_keys = [k for k, _ in g.items()]
+    want = []
+    for key, _ in f.items():
+        a = dict(zip(f.names, key))
+        want.append([j for j, b in enumerate(g_keys)
+                     if all(a.get(n, x) == x for n, x in zip(g.names, b))])
+    assert got == want
+    assert g_only == [j for j, n in enumerate(g.names) if n not in f.names]
+    assert (g_rows is not None) == (layout == "scattered")
 
 
 @pytest.mark.parametrize("top", [255, 256, 65535, 65536])

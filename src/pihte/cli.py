@@ -164,13 +164,13 @@ def _max_discrepancy(a, b):
 
 
 def cmd_oracle(args) -> int:
-    if args.suite < 0:
-        raise ValueError(f"--suite must be >= 0, got {args.suite}")
+    if args.suite is not None and args.suite < 1:
+        raise ValueError(f"--suite must be >= 1, got {args.suite}")
     if not 0 <= args.tolerance < math.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.dense_limit < 1:
         raise ValueError(f"--dense-limit must be >= 1, got {args.dense_limit}")
-    if args.suite:
+    if args.suite is not None:
         for option, given in (("--do", args.do), ("--decomposition", args.decomposition)):
             if given:
                 raise ValueError(f"{option} does not apply to --suite: "
@@ -205,7 +205,7 @@ def cmd_oracle(args) -> int:
                              "raised": side, "error": str(exc)})
             continue
         if raised:
-            if not args.suite:
+            if args.suite is None:
                 raise raised["engine"]  # exit 3, as `estimate` does
             continue
         max_abs, rel = _max_discrepancy(got, want)
@@ -213,7 +213,7 @@ def cmd_oracle(args) -> int:
         worst_rel = max(worst_rel, rel)
         if rel > args.tolerance:
             failures.append({"seed": case.seed, "estimand": case.estimand, "rel": rel})
-    if args.suite:
+    if args.suite is not None:
         report = {"instances": args.suite, "failures": failures}
     else:
         report = {"max_abs_discrepancy": worst_abs, "pass": not failures}
@@ -307,14 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--do", default="")
     p.add_argument("--dense-limit", type=int, default=10**6)
-    p.add_argument("--suite", type=int, default=0, help="run N random instances")
+    p.add_argument("--suite", type=int, help="run N random instances")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="draw a random CBN and sample a dataset")
     p.add_argument("--graph", required=True)
-    p.add_argument("--dist", choices=("uniform", "dirichlet", "deterministic", "mixture"),
-                   default="dirichlet")
+    p.add_argument("--dist", choices=simulate.DISTS, default="dirichlet")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rows", type=int, default=1000)
@@ -327,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--do", default="")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--sizes", default="")
-    p.add_argument("--dist", choices=("uniform", "dirichlet", "deterministic", "mixture"),
-                   default="dirichlet")
+    p.add_argument("--dist", choices=simulate.DISTS, default="dirichlet")
     p.add_argument("--alpha", type=float, default=1.0)
     p.set_defaults(func=cmd_bench)
 

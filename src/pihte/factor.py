@@ -10,8 +10,9 @@ they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
 the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
 2016) as array kernels over `row_keys`, each row one big-endian byte key:
-every join finds its partners by one binary search, `matches`, whose runs a
-product expands, `join_size` counts and the engine's support check and
+every join aligns its two scopes, checks their shared domains and finds its
+partners in one place, `matches`, a binary search whose runs a product
+expands, `join_size` counts and the engine's support check and
 renormalization read, and a marginal sums each group found by a sort. The
 algebra knows nothing of ratios: the engine checks each denominator's
 support once per level, before any product.
@@ -164,44 +165,35 @@ def unit_factor() -> SparseFactor:
     return SparseFactor((), {(): 1.0})
 
 
-def _merged_scope(f: SparseFactor, g: SparseFactor):
-    """The union scope in canonical order; f's or g's own scope tuple, the
-    same object, when that scope holds the other's."""
-    by_name = {v.name: v for v in f.scope}
-    for v in g.scope:
-        prior = by_name.setdefault(v.name, v)
-        if prior.domain_size != v.domain_size:
-            raise ScopeConflict(
-                f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}"
-            )
-    if len(by_name) == len(f.scope):  # g adds no name; f's scope is in order
-        return f.scope
-    if len(by_name) == len(g.scope):  # f adds no name
-        return g.scope
-    return tuple(sorted(by_name.values(), key=lambda v: name_key(v.name)))
-
-
 def matches(f: SparseFactor, g: SparseFactor):
     """For each row of f, the run of g's rows that agree with it on their
     shared variables, in g's canonical order: for f's row i, g's rows
     `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None. `g_only`
-    lists g's other columns. The shared columns are `row_keys` at the width
-    of the wider code dtype; g's keys are sorted when its shared columns lead
-    its scope, else one stable argsort sorts them into `g_rows`. Two binary
+    lists g's other columns; a shared name whose domains differ raises
+    ScopeConflict. The shared columns are `row_keys` at the width of the
+    wider code dtype; g's keys are sorted when its shared columns lead its
+    scope, else one stable argsort sorts them into `g_rows`. Two binary
     searches bound each run; with nothing shared, each f row meets all of g.
     """
     f_pos = {n: i for i, n in enumerate(f.names)}
-    g_shared = [j for j, n in enumerate(g.names) if n in f_pos]
-    g_only = []  # g's other columns, none when f holds all of g's
-    if len(g_shared) < len(g.names):
-        g_only = [j for j, n in enumerate(g.names) if n not in f_pos]
+    f_shared, g_shared, g_only = [], [], []
+    for j, v in enumerate(g.scope):
+        i = f_pos.get(v.name)
+        if i is None:
+            g_only.append(j)
+            continue
+        prior = f.scope[i]  # mostly v itself: scopes share `model._variable`'s objects
+        if prior is not v and prior.domain_size != v.domain_size:
+            raise ScopeConflict(f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}")
+        f_shared.append(i)
+        g_shared.append(j)
     top = (1 << 8 * max(f.codes.itemsize, g.codes.itemsize)) - 1  # the wider dtype's bytes
     keys = row_keys(take_columns(g.codes, g_shared), top)
     g_rows = None
     if g_only and g_only[0] < len(g_shared):  # g's shared columns do not lead its scope
         g_rows = np.argsort(keys, kind="stable")
         keys = keys[g_rows]
-    probe = row_keys(take_columns(f.codes, [f_pos[g.names[j]] for j in g_shared]), top)
+    probe = row_keys(take_columns(f.codes, f_shared), top)
     lo = np.searchsorted(keys, probe, "left")
     return lo, np.searchsorted(keys, probe, "right"), g_rows, g_only
 
@@ -221,13 +213,13 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     exists iff both projections exist, so multiplication is absorbing
     relative to zero.
 
-    The operand whose scope holds the other's, else f, probes the other
-    through `matches` (Yannakakis, VLDB 1981) and is repeated once per
-    partner. When the other adds no column, a probe row has one partner at
-    most, and the output is the probe rows that have one, in their order.
+    The wider operand, else f, probes the other through `matches`
+    (Yannakakis, VLDB 1981) and is repeated once per partner; the other's
+    columns follow its own, sorted in only when out of name order. When the
+    other adds no column, a probe row has one partner at most, and the output
+    is the probe rows that have one, in their order.
     """
-    scope = _merged_scope(f, g)
-    if scope is g.scope and scope is not f.scope:  # g's scope holds f's
+    if len(g.scope) > len(f.scope):
         f, g = g, f
     lo, hi, g_rows, g_only = matches(f, g)
     count = hi - lo
@@ -236,7 +228,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         if not count.all():
             hit = count > 0
             codes, values, lo = codes[hit], values[hit], lo[hit]
-        return _trusted_product(scope, codes, values * g.values[lo])
+        return _trusted_product(f.scope, codes, values * g.values[lo])
 
     # output k, the j-th of f row i's, meets g's run row lo[i] + j, in g's canonical order
     f_rows = np.repeat(np.arange(len(f.values)), count)
@@ -246,9 +238,11 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
 
     values = f.values[f_rows] * g.values[rows]
     codes = np.concatenate([f.codes[f_rows], take_columns(g.codes, g_only)[rows]], axis=1)
-    if scope[:len(f.scope)] != f.scope:  # else f's rows, expanded in order, are sorted
-        column = {n: i for i, n in enumerate(f.names + tuple(g.names[j] for j in g_only))}
-        codes = codes[:, [column[v.name] for v in scope]]
+    scope = f.scope + tuple(g.scope[j] for j in g_only)
+    if name_key(g.names[g_only[0]]) < name_key(f.names[-1]):  # else f's rows, expanded, are sorted
+        order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
+        scope = tuple(scope[i] for i in order)
+        codes = codes[:, order]
         _, first = group_ids(codes)
         codes, values = codes[first], values[first]
     return _trusted_product(scope, codes, values)

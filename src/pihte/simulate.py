@@ -18,6 +18,8 @@ from .model import CausalGraph, Dataset, Variable, name_key
 from .factor import SparseFactor, marginalize, product, unit_factor
 
 LATENT_DOMAIN = 2
+# the families `random_cbn` draws each CPT row from
+DISTS = ("dirichlet", "deterministic", "mixture")
 
 
 def expand_bidirected(graph: CausalGraph):
@@ -71,8 +73,6 @@ class CBN:
 
 
 def _cond_dist(rng, k, dist, alpha):
-    if dist == "uniform":
-        return rng.dirichlet(np.ones(k))
     if dist == "dirichlet":
         return rng.dirichlet(np.full(k, alpha))
     if dist == "deterministic":

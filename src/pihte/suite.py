@@ -69,10 +69,8 @@ def _estimand_text(rng, names) -> str:
         {n for t in terms for n in t[2:-1].replace("|", ",").split(",")},
         key=name_key,
     )
-    n_bound = int(rng.integers(1, max(2, len(involved))))
-    bound = list(rng.choice(involved, size=min(n_bound, len(involved) - 1), replace=False))
-    if not bound:
-        bound = involved[:1]
+    n_bound = int(rng.integers(1, len(involved)))
+    bound = list(rng.choice(involved, size=n_bound, replace=False))
     if kind == "nested" and len(bound) >= 2:
         inner, outer = bound[0], bound[1:]
         return (

@@ -206,6 +206,8 @@ def test_bad_decomposition_exit2(capsys, napkin, tmp_path):
     (("oracle", "--do", "Q=0"), "Q"),
     (("estimate", "--do", "X=7"), "X"),   # X has domain 0..2
     (("estimate", "--do", "X=abc"), "X"),  # not an integer
+    (("estimate", "--do", "X"), "X"),      # no value
+    (("oracle", "--do", "=1"), "=1"),      # no name
 ])
 def test_do_outside_contract_exit2(capsys, napkin, argv, name):
     graph, estimand, data = napkin
@@ -309,6 +311,22 @@ def test_missing_data_column_exit2(capsys, napkin, tmp_path):
     assert "no column 'W'" in err
 
 
+@pytest.mark.parametrize("cmd, missing, message", [
+    ("analyze", "--estimand-file", "an estimand is required"),
+    ("estimate", "--estimand-file", "an estimand is required"),
+    ("oracle", "--estimand-file", "an estimand is required"),
+    ("oracle", "--graph", "oracle needs --graph and --data unless --suite is used"),
+    ("oracle", "--data", "oracle needs --graph and --data unless --suite is used"),
+])
+def test_missing_input_exit2(capsys, napkin, cmd, missing, message):
+    graph, estimand, data = napkin
+    given = {"--graph": graph, "--data": data, "--estimand-file": estimand}
+    del given[missing]
+    code, out, err = run(capsys, cmd, *(a for pair in given.items() for a in pair))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_oracle_suite_rejects_do(capsys):
     code, out, err = run(capsys, "oracle", "--suite", "2", "--do", "V0=9")
     assert code == 2
@@ -347,6 +365,7 @@ def test_oracle_suite_rejects_decomposition(capsys, fixture_path):
     (["simulate", "--seed", "-1"], "--seed"),
     (["bench", "--estimand-file", "napkin.estimand", "--sizes", "50", "--seed", "-1"], "--seed"),
     (["oracle", "--suite", "1", "--seed", "-1"], "--seed"),
+    (["oracle", "--suite", "0"], "--suite"),
 ])
 def test_out_of_range_integer_option_exit2(capsys, napkin, argv, option):
     graph, estimand, data = napkin

@@ -150,6 +150,18 @@ def test_product_domain_conflict():
         product(f, g)
 
 
+def test_every_join_checks_shared_domains():
+    """`matches` aligns the scopes for every join, so each caller sees a
+    shared name's two domains, in either order and when each operand has a
+    column of its own."""
+    f = make([("A", 2), ("B", 2)], {(0, 0): 1.0})
+    g = make([("A", 3), ("C", 2)], {(0, 1): 1.0})
+    for x, y in ((f, g), (g, f)):
+        for join in (matches, join_size, product):
+            with pytest.raises(ScopeConflict, match="'A': domain"):
+                join(x, y)
+
+
 def test_marginalize_hand_example():
     f = make([("A", 2), ("B", 2)], {(0, 0): 0.1, (0, 1): 0.2, (1, 1): 0.3})
     m = marginalize(f, {"B"})

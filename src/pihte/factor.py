@@ -9,16 +9,20 @@ keeps its inputs' dtype, or the wider of two. Entries are validated where
 they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
 the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
-2016) as array kernels over `row_keys`, each row one big-endian byte key:
-every join aligns its two scopes, checks their shared domains and finds its
-partners in one place, `matches`, a binary search whose runs a product
-expands, `join_size` counts and the engine's support check and
-renormalization read, and a marginal sums each group found by a sort. The
-algebra knows nothing of ratios: the engine checks each denominator's
-support once per level, before any product.
+2016) as array kernels over `keys`, one sortable key per row: an `int64`
+mixed-radix number when the key's at most 63 domains multiply to at most
+2**63, else big-endian bytes (`row_keys`). Every join aligns its two
+scopes, checks their shared domains and finds its partners in one place,
+`matches`, a binary search whose runs a product expands, `join_size`
+counts and the engine's support check and renormalization read, and a
+marginal sums each group found by a sort. The algebra knows nothing of
+ratios: the engine checks each denominator's support once per level,
+before any product.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,22 +46,47 @@ def row_keys(codes, top):
     if width == 0:
         return np.zeros(n, dtype=np.uint8)
     dtype = code_dtype(top).newbyteorder(">")
-    keys = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
-    return keys.reshape(-1)
+    flat = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
+    return flat.reshape(-1)
 
 
-def group_ids(codes):
-    """Dense group ids of the rows of a non-negative code matrix, numbered in
+def keys(codes, sizes):
+    """Each row of a code matrix as one sortable key, for codes below
+    `sizes`, one domain size per column: sorted keys are rows in
+    lexicographic order, and two matrices encoded at the same sizes give
+    comparable keys. This is the one key rule of the algebra and of
+    `Dataset.group`:
+    - at most 63 columns whose sizes multiply to at most 2**63 (any column
+      of domain 2 or more takes a bit) give one `int64` per row, its
+      mixed-radix number with the first column most significant, which
+      numpy compares as a number;
+    - any other key is `row_keys` at the largest size.
+    A radix of 2**63 can only follow columns of domain 1, whose codes are
+    all 0, so it is taken as 2**63 - 1 there to fit an int64."""
+    span = math.prod(sizes) if len(sizes) < 64 else 1 << 64
+    if span > 1 << 63:
+        return row_keys(codes, max(sizes) - 1)
+    if 0 < len(sizes) <= 4:  # a pass per column costs less than a matrix product
+        key = codes[:, 0].astype(np.int64)
+        for j in range(1, len(sizes)):
+            key *= min(sizes[j], (1 << 63) - 1)
+            key += codes[:, j]
+        return key
+    weights = []
+    for k in sizes:
+        span //= k
+        weights.append(min(span, (1 << 63) - 1))
+    return codes.astype(np.int64) @ np.array(weights, dtype=np.int64)
+
+
+def group_ids(codes, sizes):
+    """Dense group ids of the rows of a code matrix, numbered in
     lexicographic row order, and the index of each group's first row.
 
-    One `np.unique` over the rows' `row_keys`, narrowed to the largest code,
-    sorts and groups every column at once.
+    One `np.unique` over the rows' `keys` at `sizes`, one domain size per
+    column, sorts and groups every column at once.
     """
-    n, width = codes.shape
-    if width == 0:
-        return np.zeros(n, dtype=np.intp), np.zeros(min(n, 1), dtype=np.intp)
-    _, first, ids = np.unique(row_keys(codes, codes.max(initial=0)),
-                              return_index=True, return_inverse=True)
+    _, first, ids = np.unique(keys(codes, sizes), return_index=True, return_inverse=True)
     return ids.reshape(-1), first
 
 
@@ -103,9 +132,11 @@ class SparseFactor:
         if len(set(names)) != len(names):
             raise ScopeConflict(f"repeated variable in scope {names}")
         order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
+        scope = tuple(scope[i] for i in order)
         codes = codes[:, order].astype(code_dtype(sizes.max(initial=1) - 1))
-        _, first = group_ids(codes)  # rows sorted; keys are unique, coming from a mapping
-        self._set(tuple(scope[i] for i in order), codes[first], values[first], 0)
+        # rows sorted; keys are unique, coming from a mapping
+        _, first = group_ids(codes, [v.domain_size for v in scope])
+        self._set(scope, codes[first], values[first], 0)
 
     def _set(self, scope, codes, values, underflow_dropped):
         self.scope = scope
@@ -170,10 +201,11 @@ def matches(f: SparseFactor, g: SparseFactor):
     shared variables, in g's canonical order: for f's row i, g's rows
     `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None. `g_only`
     lists g's other columns; a shared name whose domains differ raises
-    ScopeConflict. The shared columns are `row_keys` at the width of the
-    wider code dtype; g's keys are sorted when its shared columns lead its
-    scope, else one stable argsort sorts them into `g_rows`. Two binary
-    searches bound each run; with nothing shared, each f row meets all of g.
+    ScopeConflict. Both sides' shared columns become `keys` at g's shared
+    domains, so an integer key wherever those fit 63 bits; g's keys are
+    sorted when its shared columns lead its scope, else one stable argsort
+    sorts them into `g_rows`. Two binary searches bound each run; with
+    nothing shared, each f row meets all of g.
     """
     f_pos = {n: i for i, n in enumerate(f.names)}
     f_shared, g_shared, g_only = [], [], []
@@ -187,15 +219,15 @@ def matches(f: SparseFactor, g: SparseFactor):
             raise ScopeConflict(f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}")
         f_shared.append(i)
         g_shared.append(j)
-    top = (1 << 8 * max(f.codes.itemsize, g.codes.itemsize)) - 1  # the wider dtype's bytes
-    keys = row_keys(take_columns(g.codes, g_shared), top)
+    sizes = [g.scope[j].domain_size for j in g_shared]
+    g_keys = keys(take_columns(g.codes, g_shared), sizes)
     g_rows = None
     if g_only and g_only[0] < len(g_shared):  # g's shared columns do not lead its scope
-        g_rows = np.argsort(keys, kind="stable")
-        keys = keys[g_rows]
-    probe = row_keys(take_columns(f.codes, f_shared), top)
-    lo = np.searchsorted(keys, probe, "left")
-    return lo, np.searchsorted(keys, probe, "right"), g_rows, g_only
+        g_rows = np.argsort(g_keys, kind="stable")
+        g_keys = g_keys[g_rows]
+    probe = keys(take_columns(f.codes, f_shared), sizes)
+    lo = np.searchsorted(g_keys, probe, "left")
+    return lo, np.searchsorted(g_keys, probe, "right"), g_rows, g_only
 
 
 def join_size(f: SparseFactor, g: SparseFactor) -> int:
@@ -243,7 +275,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
         scope = tuple(scope[i] for i in order)
         codes = codes[:, order]
-        _, first = group_ids(codes)
+        _, first = group_ids(codes, [v.domain_size for v in scope])
         codes, values = codes[first], values[first]
     return _trusted_product(scope, codes, values)
 
@@ -267,7 +299,7 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
         return f
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
     kept_codes = take_columns(f.codes, keep)
-    ids, first = group_ids(kept_codes)
+    ids, first = group_ids(kept_codes, [f.scope[i].domain_size for i in keep])
     sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
     kept = np.abs(sums) >= UNDERFLOW_FLOOR
     return SparseFactor.trusted(

@@ -20,7 +20,7 @@ from .errors import (
 
 _NUM_RE = re.compile(r"(\d+)")
 # `Dataset.group` relabels a key with a boolean array while it has at most
-# this many slots per row; a wider key (a huge domain) is sorted instead.
+# this many slots per row; a wider key is sorted instead.
 _RELABEL_SLOTS = 16
 
 
@@ -216,36 +216,48 @@ class Dataset:
 
         Results are memoised per column tuple asked for; a miss starts from
         the longest cached prefix, the trie over a variable order of Leapfrog
-        Triejoin (Veldhuizen, ICDT 2014), and adds one column of domain k at
-        a time: the key `ids * k + cell` orders rows as (prefix, cell) does,
-        and one boolean array over the `count * k` possible keys and its
-        `cumsum` relabel it densely without a sort. Keys that would need
-        more than `_RELABEL_SLOTS` slots per row are grouped by
-        `factor.group_ids`. The memo keeps each id array in the
-        `code_dtype` of `count - 1`, widened to intp again before it is
-        multiplied.
+        Triejoin (Veldhuizen, ICDT 2014). Each step adds as many columns as
+        fit one `int64` key behind the prefix's `count` groups: the prefix id
+        is the most significant digit of the columns' `factor.keys`, so the
+        key orders rows as the longer prefix does. A key of at most
+        `_RELABEL_SLOTS` slots per row is relabelled densely without a sort,
+        by marking its slots in one array and a `cumsum` over it; a wider
+        one is grouped by `factor.group_ids`, a sort, which also takes a
+        column whose domain alone carries the key past 63 bits, as bytes.
+        The memo keeps each id array in the `code_dtype` of `count - 1`.
         """
         columns = tuple(columns)
         hit = self._groups.get(columns)
         if hit is not None:
             return hit
+        from .factor import group_ids, keys, take_columns
+
         known = len(columns) - 1
         while columns[:known] not in self._groups:
             known -= 1
         ids, count = self._groups[columns[:known]]
-        for name in columns[known:]:
-            cell = self.cells[:, self.column_index(name)]
-            k = self.domains[name]
-            if count * k <= _RELABEL_SLOTS * max(len(ids), 1):
-                key = np.multiply(ids, k, dtype=np.intp)
-                key += cell
-                seen = np.zeros(count * k, dtype=bool)
-                seen[key] = True
-                label = np.cumsum(seen) - 1
-                ids, count = label[key], int(np.count_nonzero(seen))
+        while known < len(columns):
+            step, sizes, width = [], [], 1
+            for name in columns[known:]:
+                k = self.domains[name]
+                if sizes and (len(sizes) == 62 or count * width * k > 1 << 63):
+                    break  # the prefix id and these columns fill one key
+                step.append(self.column_index(name))
+                sizes.append(k)
+                width *= k
+            known += len(step)
+            cells = take_columns(self.cells, step)
+            if count * width <= _RELABEL_SLOTS * max(len(ids), 1):
+                key = keys(cells, sizes)  # behind the prefix id, the most significant digit
+                key += np.multiply(ids, width, dtype=np.int64)
+                label = np.zeros(count * width, dtype=np.intp)
+                label[key] = 1
+                np.cumsum(label, out=label)  # each seen key's rank, from 1
+                ids = label[key]
+                ids -= 1
+                count = int(label[-1]) if len(label) else 0
             else:
-                from .factor import group_ids
-                ids, first = group_ids(np.column_stack([ids, cell]))
+                ids, first = group_ids(np.column_stack([ids, cells]), [count] + sizes)
                 count = len(first)
         ids = ids.astype(code_dtype(count - 1), copy=False)
         ids.flags.writeable = False

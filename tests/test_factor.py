@@ -11,13 +11,14 @@ from pihte.factor import (
     SparseFactor,
     invert,
     join_size,
+    keys,
     marginalize,
     matches,
     product,
     row_keys,
     unit_factor,
 )
-from pihte.model import Dataset, Variable, empirical_prob, name_key
+from pihte.model import Dataset, Variable, code_dtype, empirical_prob, name_key
 
 
 def make(scope_spec, entries):
@@ -370,6 +371,13 @@ def test_matches_agree_with_a_dict_reference(drawn):
     """Each f row's run is the g rows that agree with it on the shared
     names, in g's order; only scattered shared columns sort g."""
     layout, f, g = drawn
+    assert_runs(f, g)
+    assert (matches(f, g)[2] is not None) == (layout == "scattered")
+
+
+def assert_runs(f, g):
+    """`matches(f, g)` gives each f row the g rows that agree with it on
+    the shared names, in g's order, and lists g's other columns."""
     lo, hi, g_rows, g_only = matches(f, g)
     got = [list(range(a, b)) if g_rows is None else g_rows[a:b].tolist()
            for a, b in zip(lo.tolist(), hi.tolist())]
@@ -381,7 +389,48 @@ def test_matches_agree_with_a_dict_reference(drawn):
                      if all(a.get(n, x) == x for n, x in zip(g.names, b))])
     assert got == want
     assert g_only == [j for j, n in enumerate(g.names) if n not in f.names]
-    assert (g_rows is not None) == (layout == "scattered")
+
+
+@st.composite
+def wide_pairs(draw):
+    """f and g sharing 62 to 66 binary columns S0, S1, ...: their shared
+    keys are integers up to 63 columns and bytes from 64. g may add A,
+    which sorts before the shared columns (so g sorts its keys and a
+    product re-sorts its rows), and T after them; f may add B and U. Rows
+    draw their shared cells from a few patterns, so that runs meet."""
+    width = draw(st.sampled_from([62, 63, 64, 66]))
+    shared = [f"S{i}" for i in range(width)]
+    patterns = draw(st.lists(st.tuples(*[st.integers(0, 1)] * width), min_size=1, max_size=3))
+
+    def table(extra):
+        rows = draw(st.lists(st.tuples(st.sampled_from(patterns),
+                                       st.tuples(*[st.integers(0, 1)] * len(extra))),
+                             max_size=8))
+        vals = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+        return make([(n, 2) for n in shared + extra],
+                    {cells + own: draw(vals) for cells, own in sorted(set(rows))})
+
+    f = table([n for n in ("B", "U") if draw(st.booleans())])
+    g = table([n for n in ("A", "T") if draw(st.booleans())])
+    return width, f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_pairs(), st.data())
+def test_byte_keys_agree_with_a_dict_reference(drawn, data):
+    """Past 63 bits of shared domains, the byte keys give every join and
+    marginal the entries, and the order, of the dict reference."""
+    width, f, g = drawn
+    key_kind = keys(np.zeros((1, width), dtype=np.uint8), [2] * width).dtype.kind
+    assert key_kind == ("V" if width >= 64 else "i")
+    for x, y in ((f, g), (g, f)):
+        assert_runs(x, y)
+        assert_matches(product(x, y), ref_product(x, y))
+    h = product(f, g)
+    assert join_size(f, g) == join_size(g, f) == h.tightness
+    out = set(data.draw(st.lists(st.sampled_from(("A", "B", "T", "U", "S0", "S1")),
+                                 unique=True, max_size=3))) & set(h.names)
+    assert_matches(marginalize(h, out), ref_marginalize(h, out), rel=MARGINAL_REL)
 
 
 @pytest.mark.parametrize("top", [255, 256, 65535, 65536])
@@ -504,3 +553,69 @@ def test_row_keys_of_a_contiguous_byte_matrix_are_a_view():
     wide = codes.astype(np.uint16)
     assert not np.shares_memory(row_keys(wide, 3), wide)
     assert np.array_equal(row_keys(wide, 3), keys)  # the same keys from either dtype
+
+
+# -- keys -------------------------------------------------------------------
+
+
+def tuple_ranks(codes):
+    """Each row's rank among the distinct rows, compared as Python tuples."""
+    rows = list(map(tuple, codes.tolist()))
+    rank = {row: i for i, row in enumerate(sorted(set(rows)))}
+    return [rank[row] for row in rows]
+
+
+def key_ranks(k):
+    """Each key's rank among the distinct keys, in numpy's order."""
+    return np.unique(k, return_inverse=True)[1].reshape(-1).tolist()
+
+
+@st.composite
+def code_matrices(draw):
+    """Up to 12 rows over up to 4 columns whose domains multiply to either
+    side of 2**63; each cell is 0, 1, about half its domain or its top."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 256, 300, 2**31, 2**32, 2**62, 2**63 - 1]),
+                          max_size=4))
+    cell = [st.sampled_from(sorted({0, min(1, k - 1), k // 2, k - 1})) for k in sizes]
+    rows = draw(st.lists(st.tuples(*cell), max_size=12))
+    codes = np.array(rows, dtype=code_dtype(max(sizes, default=1) - 1))
+    return codes.reshape(len(rows), len(sizes)), sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_matrices())
+def test_keys_order_rows_as_tuples_and_row_keys_do(drawn):
+    """A key of up to 4 columns is an int64 exactly when the domains
+    multiply to at most 2**63; either way, keys order and equate rows as
+    Python tuples and `row_keys` do, also when two halves are encoded
+    apart."""
+    codes, sizes = drawn
+    got = keys(codes, sizes)
+    assert (got.dtype == np.int64) == (math.prod(sizes) <= 2**63)
+    assert key_ranks(got) == tuple_ranks(codes)
+    half = len(codes) // 2
+    parts = np.concatenate([keys(codes[:half], sizes), keys(codes[half:], sizes)])
+    assert key_ranks(parts) == tuple_ranks(codes)
+    if sizes:
+        assert key_ranks(row_keys(codes, max(sizes) - 1)) == tuple_ranks(codes)
+
+
+@pytest.mark.parametrize("sizes, integer", [
+    ([2**32, 2**31], True),  # exactly 2**63: the top row is 2**63 - 1
+    ([1, 2**32, 2**31], True),  # the same under a column of domain 1
+    ([2**32, 2**31 + 1], False),  # just past it
+    ([2**63 - 1], True),  # one int64 column
+    ([2] * 63, True),
+    ([2] * 64, False),
+    ([1] * 64, False),  # more than 63 columns take bytes whatever their domains
+])
+def test_keys_at_the_63_bit_limit(sizes, integer):
+    rng = np.random.default_rng(0)
+    rows = [[k - 1 for k in sizes], [0] * len(sizes)]
+    rows += [[int(rng.choice([0, k // 2, k - 1])) for k in sizes] for _ in range(40)]
+    codes = np.array(rows + rows[::3], dtype=code_dtype(max(sizes) - 1))
+    got = keys(codes, sizes)
+    assert (got.dtype == np.int64) == integer
+    if integer:
+        assert got[0] == math.prod(sizes) - 1 and got[1] == 0
+    assert key_ranks(got) == tuple_ranks(codes) == key_ranks(row_keys(codes, max(sizes) - 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pihte import model
+from pihte import factor, model
 from pihte.cli import main
 from pihte.errors import (
     CycleError,
@@ -445,22 +445,30 @@ def test_binding_matches_dict_reference(data, seq):
         assert (ids.tolist(), count) == ([rank[key] for key in cells], len(rank))
 
 
+def assert_groups_like_unique(data, columns):
+    """`data.group(columns)` numbers the rows as `np.unique` over their cells
+    does, and keeps its ids in the narrowest unsigned dtype that holds them."""
+    ids, count = data.group(columns)
+    cells = data.cells[:, [data.columns.index(c) for c in columns]]
+    unique, inverse = np.unique(cells, axis=0, return_inverse=True)
+    assert count == len(unique)
+    assert np.array_equal(ids, inverse.reshape(-1))
+    want = np.uint8 if count <= 1 << 8 else np.uint16 if count <= 1 << 16 else np.uint32
+    assert ids.dtype == want, columns
+
+
 def test_group_ids_are_narrow_and_exact_across_dtype_limits():
     # 70,000 rows: A alone has 300 groups (past 2**8), and A,B has 70,000
     # (past 2**16), built from A's cached uint16 ids, which must be widened
-    # before `ids * k`; D's domain of 10**6 takes the sorting path
+    # before `ids * k`; D's domain of 10**6 takes the sorting path. C,A,B
+    # adds A and B to C's ids in one relabelled key, and B,C,D adds three
+    # columns to no prefix in one sorted key
     i = np.arange(70_000)
     rows = np.column_stack([i % 300, (i // 300) % 300, i % 7, (i * 13) % 10**6])
     data = Dataset(("A", "B", "C", "D"), rows, {"A": 300, "B": 300, "C": 7, "D": 10**6})
     for columns in [("C",), ("A",), ("A", "B"), ("A", "B", "C"), ("D",), ("C", "D"),
-                    ("A", "C")]:
-        ids, count = data.group(columns)
-        cells = data.cells[:, [data.columns.index(c) for c in columns]]
-        unique, inverse = np.unique(cells, axis=0, return_inverse=True)
-        assert count == len(unique)
-        assert np.array_equal(ids, inverse.reshape(-1))
-        want = np.uint8 if count <= 1 << 8 else np.uint16 if count <= 1 << 16 else np.uint32
-        assert ids.dtype == want, columns
+                    ("A", "C"), ("C", "A", "B"), ("B", "C", "D")]:
+        assert_groups_like_unique(data, columns)
     f = empirical_prob(data, ("B", "C"), ("A",))
     names, entries = ref_prob(data, ("B", "C"), ("A",))
     assert f.names == names
@@ -471,3 +479,52 @@ def test_group_of_no_columns_is_one_group():
     d = Dataset(("A",), [(1,), (0,), (1,)], {"A": 2})
     ids, count = d.group(())
     assert (ids.tolist(), count) == ([0, 0, 0], 1)
+
+
+@pytest.mark.parametrize("domain, relabelled", [(2, True), (50, False)])
+def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, relabelled):
+    """A miss after A adds B, C and D in one step: 3 * 2**3 keys of 1,000
+    rows are relabelled through a boolean array, 50**4 are sorted by
+    `factor.group_ids`."""
+    rng = np.random.default_rng(0)
+    domains = {"A": domain, "B": domain, "C": domain, "D": domain}
+    data = Dataset(tuple(domains), rng.integers(0, domain, (1000, 4)), domains)
+    assert_groups_like_unique(data, ("A",))
+    with mock.patch("pihte.factor.keys", wraps=factor.keys) as keys, \
+            mock.patch("pihte.factor.group_ids", wraps=factor.group_ids) as group_ids:
+        assert_groups_like_unique(data, ("A", "B", "C", "D"))
+    if relabelled:
+        assert group_ids.call_count == 0
+        assert [c.args[1] for c in keys.call_args_list] == [[domain] * 3]
+    else:
+        assert [c.args[1][1:] for c in group_ids.call_args_list] == [[domain] * 3]
+
+
+@pytest.mark.parametrize("prefix_groups, integer", [(2, True), (3, False)])
+def test_group_past_63_bits_takes_byte_keys(prefix_groups, integer):
+    """B's domain of 2**62 behind A's 2 groups is a key of exactly 2**63
+    values, an int64; behind 3 groups it is bytes, through
+    `factor.group_ids`."""
+    domains = {"A": prefix_groups, "B": 2**62}
+    rows = [(a, b) for a in range(prefix_groups) for b in (2**62 - 1, 0, 5, 2**61)] * 2
+    data = Dataset(("A", "B"), rows, domains)
+    assert_groups_like_unique(data, ("A",))
+    original, made = factor.keys, []
+
+    def recorded(codes, sizes):
+        key = original(codes, sizes)
+        made.append((list(sizes), key.dtype))
+        return key
+
+    with mock.patch("pihte.factor.keys", recorded):
+        assert_groups_like_unique(data, ("A", "B"))
+    assert [sizes for sizes, _ in made] == [[prefix_groups, 2**62]]
+    assert (made[0][1] == np.int64) == integer
+
+
+def test_group_of_more_columns_than_one_key_holds():
+    """A key holds at most 63 digits, so 70 columns of domain 1 are grouped
+    in two steps, the second behind the first's one group."""
+    columns = tuple(f"V{i}" for i in range(70))
+    data = Dataset(columns, [(0,) * 70] * 3, {c: 1 for c in columns})
+    assert_groups_like_unique(data, columns)

@@ -9,15 +9,15 @@ keeps its inputs' dtype, or the wider of two. Entries are validated where
 they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
 the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
-2016) as array kernels over `keys`, one sortable key per row: an `int64`
-mixed-radix number when the key's at most 63 domains multiply to at most
-2**63, else big-endian bytes (`row_keys`). Every join aligns its two
-scopes, checks their shared domains and finds its partners in one place,
-`matches`, a binary search whose runs a product expands, `join_size`
-counts and the engine's support check and renormalization read, and a
-marginal sums each group found by a sort. The algebra knows nothing of
-ratios: the engine checks each denominator's support once per level,
-before any product.
+2016) as array kernels over sortable row keys, one per row by the
+`key_rule` of the key's domains: an `int64` mixed-radix number when at most
+63 domains multiply to at most 2**63, else big-endian bytes (`row_keys`).
+Every join aligns its two scopes, checks their shared domains and finds its
+partners in one place, `matches`, a binary search whose runs a product
+expands, `join_size` counts and the engine's support check and
+renormalization read, and a marginal sums each group found by a sort. The
+algebra knows nothing of ratios: the engine checks each denominator's
+support once per level, before any product.
 """
 
 from __future__ import annotations
@@ -50,43 +50,41 @@ def row_keys(codes, top):
     return flat.reshape(-1)
 
 
-def keys(codes, sizes):
-    """Each row of a code matrix as one sortable key, for codes below
-    `sizes`, one domain size per column: sorted keys are rows in
-    lexicographic order, and two matrices encoded at the same sizes give
-    comparable keys. This is the one key rule of the algebra and of
-    `Dataset.group`:
-    - at most 63 columns whose sizes multiply to at most 2**63 (any column
+def key_rule(sizes):
+    """The one key rule of the algebra: for code matrices whose columns have
+    domain `sizes`, the function that turns one into a sortable key per row.
+    Sorted keys are rows in lexicographic order, and any two matrices
+    encoded by one rule give comparable keys.
+    - At most 63 columns whose sizes multiply to at most 2**63 (any column
       of domain 2 or more takes a bit) give one `int64` per row, its
       mixed-radix number with the first column most significant, which
-      numpy compares as a number;
-    - any other key is `row_keys` at the largest size.
-    A radix of 2**63 can only follow columns of domain 1, whose codes are
-    all 0, so it is taken as 2**63 - 1 there to fit an int64."""
+      numpy compares as a number: a column's own code for one column, else
+      one matrix product with the columns' place values.
+    - Any other key is `row_keys` at the largest size.
+    A place value of 2**63 can only lead columns of domain 1, whose codes
+    are all 0, so it is taken as 2**63 - 1 there to fit an int64."""
     span = math.prod(sizes) if len(sizes) < 64 else 1 << 64
     if span > 1 << 63:
-        return row_keys(codes, max(sizes) - 1)
-    if 0 < len(sizes) <= 4:  # a pass per column costs less than a matrix product
-        key = codes[:, 0].astype(np.int64)
-        for j in range(1, len(sizes)):
-            key *= min(sizes[j], (1 << 63) - 1)
-            key += codes[:, j]
-        return key
+        top = max(sizes) - 1
+        return lambda codes: row_keys(codes, top)
+    if len(sizes) == 1:
+        return lambda codes: codes[:, 0].astype(np.int64)
     weights = []
     for k in sizes:
         span //= k
         weights.append(min(span, (1 << 63) - 1))
-    return codes.astype(np.int64) @ np.array(weights, dtype=np.int64)
+    weights = np.array(weights, dtype=np.int64)
+    return lambda codes: codes.astype(np.int64) @ weights
 
 
 def group_ids(codes, sizes):
     """Dense group ids of the rows of a code matrix, numbered in
     lexicographic row order, and the index of each group's first row.
 
-    One `np.unique` over the rows' `keys` at `sizes`, one domain size per
-    column, sorts and groups every column at once.
+    One `np.unique` over the rows' keys by the `key_rule` of `sizes`, one
+    domain size per column, sorts and groups every column at once.
     """
-    _, first, ids = np.unique(keys(codes, sizes), return_index=True, return_inverse=True)
+    _, first, ids = np.unique(key_rule(sizes)(codes), return_index=True, return_inverse=True)
     return ids.reshape(-1), first
 
 
@@ -140,7 +138,7 @@ class SparseFactor:
 
     def _set(self, scope, codes, values, underflow_dropped):
         self.scope = scope
-        self.names = tuple(v.name for v in scope)
+        self.names = tuple([v.name for v in scope])  # a list builds it in half the time
         self.codes = codes
         self.values = values
         self.underflow_dropped = int(underflow_dropped)
@@ -201,14 +199,14 @@ def matches(f: SparseFactor, g: SparseFactor):
     shared variables, in g's canonical order: for f's row i, g's rows
     `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None. `g_only`
     lists g's other columns; a shared name whose domains differ raises
-    ScopeConflict. Both sides' shared columns become `keys` at g's shared
-    domains, so an integer key wherever those fit 63 bits; g's keys are
-    sorted when its shared columns lead its scope, else one stable argsort
-    sorts them into `g_rows`. Two binary searches bound each run; with
-    nothing shared, each f row meets all of g.
+    ScopeConflict. Both sides' shared columns are encoded by one `key_rule`
+    of g's shared domains, so an integer key wherever those fit 63 bits;
+    g's keys are sorted when its shared columns lead its scope, else one
+    stable argsort sorts them into `g_rows`. Two binary searches bound each
+    run; with nothing shared, each f row meets all of g.
     """
     f_pos = {n: i for i, n in enumerate(f.names)}
-    f_shared, g_shared, g_only = [], [], []
+    f_shared, g_shared, g_only, sizes = [], [], [], []
     for j, v in enumerate(g.scope):
         i = f_pos.get(v.name)
         if i is None:
@@ -219,13 +217,14 @@ def matches(f: SparseFactor, g: SparseFactor):
             raise ScopeConflict(f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}")
         f_shared.append(i)
         g_shared.append(j)
-    sizes = [g.scope[j].domain_size for j in g_shared]
-    g_keys = keys(take_columns(g.codes, g_shared), sizes)
+        sizes.append(v.domain_size)
+    encode = key_rule(sizes)
+    g_keys = encode(take_columns(g.codes, g_shared))
     g_rows = None
     if g_only and g_only[0] < len(g_shared):  # g's shared columns do not lead its scope
         g_rows = np.argsort(g_keys, kind="stable")
         g_keys = g_keys[g_rows]
-    probe = keys(take_columns(f.codes, f_shared), sizes)
+    probe = encode(take_columns(f.codes, f_shared))
     lo = np.searchsorted(g_keys, probe, "left")
     return lo, np.searchsorted(g_keys, probe, "right"), g_rows, g_only
 
@@ -298,12 +297,13 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     if not out:
         return f
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
+    scope = tuple([f.scope[i] for i in keep])
     kept_codes = take_columns(f.codes, keep)
-    ids, first = group_ids(kept_codes, [f.scope[i].domain_size for i in keep])
+    ids, first = group_ids(kept_codes, [v.domain_size for v in scope])
     sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
     kept = np.abs(sums) >= UNDERFLOW_FLOOR
     return SparseFactor.trusted(
-        tuple(f.scope[i] for i in keep), kept_codes[first[kept]], sums[kept],
+        scope, kept_codes[first[kept]], sums[kept],
         underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
     )
 

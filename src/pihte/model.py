@@ -217,39 +217,42 @@ class Dataset:
         Results are memoised per column tuple asked for; a miss starts from
         the longest cached prefix, the trie over a variable order of Leapfrog
         Triejoin (Veldhuizen, ICDT 2014). Each step adds as many columns as
-        fit one `int64` key behind the prefix's `count` groups: the prefix id
-        is the most significant digit of the columns' `factor.keys`, so the
+        fit one `int64` key behind the prefix's `count` groups, a digit per
+        column of domain k (`key * k + cell`) after the prefix id, so the
         key orders rows as the longer prefix does. A key of at most
         `_RELABEL_SLOTS` slots per row is relabelled densely without a sort,
         by marking its slots in one array and a `cumsum` over it; a wider
-        one is grouped by `factor.group_ids`, a sort, which also takes a
-        column whose domain alone carries the key past 63 bits, as bytes.
-        The memo keeps each id array in the `code_dtype` of `count - 1`.
+        one is grouped by `np.unique`. A column whose domain alone carries
+        the key past 63 bits is grouped with the prefix id by
+        `factor.group_ids`, as bytes. The memo keeps each id array in the
+        `code_dtype` of `count - 1`.
         """
         columns = tuple(columns)
         hit = self._groups.get(columns)
         if hit is not None:
             return hit
-        from .factor import group_ids, keys, take_columns
-
         known = len(columns) - 1
         while columns[:known] not in self._groups:
             known -= 1
         ids, count = self._groups[columns[:known]]
         while known < len(columns):
-            step, sizes, width = [], [], 1
+            key, width, start = ids.astype(np.int64), 1, known
             for name in columns[known:]:
                 k = self.domains[name]
-                if sizes and (len(sizes) == 62 or count * width * k > 1 << 63):
-                    break  # the prefix id and these columns fill one key
-                step.append(self.column_index(name))
-                sizes.append(k)
+                if count * width * k > 1 << 63:
+                    break  # the prefix id and these columns fill one int64 key
+                key *= k
+                key += self.cells[:, self.column_index(name)]
                 width *= k
-            known += len(step)
-            cells = take_columns(self.cells, step)
-            if count * width <= _RELABEL_SLOTS * max(len(ids), 1):
-                key = keys(cells, sizes)  # behind the prefix id, the most significant digit
-                key += np.multiply(ids, width, dtype=np.int64)
+                known += 1
+            if known == start:  # this column's domain alone passes 63 bits
+                from .factor import group_ids
+                name = columns[known]
+                cell = self.cells[:, self.column_index(name)]
+                ids, first = group_ids(np.column_stack([ids, cell]), [count, self.domains[name]])
+                count = len(first)
+                known += 1
+            elif count * width <= _RELABEL_SLOTS * max(len(ids), 1):
                 label = np.zeros(count * width, dtype=np.intp)
                 label[key] = 1
                 np.cumsum(label, out=label)  # each seen key's rank, from 1
@@ -257,8 +260,8 @@ class Dataset:
                 ids -= 1
                 count = int(label[-1]) if len(label) else 0
             else:
-                ids, first = group_ids(np.column_stack([ids, cells]), [count] + sizes)
-                count = len(first)
+                uniques, ids = np.unique(key, return_inverse=True)
+                count = len(uniques)
         ids = ids.astype(code_dtype(count - 1), copy=False)
         ids.flags.writeable = False
         self._groups[columns] = (ids, count)

@@ -11,7 +11,7 @@ from pihte.factor import (
     SparseFactor,
     invert,
     join_size,
-    keys,
+    key_rule,
     marginalize,
     matches,
     product,
@@ -421,7 +421,7 @@ def test_byte_keys_agree_with_a_dict_reference(drawn, data):
     """Past 63 bits of shared domains, the byte keys give every join and
     marginal the entries, and the order, of the dict reference."""
     width, f, g = drawn
-    key_kind = keys(np.zeros((1, width), dtype=np.uint8), [2] * width).dtype.kind
+    key_kind = key_rule([2] * width)(np.zeros((1, width), dtype=np.uint8)).dtype.kind
     assert key_kind == ("V" if width >= 64 else "i")
     for x, y in ((f, g), (g, f)):
         assert_runs(x, y)
@@ -588,13 +588,14 @@ def test_keys_order_rows_as_tuples_and_row_keys_do(drawn):
     """A key of up to 4 columns is an int64 exactly when the domains
     multiply to at most 2**63; either way, keys order and equate rows as
     Python tuples and `row_keys` do, also when two halves are encoded
-    apart."""
+    apart by one rule."""
     codes, sizes = drawn
-    got = keys(codes, sizes)
+    encode = key_rule(sizes)
+    got = encode(codes)
     assert (got.dtype == np.int64) == (math.prod(sizes) <= 2**63)
     assert key_ranks(got) == tuple_ranks(codes)
     half = len(codes) // 2
-    parts = np.concatenate([keys(codes[:half], sizes), keys(codes[half:], sizes)])
+    parts = np.concatenate([encode(codes[:half]), encode(codes[half:])])
     assert key_ranks(parts) == tuple_ranks(codes)
     if sizes:
         assert key_ranks(row_keys(codes, max(sizes) - 1)) == tuple_ranks(codes)
@@ -614,7 +615,7 @@ def test_keys_at_the_63_bit_limit(sizes, integer):
     rows = [[k - 1 for k in sizes], [0] * len(sizes)]
     rows += [[int(rng.choice([0, k // 2, k - 1])) for k in sizes] for _ in range(40)]
     codes = np.array(rows + rows[::3], dtype=code_dtype(max(sizes) - 1))
-    got = keys(codes, sizes)
+    got = key_rule(sizes)(codes)
     assert (got.dtype == np.int64) == integer
     if integer:
         assert got[0] == math.prod(sizes) - 1 and got[1] == 0

@@ -483,48 +483,51 @@ def test_group_of_no_columns_is_one_group():
 
 @pytest.mark.parametrize("domain, relabelled", [(2, True), (50, False)])
 def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, relabelled):
-    """A miss after A adds B, C and D in one step: 3 * 2**3 keys of 1,000
-    rows are relabelled through a boolean array, 50**4 are sorted by
-    `factor.group_ids`."""
+    """A miss after A adds B, C and D in one key: 3 * 2**3 keys of 1,000
+    rows are relabelled by one `cumsum`, 50**4 are sorted by one
+    `np.unique`."""
     rng = np.random.default_rng(0)
     domains = {"A": domain, "B": domain, "C": domain, "D": domain}
     data = Dataset(tuple(domains), rng.integers(0, domain, (1000, 4)), domains)
     assert_groups_like_unique(data, ("A",))
-    with mock.patch("pihte.factor.keys", wraps=factor.keys) as keys, \
-            mock.patch("pihte.factor.group_ids", wraps=factor.group_ids) as group_ids:
-        assert_groups_like_unique(data, ("A", "B", "C", "D"))
+    with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
+            mock.patch("numpy.unique", wraps=np.unique) as unique, \
+            mock.patch("pihte.factor.group_ids") as group_ids:
+        data.group(("A", "B", "C", "D"))
+    assert group_ids.call_count == 0
     if relabelled:
-        assert group_ids.call_count == 0
-        assert [c.args[1] for c in keys.call_args_list] == [[domain] * 3]
+        assert (cumsum.call_count, unique.call_count) == (1, 0)
     else:
-        assert [c.args[1][1:] for c in group_ids.call_args_list] == [[domain] * 3]
+        assert unique.call_count == 1
+    assert_groups_like_unique(data, ("A", "B", "C", "D"))
 
 
 @pytest.mark.parametrize("prefix_groups, integer", [(2, True), (3, False)])
 def test_group_past_63_bits_takes_byte_keys(prefix_groups, integer):
     """B's domain of 2**62 behind A's 2 groups is a key of exactly 2**63
-    values, an int64; behind 3 groups it is bytes, through
-    `factor.group_ids`."""
+    values, an int64 sorted by `np.unique`; behind 3 groups it is bytes,
+    through `factor.group_ids`."""
     domains = {"A": prefix_groups, "B": 2**62}
     rows = [(a, b) for a in range(prefix_groups) for b in (2**62 - 1, 0, 5, 2**61)] * 2
     data = Dataset(("A", "B"), rows, domains)
     assert_groups_like_unique(data, ("A",))
-    original, made = factor.keys, []
+    original, made = factor.key_rule, []
 
-    def recorded(codes, sizes):
-        key = original(codes, sizes)
-        made.append((list(sizes), key.dtype))
-        return key
+    def recorded(sizes):
+        made.append(list(sizes))
+        return original(sizes)
 
-    with mock.patch("pihte.factor.keys", recorded):
+    with mock.patch("pihte.factor.key_rule", recorded):
         assert_groups_like_unique(data, ("A", "B"))
-    assert [sizes for sizes, _ in made] == [[prefix_groups, 2**62]]
-    assert (made[0][1] == np.int64) == integer
+    assert made == ([] if integer else [[prefix_groups, 2**62]])
 
 
-def test_group_of_more_columns_than_one_key_holds():
-    """A key holds at most 63 digits, so 70 columns of domain 1 are grouped
-    in two steps, the second behind the first's one group."""
+def test_group_of_columns_of_domain_one():
+    """Columns of domain 1 add no digit to the key: 70 of them are grouped
+    in one step, with no byte fallback."""
     columns = tuple(f"V{i}" for i in range(70))
     data = Dataset(columns, [(0,) * 70] * 3, {c: 1 for c in columns})
+    with mock.patch("pihte.factor.group_ids") as group_ids:
+        data.group(columns)
+    assert group_ids.call_count == 0
     assert_groups_like_unique(data, columns)

@@ -99,7 +99,6 @@ def cmd_analyze(args) -> int:
     graph = load_graph(args.graph)
     start = time.monotonic()
     p = _plan(args, hier, graph)
-    n_rows = _load_data(args, graph).n_rows if args.data else 1
     levels_out = [
         {
             "level": lp.level.level_id,
@@ -115,12 +114,13 @@ def cmd_analyze(args) -> int:
         }
         for lp in p.levels.values()
     ]
+    bounds = p.bounds(_load_data(args, graph).n_rows if args.data else 1)
     report = {
         "depth": hier.depth,
         "levels": levels_out,
-        "max_hw": max(lv["hw"] for lv in levels_out),
-        "max_w": max(lv["w"] for lv in levels_out),
-        "bounds": p.bounds(n_rows),
+        "max_hw": bounds["max_hw"],
+        "max_w": bounds["max_w"],
+        "bounds": bounds,
         "wall_time": round(time.monotonic() - start, 6),
     }
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)

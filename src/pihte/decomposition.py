@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import ParseError, UncoverableCluster, UnknownVariable
-from .model import name_key
+from .model import name_key, statements
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,7 @@ class Hypergraph:
 
     @cached_property
     def nodes(self):  # sorted once, on first use
-        seen = set()
-        for _, scope in self.edges:
-            seen.update(scope)
-        return tuple(sorted(seen, key=name_key))
+        return tuple(sorted(set().union(*(scope for _, scope in self.edges)), key=name_key))
 
     def primal_adjacency(self):
         adj = {n: set() for n in self.nodes}
@@ -148,7 +145,7 @@ def min_fill_order(h: Hypergraph, rng=None):
     Deterministic tie-breaking by (fill, degree, name); with a `random.Random`
     as `rng`, it picks at random among exact (fill, degree) ties instead.
     """
-    adj = {n: set(nbrs) for n, nbrs in h.primal_adjacency().items()}
+    adj = h.primal_adjacency()
     order = []
     while adj:
         scored = []
@@ -185,7 +182,7 @@ def tree_decomposition(h: Hypergraph, order) -> TreeDecomposition:
     if missing:
         raise UnknownVariable(f"ordering omits {sorted(missing, key=name_key)}")
     pos = {n: i for i, n in enumerate(order)}
-    adj = {n: set(nbrs) for n, nbrs in h.primal_adjacency().items()}
+    adj = h.primal_adjacency()
     for n in order:
         adj.setdefault(n, set())
 
@@ -323,9 +320,7 @@ def validate(td: TreeDecomposition, h: Hypergraph):
         violations.append("tree: cluster graph is not a tree")
     else:
         # running intersection only meaningful on a tree
-        all_vars = set()
-        for c in td.clusters.values():
-            all_vars |= c.chi
+        all_vars = set().union(*(c.chi for c in td.clusters.values()))
         for var in sorted(all_vars, key=name_key):
             holding = {cid for cid, c in td.clusters.items() if var in c.chi}
             sub_edges = [e for e in td.edges if e[0] in holding and e[1] in holding]
@@ -411,10 +406,7 @@ def load_decomposition(path) -> TreeDecomposition:
     clusters = {}
     edges = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in statements(fh):
             if line.startswith("cluster"):
                 head, _, body = line.partition(":")
                 try:

@@ -383,11 +383,11 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
                          else td.hyperwidth)
         # a level below the root is checked in a context over its free variables
         carried = set() if level.level_id == hier.root else set(level.free_vars)
+        bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
         support = []
         for child_id, scope in level.child_outputs:
             child = hier.level(child_id)
             root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
-            bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
             outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
             reach = (schedule(td, outside, carried.union(child.free_vars), root)
                      if child.child_outputs else None)

@@ -379,10 +379,8 @@ def _walk(node, level, subst, used, levels):
 
 
 def _finish(level):
-    seen = set()
-    for scope in level.factor_scopes:
-        seen.update(scope)
-    level.free_vars = tuple(sorted(seen - set(level.sum_vars), key=name_key))
+    seen = set().union(*level.factor_scopes)
+    level.free_vars = tuple(sorted(seen.difference(level.sum_vars), key=name_key))
 
 
 # -- dense literal evaluation (flattening soundness oracle) ----------------
@@ -419,9 +417,7 @@ def dense_expr_eval(expr, bindings, assignment, domains, dense_limit=10**6):
             raise error
         return out
     if isinstance(expr, Sum):
-        cells = 1
-        for b in expr.bound:
-            cells *= domains[b]
+        cells = math.prod(domains[b] for b in expr.bound)
         if cells > dense_limit:
             raise DenseLimitExceeded(f"{cells} cells exceeds limit {dense_limit}")
         total = []

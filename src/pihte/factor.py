@@ -10,8 +10,8 @@ they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
 the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
 2016) as array kernels over sortable row keys, one per row by the
-`key_rule` of the key's domains: an `int64` mixed-radix number when at most
-63 domains multiply to at most 2**63, else big-endian bytes (`row_keys`).
+`key_rule` of the key's domains: an `int64` mixed-radix number when the
+domains multiply to at most 2**63, else big-endian bytes (`row_keys`).
 Every join aligns its two scopes, checks their shared domains and finds its
 partners in one place, `matches`, a binary search whose runs a product
 expands, `join_size` counts and the engine's support check and
@@ -55,15 +55,14 @@ def key_rule(sizes):
     domain `sizes`, the function that turns one into a sortable key per row.
     Sorted keys are rows in lexicographic order, and any two matrices
     encoded by one rule give comparable keys.
-    - At most 63 columns whose sizes multiply to at most 2**63 (any column
-      of domain 2 or more takes a bit) give one `int64` per row, its
-      mixed-radix number with the first column most significant, which
-      numpy compares as a number: a column's own code for one column, else
-      one matrix product with the columns' place values.
+    - Columns whose sizes multiply to at most 2**63 give one `int64` per
+      row, its mixed-radix number with the first column most significant,
+      which numpy compares as a number: a column's own code for one column,
+      else one matrix product with the columns' place values. A column of
+      domain 1 has place value 0, since its codes are all 0.
     - Any other key is `row_keys` at the largest size.
-    A place value of 2**63 can only lead columns of domain 1, whose codes
-    are all 0, so it is taken as 2**63 - 1 there to fit an int64."""
-    span = math.prod(sizes) if len(sizes) < 64 else 1 << 64
+    """
+    span = math.prod(sizes)
     if span > 1 << 63:
         top = max(sizes) - 1
         return lambda codes: row_keys(codes, top)
@@ -72,7 +71,7 @@ def key_rule(sizes):
     weights = []
     for k in sizes:
         span //= k
-        weights.append(min(span, (1 << 63) - 1))
+        weights.append(span if k > 1 else 0)
     weights = np.array(weights, dtype=np.int64)
     return lambda codes: codes.astype(np.int64) @ weights
 

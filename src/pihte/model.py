@@ -19,9 +19,6 @@ from .errors import (
 )
 
 _NUM_RE = re.compile(r"(\d+)")
-# `Dataset.group` relabels a key with a boolean array while it has at most
-# this many slots per row; a wider key is sorted instead.
-_RELABEL_SLOTS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,7 +130,8 @@ class CausalGraph:
         return tuple(v.name for v in self.variables)
 
     def parents(self, name: str):
-        return tuple(a for a, b in self.directed_edges if b == name)
+        """The parents of `name` in `name_key` order."""
+        return tuple(sorted((a for a, b in self.directed_edges if b == name), key=name_key))
 
     def topological_order(self):
         order = []
@@ -219,11 +217,12 @@ class Dataset:
         Triejoin (Veldhuizen, ICDT 2014). Each step adds as many columns as
         fit one `int64` key behind the prefix's `count` groups, a digit per
         column of domain k (`key * k + cell`) after the prefix id, so the
-        key orders rows as the longer prefix does. A key of at most
-        `_RELABEL_SLOTS` slots per row is relabelled densely without a sort,
-        by marking its slots in one array and a `cumsum` over it; a wider
-        one is grouped by `np.unique`. A column whose domain alone carries
-        the key past 63 bits is grouped with the prefix id by
+        key orders rows as the longer prefix does. Over n rows, a key of
+        `count * width` slots is relabelled densely without a sort while it
+        has at most `n * n.bit_length()` of them, by marking its slots in
+        one array and a `cumsum` over it, in O(slots + n); a wider one is
+        grouped by `np.unique`, in O(n log n). A column whose domain alone
+        carries the key past 63 bits is grouped with the prefix id by
         `factor.group_ids`, as bytes. The memo keeps each id array in the
         `code_dtype` of `count - 1`.
         """
@@ -252,7 +251,7 @@ class Dataset:
                 ids, first = group_ids(np.column_stack([ids, cell]), [count, self.domains[name]])
                 count = len(first)
                 known += 1
-            elif count * width <= _RELABEL_SLOTS * max(len(ids), 1):
+            elif count * width <= len(ids) * len(ids).bit_length():
                 label = np.zeros(count * width, dtype=np.intp)
                 label[key] = 1
                 np.cumsum(label, out=label)  # each seen key's rank, from 1
@@ -273,18 +272,23 @@ class Dataset:
         return list(map(tuple, self.cells[:, idx].tolist()))
 
 
+def statements(lines):
+    """(line number, text) of each non-blank line of a line-based file once
+    it is cut at its first `#` and stripped, numbered from 1."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_graph(path) -> CausalGraph:
     """Parse the graph text format: `var <name> <k>`, `a -> b`, `a <-> b`."""
-    variables = []
+    variables = {}  # name -> Variable, in declaration order
     directed = []
     bidirected = []
-    declared = set()
     endpoints = {}  # edge endpoint -> the first line naming it
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in statements(fh):
             parts = line.split()
             if parts[0] == "var":
                 if len(parts) != 3:
@@ -295,10 +299,9 @@ def load_graph(path) -> CausalGraph:
                     raise ParseError(f"bad domain size {parts[2]!r}", path, lineno) from None
                 if not 1 <= k < 2**63:  # cells and codes are checked as int64
                     raise ParseError(f"domain size must be in 1..2**63-1, got {k}", path, lineno)
-                if parts[1] in declared:
+                if parts[1] in variables:
                     raise ParseError(f"variable {parts[1]!r} declared twice", path, lineno)
-                declared.add(parts[1])
-                variables.append(Variable(parts[1], k))
+                variables[parts[1]] = Variable(parts[1], k)
             elif len(parts) == 3 and parts[1] in ("->", "<->"):
                 edges = directed if parts[1] == "->" else bidirected
                 edges.append((parts[0], parts[2]))
@@ -307,10 +310,10 @@ def load_graph(path) -> CausalGraph:
             else:
                 raise ParseError(f"unrecognized statement {line!r}", path, lineno)
     for name, lineno in endpoints.items():
-        if name not in declared:
+        if name not in variables:
             raise UnknownVariable(f"{path}:{lineno}: edge endpoint {name!r} not declared")
     try:
-        return CausalGraph(variables, directed, bidirected)
+        return CausalGraph(variables.values(), directed, bidirected)
     except CycleError as exc:
         raise CycleError(f"{path}: {exc}") from None
 
@@ -347,7 +350,10 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
         text = fh.read()
     buf = io.StringIO(text, newline="")
     reader = csv.reader(buf)
-    header = next((rec for rec in reader if rec), None)  # blank lines come as []
+    try:
+        header = next((rec for rec in reader if rec), None)  # blank lines come as []
+    except csv.Error as exc:  # a cell past the field size limit; a NUL before Python 3.11
+        raise ParseError(str(exc), path, reader.line_num) from None
     if header is None:
         raise ParseError("empty file", path)
     columns = [c.strip() for c in header]
@@ -365,7 +371,10 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
             return Dataset(columns, cells, domains)
         except DomainViolation:
             pass  # the records below name its line
-    records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
+    try:
+        records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
+    except csv.Error as exc:
+        raise ParseError(str(exc), path, reader.line_num) from None
     rows = []
     for lineno, rec in records:
         try:

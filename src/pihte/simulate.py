@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CausalGraph, Dataset, Variable, name_key
-from .factor import SparseFactor, marginalize, product, unit_factor
+from .factor import SparseFactor, group_ids, marginalize, product, unit_factor
 
 LATENT_DOMAIN = 2
 # the families `random_cbn` draws each CPT row from
@@ -48,11 +48,8 @@ class CBN:
 
     graph: CausalGraph
     latents: tuple
-    # name -> ndarray of shape (*parent domain sizes in sorted parent order, k)
+    # name -> ndarray of shape (*parent domain sizes in `graph.parents` order, k)
     cpts: dict
-
-    def parents_sorted(self, name):
-        return tuple(sorted(self.graph.parents(name), key=name_key))
 
     @property
     def observed(self):
@@ -73,18 +70,14 @@ class CBN:
 
 
 def _cond_dist(rng, k, dist, alpha):
+    if dist == "mixture":  # a fair coin picks one of the other two families
+        dist = "deterministic" if rng.random() < 0.5 else "dirichlet"
     if dist == "dirichlet":
         return rng.dirichlet(np.full(k, alpha))
     if dist == "deterministic":
         out = np.zeros(k)
         out[rng.integers(k)] = 1.0
         return out
-    if dist == "mixture":
-        if rng.random() < 0.5:
-            out = np.zeros(k)
-            out[rng.integers(k)] = 1.0
-            return out
-        return rng.dirichlet(np.full(k, alpha))
     raise ValueError(f"unknown distribution family {dist!r}")
 
 
@@ -96,7 +89,7 @@ def random_cbn(graph: CausalGraph, dist="dirichlet", alpha=1.0, seed=0) -> CBN:
     cpts = {}
     for name in sorted(expanded.names, key=name_key):
         k = expanded.domain_size(name)
-        parents = tuple(sorted(expanded.parents(name), key=name_key))
+        parents = expanded.parents(name)
         pshape = tuple(expanded.domain_size(p) for p in parents)
         table = np.empty(pshape + (k,), dtype=float)
         for idx in itertools.product(*(range(s) for s in pshape)):
@@ -108,25 +101,24 @@ def random_cbn(graph: CausalGraph, dist="dirichlet", alpha=1.0, seed=0) -> CBN:
 
 
 def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
-    """Ancestral sampling; returns a Dataset over the observed columns only."""
+    """Ancestral sampling; returns a Dataset over the observed columns only.
+    Each variable is drawn once per configuration of its parents, which
+    `factor.group_ids` groups, in their lexicographic order."""
     rng = np.random.default_rng(seed)
-    order = cbn.graph.topological_order()
     samples = {}
-    for name in order:
-        parents = cbn.parents_sorted(name)
+    for name in cbn.graph.topological_order():
+        parents = cbn.graph.parents(name)
         table = cbn.cpts[name]
         k = cbn.graph.domain_size(name)
         if not parents:
             samples[name] = rng.choice(k, size=n, p=table)
             continue
         pcols = np.stack([samples[p] for p in parents], axis=1)
+        ids, first = group_ids(pcols, [cbn.graph.domain_size(p) for p in parents])
+        groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
         out = np.empty(n, dtype=np.int64)
-        # draw per distinct parent configuration to stay vectorized
-        uniq, inverse = np.unique(pcols, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)  # its shape differs across numpy 1.x, 2.0 and 2.1
-        for u_i, cfg in enumerate(uniq):
-            mask = inverse == u_i
-            out[mask] = rng.choice(k, size=int(mask.sum()), p=table[tuple(cfg)])
+        for cfg, group in zip(pcols[first].tolist(), groups):  # each group's rows in row order
+            out[group] = rng.choice(k, size=len(group), p=table[tuple(cfg)])
         samples[name] = out
     cols = tuple(sorted(cbn.observed, key=name_key))
     rows = np.stack([samples[c] for c in cols], axis=1)
@@ -142,7 +134,7 @@ def interventional_truth(cbn: CBN, do: dict, outcome) -> SparseFactor:
     for name in sorted(cbn.graph.names, key=name_key):
         if name in do:
             continue
-        scope = [cbn.graph.variable(n) for n in cbn.parents_sorted(name) + (name,)]
+        scope = [cbn.graph.variable(n) for n in cbn.graph.parents(name) + (name,)]
         table = cbn.cpts[name]
         cells = map(tuple, np.argwhere(table).tolist())
         cpt = SparseFactor(scope, dict(zip(cells, table[table != 0].tolist())))
@@ -155,6 +147,5 @@ def total_variation(p: SparseFactor, q: SparseFactor) -> float:
     """TV distance between two factors over the same scope."""
     if p.names != q.names:
         raise ValueError(f"scope mismatch: {p.names} vs {q.names}")
-    keys = set(dict(p.items())) | set(dict(q.items()))
     pd, qd = dict(p.items()), dict(q.items())
-    return 0.5 * math.fsum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(pd.get(k, 0.0) - qd.get(k, 0.0)) for k in pd.keys() | qd.keys())

@@ -685,6 +685,18 @@ def test_header_only_data_exit2(capsys, napkin, tmp_path):
         assert f"{empty}: " in err and "zero rows" in err
 
 
+def test_dataset_cell_past_the_csv_field_limit_exit2(napkin, tmp_path):
+    """A cell longer than csv's field size limit (131,072 characters) names
+    its line and exits 2, with no traceback."""
+    graph, estimand, _ = napkin
+    long = tmp_path / "long.csv"
+    long.write_text("R,W,X,Y\n0,1,2,0\n1,0,0," + "1" * 140_000 + "\n")
+    done = run_hashed(0, "estimate", "--graph", graph, "--estimand-file", estimand,
+                      "--data", str(long))
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr == f"error: {long}:3: field larger than field limit (131072)\n"
+
+
 def test_oracle_orders_names_with_equal_digit_runs_under_any_hash_seed(capsys, tmp_path):
     # V1 and V01 have equal digit runs; their order must not follow set iteration
     graph = tmp_path / "v01.graph"

@@ -608,7 +608,10 @@ def test_keys_order_rows_as_tuples_and_row_keys_do(drawn):
     ([2**63 - 1], True),  # one int64 column
     ([2] * 63, True),
     ([2] * 64, False),
-    ([1] * 64, False),  # more than 63 columns take bytes whatever their domains
+    ([1] * 64, True),  # a column of domain 1 takes place value 0, so no bit
+    ([1, 2] * 40, True),  # 80 columns, 40 bits
+    ([1] * 30 + [2] * 63 + [1] * 30, True),  # exactly 2**63 among columns of domain 1
+    ([2] * 32 + [1] * 40 + [2] * 32, False),  # 2**64
 ])
 def test_keys_at_the_63_bit_limit(sizes, integer):
     rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pihte import factor, model
 from pihte.cli import main
+from pihte.decomposition import load_decomposition
 from pihte.errors import (
     CycleError,
     DomainViolation,
@@ -116,6 +119,14 @@ def test_graph_basics():
     assert g.topological_order() == ("A", "B")
     # bidirected edges are stored sorted
     assert g.bidirected_edges == (("A", "B"),)
+
+
+def test_parents_come_in_name_order():
+    """Parents follow `name_key`, not the order their edges were given."""
+    names = ["V10", "B", "V2", "V0'", "X"]
+    g = CausalGraph([Variable(n, 2) for n in names], [(n, "X") for n in names[:4]])
+    assert g.parents("X") == ("B", "V0'", "V2", "V10")
+    assert g.parents("V2") == ()
 
 
 def test_graph_cycle_rejected():
@@ -240,6 +251,21 @@ def test_codes_take_the_narrowest_dtype_of_the_largest_domain(domain, dtype):
     assert list(bound.items()) == [((0, domain - 1), 1.0), ((1, 0), 1.0)]
 
 
+def test_line_loaders_close_the_file_on_a_parse_error(tmp_path):
+    """The graph and decomposition loaders read lines through one reader
+    that cuts comments and skips blank lines, and close the file also when
+    a ParseError escapes."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# a comment\n\n  nonsense here  # and a comment\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", ResourceWarning)
+        for load in (load_graph, load_decomposition):
+            with pytest.raises(ParseError, match=r"bad\.txt:3: unrecognized \w+ 'nonsense here'"):
+                load(bad)
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
 def test_load_dataset(tmp_path):
     g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
     p = tmp_path / "d.csv"
@@ -264,6 +290,12 @@ def test_load_dataset_cells(tmp_path, text, rows):
 
 
 @pytest.mark.parametrize("text, error, message", [
+    pytest.param("A" * 140_000 + ",B\n0,1\n", ParseError,
+                 r"d\.csv:1: field larger than field limit", id="long header field"),
+    pytest.param("A,B\n0,1\n" + "1" * 140_000 + ",0\n", ParseError,
+                 r"d\.csv:3: field larger than field limit", id="long body field"),
+    # csv rejects a NUL before Python 3.11; later ones read it as a bad cell
+    pytest.param("A,B\n0,1\n1,\x00\n", ParseError, r"d\.csv:3: ", id="NUL byte"),
     ("A,B\n0,1\n\n1,x\n", ParseError, r"d\.csv:4: non-integer cell in \['1', 'x'\]"),
     ("A,B\n0,1\n \n", ParseError, r"d\.csv:3: non-integer cell in \[' '\]"),
     ("A,B\n# note\n0,1\n", ParseError, r"d\.csv:2: non-integer cell"),
@@ -481,14 +513,23 @@ def test_group_of_no_columns_is_one_group():
     assert (ids.tolist(), count) == ([0, 0, 0], 1)
 
 
-@pytest.mark.parametrize("domain, relabelled", [(2, True), (50, False)])
-def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, relabelled):
-    """A miss after A adds B, C and D in one key: 3 * 2**3 keys of 1,000
-    rows are relabelled by one `cumsum`, 50**4 are sorted by one
-    `np.unique`."""
+@pytest.mark.parametrize("domain, rows, relabelled", [
+    pytest.param(2, 1000, True, id="2-True"),
+    pytest.param(50, 1000, False, id="50-False"),
+    pytest.param(10, 1000, True, id="10-at-the-bound"),
+    pytest.param(10, 999, False, id="10-past-the-bound"),
+])
+def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, rows, relabelled):
+    """A miss after A adds B, C and D in one key of `domain`**4 slots (A
+    shows every value). Over n rows, up to `n * n.bit_length()` slots are
+    relabelled by one `cumsum` and more are sorted by one `np.unique`: 16
+    and 10,000 slots of 1,000 rows (10,000 at most) are relabelled, while
+    10,000 slots of 999 rows (9,990 at most) and 50**4 of 1,000 are
+    sorted."""
     rng = np.random.default_rng(0)
     domains = {"A": domain, "B": domain, "C": domain, "D": domain}
-    data = Dataset(tuple(domains), rng.integers(0, domain, (1000, 4)), domains)
+    data = Dataset(tuple(domains), rng.integers(0, domain, (rows, 4)), domains)
+    assert data.group(("A",))[1] == domain
     assert_groups_like_unique(data, ("A",))
     with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
             mock.patch("numpy.unique", wraps=np.unique) as unique, \

@@ -6,8 +6,9 @@ import pytest
 
 from pihte.estimand import dense_expr_eval, parse, prob_terms
 from pihte.factor import SparseFactor
-from pihte.model import CausalGraph, Variable, empirical_prob, name_key
+from pihte.model import CausalGraph, Variable, empirical_prob, load_graph, name_key
 from pihte.simulate import (
+    DISTS,
     expand_bidirected,
     interventional_truth,
     random_cbn,
@@ -68,6 +69,41 @@ def test_sample_dataset_excludes_latents():
 def test_sample_dataset_deterministic():
     cbn = random_cbn(chain(3), seed=6)
     assert sample_dataset(cbn, 20, seed=7).rows == sample_dataset(cbn, 20, seed=7).rows
+
+
+def unique_rows_sample(cbn, n, seed):
+    """Ancestral sampling as it was written with `np.unique(axis=0)`: one
+    draw per distinct parent configuration, in their lexicographic order,
+    for the rows holding it."""
+    rng = np.random.default_rng(seed)
+    samples = {}
+    for name in cbn.graph.topological_order():
+        parents = tuple(sorted(cbn.graph.parents(name), key=name_key))
+        table, k = cbn.cpts[name], cbn.graph.domain_size(name)
+        if not parents:
+            samples[name] = rng.choice(k, size=n, p=table)
+            continue
+        pcols = np.stack([samples[p] for p in parents], axis=1)
+        out = np.empty(n, dtype=np.int64)
+        uniq, inverse = np.unique(pcols, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        for u_i, cfg in enumerate(uniq):
+            mask = inverse == u_i
+            out[mask] = rng.choice(k, size=int(mask.sum()), p=table[tuple(cfg)])
+        samples[name] = out
+    return {c: samples[c].tolist() for c in cbn.observed}
+
+
+@pytest.mark.parametrize("dist", DISTS)
+@pytest.mark.parametrize("name", ["chain7", "chain99", "cone_cloud", "napkin"])
+def test_sample_dataset_draws_as_unique_rows_did(fixture_path, name, dist):
+    graph = load_graph(fixture_path(f"{name}.graph"))
+    for seed in (0, 1):
+        cbn = random_cbn(graph, dist=dist, alpha=1.5, seed=seed)
+        data = sample_dataset(cbn, 300, seed=seed + 1)
+        want = unique_rows_sample(cbn, 300, seed + 1)
+        assert data.columns == tuple(sorted(want, key=name_key))
+        assert {c: data.cells[:, i].tolist() for i, c in enumerate(data.columns)} == want
 
 
 def test_deterministic_latent_free_chain_is_point_mass():

@@ -18,16 +18,32 @@ expands, `join_size` counts and the engine's support check and
 renormalization read, and a marginal sums each group found by a sort. The
 algebra knows nothing of ratios: the engine checks each denominator's
 support once per level, before any product.
+
+Plug-in tables are projections of the data, and a table bound from a
+dataset (`model.empirical_prob`) says so: it carries provenance, the
+`model.Dataset` as `data` and one source row per entry as `rows`, its
+names read distinct columns, and each entry's codes are its row's cells
+on them. `restrict`, `invert`, the engine's all-ones copies, a marginal
+and a product that adds no column to its wider operand keep it; a general
+join of two such tables gets it back when every entry it makes is a row
+of the data. Between such tables of one dataset no key is built: a join
+whose narrower operand's names lie inside the wider's (the semi-join of
+Yannakakis) gathers each partner by the `Dataset.group` id of the wider's
+source row, and a marginal groups by those ids of the kept columns. Every
+other join, `join_size`, the support check, and tables without provenance
+(built by `SparseFactor(...)` or `trusted` alone, joined across datasets,
+or a join's fan-out) keep the key path: `matches` and `group_ids`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import IncompleteAssignment, ScopeConflict, UnknownVariable
-from .model import code_dtype, name_key
+from .model import base_name, code_dtype, name_key
 
 # Values whose magnitude falls below this after arithmetic are treated as an
 # underflow to zero and dropped (the no-zero invariant is kept explicit).
@@ -106,7 +122,8 @@ class SparseFactor:
     the codes in the `code_dtype` of the scope's largest domain; `trusted`
     keeps the dtype it is given."""
 
-    __slots__ = ("scope", "names", "codes", "values", "underflow_dropped", "_lookup")
+    __slots__ = ("scope", "names", "codes", "values", "underflow_dropped", "data", "rows",
+                 "_lookup")
 
     def __init__(self, scope, entries):
         """Validate a mapping of assignment tuples to non-zero values."""
@@ -135,20 +152,26 @@ class SparseFactor:
         _, first = group_ids(codes, [v.domain_size for v in scope])
         self._set(scope, codes[first], values[first], 0)
 
-    def _set(self, scope, codes, values, underflow_dropped):
+    def _set(self, scope, codes, values, underflow_dropped, data=None, rows=None):
         self.scope = scope
         self.names = tuple([v.name for v in scope])  # a list builds it in half the time
         self.codes = codes
         self.values = values
         self.underflow_dropped = int(underflow_dropped)
+        self.data = data
+        self.rows = rows
         self._lookup = None
 
     @classmethod
-    def trusted(cls, scope, codes, values, underflow_dropped=0):
+    def trusted(cls, scope, codes, values, underflow_dropped=0, data=None, rows=None):
         """A factor from arrays already in canonical form: scope in name
-        order, unique in-domain rows sorted lexicographically, no zeros."""
+        order, unique in-domain rows sorted lexicographically, no zeros.
+
+        With `data`, the table has provenance: its names read distinct
+        columns of that `model.Dataset` (their base names), and entry i's
+        codes are the cells of row `rows[i]` on those columns."""
         f = cls.__new__(cls)
-        f._set(scope, codes, values, underflow_dropped)
+        f._set(scope, codes, values, underflow_dropped, data, rows)
         return f
 
     # -- introspection -----------------------------------------------------
@@ -178,14 +201,18 @@ class SparseFactor:
         return self._lookup.get(key, 0.0)
 
     def restrict(self, partial) -> "SparseFactor":
-        """Keep only entries consistent with a partial assignment (scope unchanged)."""
+        """Keep only entries consistent with a partial assignment (scope
+        unchanged), and their source rows."""
+        if not partial:
+            return self
         positions = [(i, partial[v.name]) for i, v in enumerate(self.scope) if v.name in partial]
         if not positions:
             return self
         keep = np.ones(len(self.values), dtype=bool)
         for i, want in positions:
             keep &= self.codes[:, i] == want
-        return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep])
+        return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep], data=self.data,
+                                    rows=None if self.rows is None else self.rows[keep])
 
 
 def unit_factor() -> SparseFactor:
@@ -243,31 +270,42 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     exists iff both projections exist, so multiplication is absorbing
     relative to zero.
 
-    The wider operand, else f, probes the other through `matches`
-    (Yannakakis, VLDB 1981) and is repeated once per partner; the other's
-    columns follow its own, sorted in only when out of name order. When the
-    other adds no column, a probe row has one partner at most, and the output
-    is the probe rows that have one, in their order.
+    The wider operand, else f, probes the other and is repeated once per
+    partner; the other's columns follow its own, sorted in only when out of
+    name order. When the other adds no column, a probe row has one partner
+    at most, and the output is the probe rows that have one, in their order,
+    with the probe's provenance. Between two tables with provenance from one
+    dataset those partners are a gather (`_partners`); every other join
+    finds its partners by `matches` (Yannakakis, VLDB 1981), and a join of
+    two such tables gets provenance back where `_source_rows` finds each
+    entry a row of the data.
     """
     if len(g.scope) > len(f.scope):
         f, g = g, f
-    lo, hi, g_rows, g_only = matches(f, g)
-    count = hi - lo
+    if f.data is not None and g.data is f.data and set(g.names).issubset(f.names):
+        lo = _partners(f, g)
+        hit, g_only = lo >= 0, ()
+    else:
+        lo, hi, g_rows, g_only = matches(f, g)
+        hit = hi > lo
     if not g_only:  # one partner at most, and f's scope is the output's
-        codes, values = f.codes, f.values
-        if not count.all():
-            hit = count > 0
+        codes, values, rows = f.codes, f.values, f.rows
+        if not hit.all():
             codes, values, lo = codes[hit], values[hit], lo[hit]
-        return _trusted_product(f.scope, codes, values * g.values[lo])
+            rows = None if rows is None else rows[hit]
+        return _trusted_product(f.scope, codes, values * g.values[lo], f.data, rows)
 
     # output k, the j-th of f row i's, meets g's run row lo[i] + j, in g's canonical order
+    count = hi - lo
     f_rows = np.repeat(np.arange(len(f.values)), count)
     rows = np.arange(len(f_rows)) + np.repeat(lo - (np.cumsum(count) - count), count)
     if g_rows is not None:
         rows = g_rows[rows]
 
     values = f.values[f_rows] * g.values[rows]
-    codes = np.concatenate([f.codes[f_rows], take_columns(g.codes, g_only)[rows]], axis=1)
+    extra = take_columns(g.codes, g_only)[rows]
+    source = _source_rows(f, g, g_only, f_rows, extra)
+    codes = np.concatenate([f.codes[f_rows], extra], axis=1)
     scope = f.scope + tuple(g.scope[j] for j in g_only)
     if name_key(g.names[g_only[0]]) < name_key(f.names[-1]):  # else f's rows, expanded, are sorted
         order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
@@ -275,20 +313,70 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         codes = codes[:, order]
         _, first = group_ids(codes, [v.domain_size for v in scope])
         codes, values = codes[first], values[first]
-    return _trusted_product(scope, codes, values)
+        source = None if source is None else source[first]
+    return _trusted_product(scope, codes, values, None if source is None else f.data, source)
 
 
-def _trusted_product(scope, codes, values) -> SparseFactor:
+def _trusted_product(scope, codes, values, data=None, rows=None) -> SparseFactor:
     """A product's canonical rows and values, less the values that underflow."""
     kept = np.abs(values) >= UNDERFLOW_FLOOR
     dropped = len(values) - int(np.count_nonzero(kept))
     if dropped:
         codes, values = codes[kept], values[kept]
-    return SparseFactor.trusted(scope, codes, values, underflow_dropped=dropped)
+        rows = None if rows is None else rows[kept]
+    return SparseFactor.trusted(scope, codes, values, dropped, data, rows)
+
+
+@functools.lru_cache(maxsize=1024)
+def _columns(names):
+    """The dataset columns that a tuple of names reads: their base names.
+    Memoised for the last 1,024 scopes: the same scopes meet again in every
+    query, and chain99 has about 150."""
+    return tuple([base_name(n) for n in names])
+
+
+def _partners(f: SparseFactor, g: SparseFactor):
+    """For each row of f, the row of g that agrees with it on g's names, or
+    -1, when both carry provenance from one dataset and g's names lie
+    inside f's: the entry of g that holds the group, by `Dataset.group` on
+    g's columns, of f's source row. g's rows are those groups in order, so
+    when g holds every group its row is the group id; else a map from group
+    to row, -1 where g lacks the group (after `restrict`, or an underflow),
+    leads from one to the other."""
+    ids, count = f.data.group(_columns(g.names))
+    lo = ids[f.rows]
+    if len(g.values) < count:
+        row_of = np.full(count, -1, dtype=np.intp)
+        row_of[ids[g.rows]] = np.arange(len(g.values))
+        lo = row_of[lo]
+    return lo
+
+
+def _source_rows(f: SparseFactor, g: SparseFactor, g_only, f_rows, extra):
+    """The source rows of a general join's entries, output k extending f's
+    row `f_rows[k]` by `extra[k]` on g's columns `g_only`, or None. They
+    are f's source rows, when both tables carry provenance from one
+    dataset, g's added columns are not f's, and every entry's `extra` are
+    the cells of its source row (one array compare): then each entry is a
+    row of the data. Two entries from one row of f cannot both pass the
+    compare, so an output of more entries than rows fails before it."""
+    data = f.data
+    if data is None or g.data is not data or len(f_rows) > data.n_rows:
+        return None
+    columns = _columns(tuple([g.names[j] for j in g_only]))
+    if not set(columns).isdisjoint(_columns(f.names)):
+        return None
+    rows = f.rows[f_rows]
+    cells = take_columns(data.cells, [data.column_index(c) for c in columns])
+    return rows if np.array_equal(cells[rows], extra) else None
 
 
 def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
-    """Sum out `out_vars`; exact-zero results are dropped."""
+    """Sum out `out_vars`; exact-zero results are dropped. Each group is
+    summed by `np.bincount` in f's row order. A table with provenance is
+    grouped by `Dataset.group` on the kept columns, whose ids follow the
+    kept codes' order, and keeps one source row per group; any other is
+    grouped by `group_ids`."""
     out = set(out_vars)
     unknown = out - set(f.names)
     if unknown:
@@ -297,17 +385,33 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
         return f
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
     scope = tuple([f.scope[i] for i in keep])
-    kept_codes = take_columns(f.codes, keep)
-    ids, first = group_ids(kept_codes, [v.domain_size for v in scope])
-    sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
+    rows = f.rows
+    if rows is None:
+        kept_codes = take_columns(f.codes, keep)
+        ids, first = group_ids(kept_codes, [v.domain_size for v in scope])
+        sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
+    else:
+        ids, count = f.data.group(_columns(tuple([v.name for v in scope])))
+        ids = ids[rows]
+        sums = np.bincount(ids, weights=f.values, minlength=count)
+        first = np.full(count, -1, dtype=np.intp)
+        first[ids] = np.arange(len(ids))  # any row of f in each group f holds
+        held = first >= 0
+        if not held.all():
+            sums, first = sums[held], first[held]
     kept = np.abs(sums) >= UNDERFLOW_FLOOR
+    first = first[kept]
+    if rows is None:
+        codes = kept_codes[first]
+    else:  # the groups' rows first, then their columns: fewer cells to copy
+        codes, rows = take_columns(f.codes[first], keep), rows[first]
     return SparseFactor.trusted(
-        scope, kept_codes[first[kept]], sums[kept],
-        underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
+        scope, codes, sums[kept], underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
+        data=f.data, rows=rows,
     )
 
 
 def invert(f: SparseFactor) -> SparseFactor:
     """Entrywise reciprocal over the same support; outside it the reciprocal
     is undefined, which `engine.check_support` rules out before any product."""
-    return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values)
+    return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values, data=f.data, rows=f.rows)

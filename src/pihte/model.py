@@ -219,9 +219,11 @@ class Dataset:
         column of domain k (`key * k + cell`) after the prefix id, so the
         key orders rows as the longer prefix does. Over n rows, a key of
         `count * width` slots is relabelled densely without a sort while it
-        has at most `n * n.bit_length()` of them, by marking its slots in
-        one array and a `cumsum` over it, in O(slots + n); a wider one is
-        grouped by `np.unique`, in O(n log n). A column whose domain alone
+        has at most 8 slots per row, by marking its slots in one array and a
+        `cumsum` over it, in O(slots + n); a wider one is grouped by
+        `np.unique`, in O(n log n). On random keys of 800 to 12,800 rows
+        the two meet at 6.5 to 8 slots per row, about 3 ns per slot against
+        25 ns per row (at 200 rows, near 14). A column whose domain alone
         carries the key past 63 bits is grouped with the prefix id by
         `factor.group_ids`, as bytes. The memo keeps each id array in the
         `code_dtype` of `count - 1`.
@@ -251,7 +253,7 @@ class Dataset:
                 ids, first = group_ids(np.column_stack([ids, cell]), [count, self.domains[name]])
                 count = len(first)
                 known += 1
-            elif count * width <= len(ids) * len(ids).bit_length():
+            elif count * width <= 8 * len(ids):
                 label = np.zeros(count * width, dtype=np.intp)
                 label[key] = 1
                 np.cumsum(label, out=label)  # each seen key's rank, from 1
@@ -428,4 +430,5 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     first[ids] = np.arange(data.n_rows)  # any row of a group holds its cells
     codes = take_columns(data.cells, positions)[first]
     denom = np.bincount(right_ids)[right_ids[first]]
-    return SparseFactor.trusted(scope, codes, np.bincount(ids) / denom)
+    return SparseFactor.trusted(scope, codes, np.bincount(ids) / denom,
+                                data=data, rows=first.astype(code_dtype(data.n_rows - 1)))

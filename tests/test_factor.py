@@ -623,3 +623,161 @@ def test_keys_at_the_63_bit_limit(sizes, integer):
     if integer:
         assert got[0] == math.prod(sizes) - 1 and got[1] == 0
     assert key_ranks(got) == tuple_ranks(codes) == key_ranks(row_keys(codes, max(sizes) - 1))
+
+
+# -- provenance ---------------------------------------------------------------
+
+
+def strip(f):
+    """The same table without provenance, which the algebra handles by keys."""
+    return SparseFactor.trusted(f.scope, f.codes, f.values, f.underflow_dropped)
+
+
+def assert_provenance_holds(f):
+    """A table with provenance reads distinct columns, and each entry's
+    codes are the cells of its source row on them."""
+    if f.data is None:
+        assert f.rows is None
+        return
+    columns = [n.rstrip("'") for n in f.names]
+    assert len(set(columns)) == len(columns)
+    assert len(f.rows) == f.tightness
+    assert f.rows.dtype == code_dtype(f.data.n_rows - 1)
+    cells = f.data.cells[:, [f.data.column_index(c) for c in columns]]
+    assert np.array_equal(cells[f.rows.astype(np.intp)].reshape(f.codes.shape), f.codes)
+
+
+def assert_same_as_stripped(got, want):
+    assert_provenance_holds(got)
+    assert want.data is None
+    assert_same_as_int64(got, want)  # scope, codes, values bit for bit, and drops
+
+
+# names that read columns A-D, primed or not
+primed_pool = ["A", "A'", "B", "B'", "B''", "C", "C'", "D"]
+
+
+def bound_term(draw, data, names_):
+    """`empirical_prob` over `names_` (distinct columns), split at random
+    into its two sides, scaled near the underflow floor or not, and
+    restricted by a drawn `do`, so it may lack some of its groups."""
+    names_ = draw(st.permutations(names_))
+    split = draw(st.integers(1, len(names_)))
+    f = empirical_prob(data, tuple(names_[:split]), tuple(names_[split:]))
+    scale = draw(st.sampled_from([1.0, 1e-150, 3e-300]))
+    f = SparseFactor.trusted(f.scope, f.codes, f.values * scale, data=f.data, rows=f.rows)
+    do = {n: draw(st.integers(0, 1)) for n in f.names if draw(st.integers(0, 3)) == 0}
+    return f.restrict(do)
+
+
+def term_names(draw, within=None):
+    """Distinct-column names from `primed_pool`, or from `within` if given."""
+    pool = within if within is not None else draw(st.permutations(primed_pool))
+    chosen, columns = [], set()
+    for n in pool:
+        if n.rstrip("'") not in columns and draw(st.booleans()):
+            chosen.append(n)
+            columns.add(n.rstrip("'"))
+    return chosen or [pool[0]]
+
+
+@st.composite
+def provenance_pairs(draw):
+    """Two bound terms over one random dataset; the second's names often
+    lie inside the first's, so the product takes the gather."""
+    domains = {c: draw(st.integers(2, 3)) for c in "ABCD"}
+    rows = draw(st.lists(st.tuples(*(st.integers(0, domains[c] - 1) for c in "ABCD")),
+                         min_size=1, max_size=30))
+    data = Dataset(tuple("ABCD"), rows, domains)
+    wide = term_names(draw)
+    narrow = term_names(draw, wide if draw(st.booleans()) else None)
+    return bound_term(draw, data, wide), bound_term(draw, data, narrow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(provenance_pairs(), st.data())
+def test_provenance_gives_the_keyed_algebra_bit_for_bit(pair, data):
+    """`product` and `marginalize` on tables with provenance equal the same
+    calls on copies without it: scope, codes, values and underflow drops."""
+    f, g = pair
+    assert_provenance_holds(f)
+    assert_provenance_holds(g)
+    for x, y in ((f, g), (g, f)):
+        h = product(x, y)
+        assert_same_as_stripped(h, product(strip(x), strip(y)))
+        for t in (x, h):
+            out = set(data.draw(st.lists(st.sampled_from(t.names), unique=True)))
+            m = marginalize(t, out)
+            assert_same_as_stripped(m, marginalize(strip(t), out))
+            # a marginal's provenance feeds the next product as the narrower table
+            assert_same_as_stripped(product(t, m), product(strip(t), strip(m)))
+    assert_same_as_stripped(invert(f), invert(strip(f)))
+    assert invert(f).data is f.data
+
+
+def test_contained_product_gathers_partners_where_the_narrower_lacks_groups():
+    data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1), (1, 0), (1, 1), (0, 0)], {"A": 2, "B": 2})
+    wide = empirical_prob(data, ("A'",), ("B",))
+    narrow = empirical_prob(data, ("B",)).restrict({"B": 1})  # B=0 is gone
+    assert narrow.tightness == 1 and narrow.data is data
+    h = product(narrow, wide)
+    assert_same_as_stripped(h, product(strip(wide), strip(narrow)))
+    assert h.data is data and dict(h.items()) == {(0, 1): 1 / 3 * 0.5, (1, 1): 2 / 3 * 0.5}
+
+
+def test_restrict_keeps_provenance_and_an_empty_assignment_returns_self():
+    data = Dataset(("A", "B"), [(0, 0), (1, 1), (1, 0)], {"A": 2, "B": 2})
+    f = empirical_prob(data, ("A", "B"))
+    assert f.restrict({}) is f
+    r = f.restrict({"A": 1})
+    assert r.data is data and r.rows.tolist() == [2, 1]
+    assert_provenance_holds(r)
+
+
+def test_general_join_gets_provenance_back_when_each_entry_is_a_row():
+    # B decides C, so each (A, B) entry meets exactly the C of its own row
+    rows = [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 1, 0)]
+    data = Dataset(("A", "B", "C"), rows, {"A": 2, "B": 2, "C": 2})
+    f, g = empirical_prob(data, ("A", "B")), empirical_prob(data, ("C",), ("B",))
+    h = product(f, g)
+    assert h.data is data
+    assert_same_as_stripped(h, product(strip(f), strip(g)))
+    assert [k for k, _ in h.items()] == sorted(set(rows))  # the data's projection
+    # its marginal and products with it then take the provenance paths
+    m = marginalize(h, {"A"})
+    assert m.data is data
+    assert_same_as_stripped(m, marginalize(strip(h), {"A"}))
+
+
+@pytest.mark.parametrize("rows, left, right", [
+    # (A, B) meets two C's for B=0: four entries from two rows
+    ([(0, 0, 0), (1, 0, 1)], ("A", "B"), ("B", "C")),
+    # three entries from four rows, but one holds a C that its row lacks
+    ([(0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, 1)], ("A", "B"), ("B", "C")),
+    # one entry from one row, but A and A' read one column
+    ([(0, 0, 0)], ("A",), ("A'", "B")),
+])
+def test_general_join_keeps_no_provenance_unless_each_entry_is_a_row(rows, left, right):
+    data = Dataset(("A", "B", "C"), rows, {"A": 2, "B": 2, "C": 2})
+    f, g = empirical_prob(data, left), empirical_prob(data, right)
+    h = product(f, g)
+    assert h.data is None and h.rows is None
+    assert_same_as_stripped(h, product(strip(f), strip(g)))
+
+
+def test_tables_of_two_datasets_are_never_gathered_together():
+    domains = {"A": 2, "B": 2}
+    one = Dataset(("A", "B"), [(0, 0), (1, 1), (0, 1)], domains)
+    # two lacks A=0, and its A=1 row is row 2, where one holds A=0: a
+    # gather by one's group ids would pair every entry wrongly
+    two = Dataset(("A", "B"), [(1, 0), (1, 1), (1, 0)], domains)
+    wide, narrow = empirical_prob(one, ("A", "B")), empirical_prob(two, ("A",))
+    for x, y in ((wide, narrow), (narrow, wide)):
+        h = product(x, y)
+        assert_same_as_stripped(h, product(strip(x), strip(y)))
+        assert h.data is one  # the wider table's entries, with their own rows
+    # a general join across datasets keeps none
+    h = product(empirical_prob(one, ("A",)), empirical_prob(two, ("B",)))
+    assert h.data is None
+    assert_same_as_stripped(h, product(strip(empirical_prob(one, ("A",))),
+                                       strip(empirical_prob(two, ("B",)))))

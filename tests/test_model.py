@@ -516,16 +516,15 @@ def test_group_of_no_columns_is_one_group():
 @pytest.mark.parametrize("domain, rows, relabelled", [
     pytest.param(2, 1000, True, id="2-True"),
     pytest.param(50, 1000, False, id="50-False"),
-    pytest.param(10, 1000, True, id="10-at-the-bound"),
-    pytest.param(10, 999, False, id="10-past-the-bound"),
+    pytest.param(10, 1250, True, id="10-at-the-bound"),
+    pytest.param(10, 1249, False, id="10-past-the-bound"),
 ])
 def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, rows, relabelled):
     """A miss after A adds B, C and D in one key of `domain`**4 slots (A
-    shows every value). Over n rows, up to `n * n.bit_length()` slots are
-    relabelled by one `cumsum` and more are sorted by one `np.unique`: 16
-    and 10,000 slots of 1,000 rows (10,000 at most) are relabelled, while
-    10,000 slots of 999 rows (9,990 at most) and 50**4 of 1,000 are
-    sorted."""
+    shows every value). Over n rows, up to `8 * n` slots are relabelled by
+    one `cumsum` and more are sorted by one `np.unique`: 16 slots of 1,000
+    rows and 10,000 of 1,250 (10,000 at most) are relabelled, while 10,000
+    slots of 1,249 rows (9,992 at most) and 50**4 of 1,000 are sorted."""
     rng = np.random.default_rng(0)
     domains = {"A": domain, "B": domain, "C": domain, "D": domain}
     data = Dataset(tuple(domains), rng.integers(0, domain, (rows, 4)), domains)

@@ -9,12 +9,14 @@ output covers the support of the level's terms, injects it inverted as an
 ordinary factor, and runs the schedule, which alone says which tables meet
 where and what each message sums out. One plan serves any number of datasets.
 
-Every bound term and its all-ones copy for the support check carry
-provenance (see `factor`), as does each table made from them that stays
-rows of the data, a child output among them; the products and marginals
-between such tables are gathers over `Dataset.group` ids. The join order's
-`join_size`, `check_support`'s partner search and `_renormalize`'s
-division keep `factor.matches`' keys.
+Every bound term and its all-ones copy for the support check
+(`factor.with_values`) carry provenance (see `factor`), as does each table
+made from them that stays rows of the data, a child output among them; the
+products and marginals between such tables are gathers over `Dataset.group`
+ids. The join order's `join_size`, `check_support`'s partner search and
+`_renormalize`'s division keep `factor.matches`' keys, which read the keyed
+columns from the data's rows. On chain99 no table builds a code matrix
+until the report (or `_renormalize`) reads the result's.
 """
 
 from __future__ import annotations
@@ -486,8 +488,7 @@ def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     for i, term in enumerate(lp.level.factors):
         bound = empirical_prob(data, term.left, term.right).restrict(do)
         factors[f"f{i}"] = stats.record(bound)
-    ones = {fid: sf.SparseFactor.trusted(f.scope, f.codes, np.ones(f.tightness),
-                                         data=f.data, rows=f.rows)
+    ones = {fid: sf.with_values(f, np.ones(f.tightness))
             for fid, f in factors.items()} if lp.support else {}
     for (child_id, _), (check, reach) in zip(lp.level.child_outputs, lp.support):
         inner = None if reach is None else _support(

@@ -23,16 +23,22 @@ Plug-in tables are projections of the data, and a table bound from a
 dataset (`model.empirical_prob`) says so: it carries provenance, the
 `model.Dataset` as `data` and one source row per entry as `rows`, its
 names read distinct columns, and each entry's codes are its row's cells
-on them. `restrict`, `invert`, the engine's all-ones copies, a marginal
-and a product that adds no column to its wider operand keep it; a general
-join of two such tables gets it back when every entry it makes is a row
-of the data. Between such tables of one dataset no key is built: a join
-whose narrower operand's names lie inside the wider's (the semi-join of
-Yannakakis) gathers each partner by the `Dataset.group` id of the wider's
-source row, and a marginal groups by those ids of the kept columns. Every
-other join, `join_size`, the support check, and tables without provenance
-(built by `SparseFactor(...)` or `trusted` alone, joined across datasets,
-or a join's fan-out) keep the key path: `matches` and `group_ids`.
+on them. `restrict`, `invert`, the engine's all-ones copies (`with_values`),
+a marginal and a product that adds no column to its wider operand keep it;
+a general join of two such tables gets it back when every entry it makes
+is a row of the data. Such a table is a set of row references plus values,
+the factorised representation of Olteanu & Zavodny (TODS 2015): it is
+built without a code matrix, and `codes` gathers one from the rows' cells
+only when read, as the report's result and `items` do. Between such
+tables of one dataset no key is built: a join whose narrower operand's
+names lie inside the wider's (the semi-join of Yannakakis) gathers each
+partner by the `Dataset.group` id of the wider's source row, and a
+marginal groups by those ids of the kept columns. Every other join,
+`join_size`, the support check, and tables without provenance (built by
+`SparseFactor(...)` or `trusted` alone, joined across datasets, or a
+join's fan-out) keep the key path, `matches` and `group_ids`, which read
+the columns they key through `SparseFactor.take`: from the code matrix
+when the table holds one, else from the rows' cells, building none.
 """
 
 from __future__ import annotations
@@ -120,9 +126,10 @@ class SparseFactor:
 
     `SparseFactor(scope, entries)` checks its entries as int64 and then keeps
     the codes in the `code_dtype` of the scope's largest domain; `trusted`
-    keeps the dtype it is given."""
+    keeps the dtype it is given. A table with provenance may hold no codes:
+    `codes` then gathers its rows' cells on first read and keeps them."""
 
-    __slots__ = ("scope", "names", "codes", "values", "underflow_dropped", "data", "rows",
+    __slots__ = ("scope", "names", "_codes", "values", "underflow_dropped", "data", "rows",
                  "_lookup")
 
     def __init__(self, scope, entries):
@@ -155,7 +162,7 @@ class SparseFactor:
     def _set(self, scope, codes, values, underflow_dropped, data=None, rows=None):
         self.scope = scope
         self.names = tuple([v.name for v in scope])  # a list builds it in half the time
-        self.codes = codes
+        self._codes = codes
         self.values = values
         self.underflow_dropped = int(underflow_dropped)
         self.data = data
@@ -169,12 +176,31 @@ class SparseFactor:
 
         With `data`, the table has provenance: its names read distinct
         columns of that `model.Dataset` (their base names), and entry i's
-        codes are the cells of row `rows[i]` on those columns."""
+        codes are the cells of row `rows[i]` on those columns, and `codes`
+        may be None: the `codes` property derives them when read."""
         f = cls.__new__(cls)
         f._set(scope, codes, values, underflow_dropped, data, rows)
         return f
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def codes(self):
+        """The code matrix, one row per entry. A table with provenance built
+        without one gathers it here, once: the cells of its source rows on
+        its columns, in the dataset's dtype."""
+        if self._codes is None:
+            self._codes = self.take(range(len(self.scope)))
+        return self._codes
+
+    def take(self, positions, index=slice(None)):
+        """`codes[index][:, positions]`. A table without a code matrix reads
+        those columns of its source rows' cells and still builds none."""
+        if self._codes is not None:
+            return take_columns(self._codes, positions)[index]
+        data, columns = self.data, _columns(self.names)
+        return take_columns(data.cells, [data.column_index(columns[i]) for i in positions])[
+            self.rows[index]]
 
     @property
     def tightness(self) -> int:
@@ -202,7 +228,8 @@ class SparseFactor:
 
     def restrict(self, partial) -> "SparseFactor":
         """Keep only entries consistent with a partial assignment (scope
-        unchanged), and their source rows."""
+        unchanged), and their source rows. It reads only the assigned
+        columns, and a table without a code matrix stays without one."""
         if not partial:
             return self
         positions = [(i, partial[v.name]) for i, v in enumerate(self.scope) if v.name in partial]
@@ -210,9 +237,20 @@ class SparseFactor:
             return self
         keep = np.ones(len(self.values), dtype=bool)
         for i, want in positions:
-            keep &= self.codes[:, i] == want
-        return SparseFactor.trusted(self.scope, self.codes[keep], self.values[keep], data=self.data,
-                                    rows=None if self.rows is None else self.rows[keep])
+            keep &= self.take([i])[:, 0] == want
+        return SparseFactor.trusted(self.scope, _select(self._codes, keep), self.values[keep],
+                                    data=self.data, rows=_select(self.rows, keep))
+
+
+def _select(a, index):
+    """`a[index]`, or None for None: an optional code matrix or row array."""
+    return None if a is None else a[index]
+
+
+def with_values(f: SparseFactor, values) -> SparseFactor:
+    """f's entries with new values, one per entry, none of them zero: the
+    same scope, codes (or none) and provenance."""
+    return SparseFactor.trusted(f.scope, f._codes, values, data=f.data, rows=f.rows)
 
 
 def unit_factor() -> SparseFactor:
@@ -245,12 +283,12 @@ def matches(f: SparseFactor, g: SparseFactor):
         g_shared.append(j)
         sizes.append(v.domain_size)
     encode = key_rule(sizes)
-    g_keys = encode(take_columns(g.codes, g_shared))
+    g_keys = encode(g.take(g_shared))
     g_rows = None
     if g_only and g_only[0] < len(g_shared):  # g's shared columns do not lead its scope
         g_rows = np.argsort(g_keys, kind="stable")
         g_keys = g_keys[g_rows]
-    probe = encode(take_columns(f.codes, f_shared))
+    probe = encode(f.take(f_shared))
     lo = np.searchsorted(g_keys, probe, "left")
     return lo, np.searchsorted(g_keys, probe, "right"), g_rows, g_only
 
@@ -289,10 +327,9 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         lo, hi, g_rows, g_only = matches(f, g)
         hit = hi > lo
     if not g_only:  # one partner at most, and f's scope is the output's
-        codes, values, rows = f.codes, f.values, f.rows
+        codes, values, rows = f._codes, f.values, f.rows
         if not hit.all():
-            codes, values, lo = codes[hit], values[hit], lo[hit]
-            rows = None if rows is None else rows[hit]
+            codes, values, lo, rows = _select(codes, hit), values[hit], lo[hit], _select(rows, hit)
         return _trusted_product(f.scope, codes, values * g.values[lo], f.data, rows)
 
     # output k, the j-th of f row i's, meets g's run row lo[i] + j, in g's canonical order
@@ -303,27 +340,29 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         rows = g_rows[rows]
 
     values = f.values[f_rows] * g.values[rows]
-    extra = take_columns(g.codes, g_only)[rows]
+    extra = g.take(g_only, rows)
     source = _source_rows(f, g, g_only, f_rows, extra)
-    codes = np.concatenate([f.codes[f_rows], extra], axis=1)
     scope = f.scope + tuple(g.scope[j] for j in g_only)
-    if name_key(g.names[g_only[0]]) < name_key(f.names[-1]):  # else f's rows, expanded, are sorted
+    ordered = name_key(g.names[g_only[0]]) > name_key(f.names[-1])  # f's rows, expanded, are sorted
+    if ordered and source is not None:  # rows of the data, in order: no codes to build
+        return _trusted_product(scope, None, values, f.data, source)
+    codes = np.concatenate([f.take(range(len(f.scope)), f_rows), extra], axis=1)
+    if not ordered:
         order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
         scope = tuple(scope[i] for i in order)
         codes = codes[:, order]
         _, first = group_ids(codes, [v.domain_size for v in scope])
-        codes, values = codes[first], values[first]
-        source = None if source is None else source[first]
+        codes, values, source = codes[first], values[first], _select(source, first)
     return _trusted_product(scope, codes, values, None if source is None else f.data, source)
 
 
 def _trusted_product(scope, codes, values, data=None, rows=None) -> SparseFactor:
-    """A product's canonical rows and values, less the values that underflow."""
+    """A product's canonical rows (or None, given provenance) and values,
+    less the values that underflow."""
     kept = np.abs(values) >= UNDERFLOW_FLOOR
     dropped = len(values) - int(np.count_nonzero(kept))
     if dropped:
-        codes, values = codes[kept], values[kept]
-        rows = None if rows is None else rows[kept]
+        codes, values, rows = _select(codes, kept), values[kept], _select(rows, kept)
     return SparseFactor.trusted(scope, codes, values, dropped, data, rows)
 
 
@@ -375,8 +414,8 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     """Sum out `out_vars`; exact-zero results are dropped. Each group is
     summed by `np.bincount` in f's row order. A table with provenance is
     grouped by `Dataset.group` on the kept columns, whose ids follow the
-    kept codes' order, and keeps one source row per group; any other is
-    grouped by `group_ids`."""
+    kept codes' order, and keeps one source row per group and no codes;
+    any other is grouped by `group_ids`."""
     out = set(out_vars)
     unknown = out - set(f.names)
     if unknown:
@@ -401,10 +440,7 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
             sums, first = sums[held], first[held]
     kept = np.abs(sums) >= UNDERFLOW_FLOOR
     first = first[kept]
-    if rows is None:
-        codes = kept_codes[first]
-    else:  # the groups' rows first, then their columns: fewer cells to copy
-        codes, rows = take_columns(f.codes[first], keep), rows[first]
+    codes, rows = (kept_codes[first], None) if rows is None else (None, rows[first])
     return SparseFactor.trusted(
         scope, codes, sums[kept], underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
         data=f.data, rows=rows,
@@ -414,4 +450,4 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
 def invert(f: SparseFactor) -> SparseFactor:
     """Entrywise reciprocal over the same support; outside it the reciprocal
     is undefined, which `engine.check_support` rules out before any product."""
-    return SparseFactor.trusted(f.scope, f.codes, 1.0 / f.values, data=f.data, rows=f.rows)
+    return with_values(f, 1.0 / f.values)

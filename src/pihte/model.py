@@ -399,36 +399,36 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     Names are the term's own, primed or not: each reads the column of its
     base name, and the scope is the names in canonical order. The term's
     rows and its conditioning side's are grouped by `data.group`, whose
-    ids follow that order, so one representative row per group gives the
-    codes already sorted. Entries exist only for configurations seen in
-    the data; counts are exact integers, divided once per entry. With right
-    empty this is the empirical marginal over `left`.
+    ids follow that order, so one representative row per group lists the
+    entries already sorted. The table keeps those rows as its provenance
+    and no code matrix: its `codes` gather the rows' cells only when read.
+    Entries exist only for configurations seen in the data; counts are
+    exact integers, divided once per entry. With right empty this is the
+    empirical marginal over `left`.
     """
-    from .factor import SparseFactor, take_columns
+    from .factor import SparseFactor, _columns
 
     left = tuple(left)
     right = tuple(right)
     if not left:
         raise ValueError("left variable set must be non-empty")
-    scope_names = sorted(left + right, key=name_key)
-    columns = tuple(base_name(n) for n in scope_names)
+    scope_names = tuple(sorted(left + right, key=name_key))
+    columns = _columns(scope_names)
     if len(set(columns)) != len(columns):
         term = ",".join(left) + ("|" + ",".join(right) if right else "")
         raise ValueError(f"term P({term}) reads a column more than once")
     if data.n_rows == 0:
         raise EmptyDataset("cannot extract probabilities from zero rows")
 
-    positions = [data.column_index(c) for c in columns]  # names a missing column
-    scope = tuple(_variable(n, data.domains[c]) for n, c in zip(scope_names, columns))
+    list(map(data.column_index, columns))  # names a missing column
+    scope = tuple(map(_variable, scope_names, map(data.domains.__getitem__, columns)))
     # the conditioning side first: when its names sort first, it is the
     # prefix the term's own grouping then extends; with right empty it is
     # the one group of all rows
-    conditioning = set(right)
-    right_ids, _ = data.group(c for n, c in zip(scope_names, columns) if n in conditioning)
+    right_ids, _ = data.group(_columns(tuple(sorted(right, key=name_key))))
     ids, count = data.group(columns)
     first = np.empty(count, dtype=np.intp)
     first[ids] = np.arange(data.n_rows)  # any row of a group holds its cells
-    codes = take_columns(data.cells, positions)[first]
     denom = np.bincount(right_ids)[right_ids[first]]
-    return SparseFactor.trusted(scope, codes, np.bincount(ids) / denom,
+    return SparseFactor.trusted(scope, None, np.bincount(ids) / denom,
                                 data=data, rows=first.astype(code_dtype(data.n_rows - 1)))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
 from conftest import factors_close
+from pihte import engine, factor
 from pihte.errors import IncompleteAssignment, ScopeConflict, UnknownVariable
+from pihte.estimand import flatten, parse
 from pihte.factor import (
     SparseFactor,
     invert,
@@ -17,8 +19,10 @@ from pihte.factor import (
     product,
     row_keys,
     unit_factor,
+    with_values,
 )
-from pihte.model import Dataset, Variable, code_dtype, empirical_prob, name_key
+from pihte.model import Dataset, Variable, code_dtype, empirical_prob, load_graph, name_key
+from pihte.simulate import random_cbn, sample_dataset
 
 
 def make(scope_spec, entries):
@@ -665,7 +669,7 @@ def bound_term(draw, data, names_):
     split = draw(st.integers(1, len(names_)))
     f = empirical_prob(data, tuple(names_[:split]), tuple(names_[split:]))
     scale = draw(st.sampled_from([1.0, 1e-150, 3e-300]))
-    f = SparseFactor.trusted(f.scope, f.codes, f.values * scale, data=f.data, rows=f.rows)
+    f = with_values(f, f.values * scale)
     do = {n: draw(st.integers(0, 1)) for n in f.names if draw(st.integers(0, 3)) == 0}
     return f.restrict(do)
 
@@ -781,3 +785,100 @@ def test_tables_of_two_datasets_are_never_gathered_together():
     assert h.data is None
     assert_same_as_stripped(h, product(strip(empirical_prob(one, ("A",))),
                                        strip(empirical_prob(two, ("B",)))))
+
+
+# -- codes read from the rows -------------------------------------------------
+
+
+def lazy(f):
+    """The same table with its provenance and no code matrix."""
+    return SparseFactor.trusted(f.scope, None, f.values, f.underflow_dropped, f.data, f.rows)
+
+
+def assert_codes_are_the_rows_cells(f):
+    """f's codes are the cells of its source rows on its columns, gathered
+    rows first, in the dataset's dtype."""
+    columns = [f.data.column_index(n.rstrip("'")) for n in f.names]
+    want = f.data.cells[f.rows.astype(np.intp)][:, columns]
+    assert f.codes.dtype == f.data.cells.dtype
+    assert np.array_equal(f.codes, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(provenance_pairs(), st.data())
+def test_codes_read_from_the_rows_equal_the_eager_ones(pair, data):
+    """Each kind of table with provenance, built from tables that hold no
+    code matrix, holds none either (a general join builds its own), and the
+    codes it derives when read equal the eager gather of its rows' cells and
+    the keyed algebra's codes, in values and dtype."""
+    a, b = pair
+    out = set(data.draw(st.lists(st.sampled_from(a.names), unique=True)))
+    do = {n: data.draw(st.integers(0, 1)) for n in a.names if data.draw(st.booleans())}
+    kinds = {
+        "bound": lambda f, g: f,
+        "restricted": lambda f, g: f.restrict(do),
+        "inverted": lambda f, g: invert(f),
+        "marginal": lambda f, g: marginalize(f, out),
+        "contained product": lambda f, g: product(marginalize(f, out), f),
+        "join": lambda f, g: product(f, g),
+    }
+    for kind, build in kinds.items():
+        got = build(lazy(a), lazy(b))
+        if got.data is None:  # a general join that keeps no provenance
+            continue
+        note(kind)
+        assert got._codes is None or kind == "join"
+        assert_codes_are_the_rows_cells(got)
+        want = build(strip(a), strip(b))
+        assert_same_as_int64(got, want)
+        assert got.codes.dtype == want.codes.dtype
+
+
+def test_restrict_reads_the_assigned_columns_of_the_rows():
+    data = Dataset(("A", "B", "C"), [(0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)],
+                   {"A": 2, "B": 2, "C": 2})
+    f = empirical_prob(data, ("C", "A'"), ("B",))
+    eager = strip(empirical_prob(data, ("C", "A'"), ("B",)))
+    for do in ({"A'": 1}, {"B": 0, "C": 1}, {"A'": 0, "C": 0}):
+        got, want = f.restrict(do), eager.restrict(do)
+        assert f._codes is None and got._codes is None and got.data is data
+        assert_same_as_int64(got, want)
+        assert got.codes.dtype == want.codes.dtype
+        assert_codes_are_the_rows_cells(got)
+        assert dict(got.items()) == {k: v for k, v in eager.items()
+                                     if all(k[f.names.index(n)] == x for n, x in do.items())}
+
+
+def test_with_values_keeps_the_entries_and_builds_no_codes():
+    data = Dataset(("A", "B"), [(0, 0), (1, 1), (1, 0)], {"A": 2, "B": 2})
+    f = empirical_prob(data, ("A",), ("B",))
+    ones = with_values(f, np.ones(f.tightness))
+    assert ones._codes is None and ones.data is data and ones.rows is f.rows
+    assert ones.scope == f.scope and ones.values.tolist() == [1.0] * f.tightness
+    assert f._codes is None
+    eager = strip(f)
+    assert with_values(eager, ones.values).codes is eager.codes  # no copy
+
+
+def test_chain99_builds_no_code_matrix_before_its_result_is_read(fixture_path, monkeypatch):
+    """On chain99 at 800 rows every bound term, product and marginal keeps
+    its provenance and builds no code matrix; only reading the result
+    gathers its codes."""
+    made = []
+
+    def keep(fn):
+        def wrapped(*args):
+            made.append(fn(*args))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(engine, "empirical_prob", keep(engine.empirical_prob))
+    for name in ("product", "marginalize"):
+        monkeypatch.setattr(factor, name, keep(getattr(factor, name)))
+    graph = load_graph(fixture_path("chain99.graph"))
+    data = sample_dataset(random_cbn(graph, dist="dirichlet", alpha=1.0, seed=3), 800, seed=4)
+    with open(fixture_path("chain99.estimand"), encoding="utf-8") as fh:
+        report = engine.pi_hte(flatten(parse(fh.read())), data)
+    assert len(made) == 99 + 98 + 50
+    assert all(t.data is data and t._codes is None for t in made)
+    assert_codes_are_the_rows_cells(report.result)

@@ -639,7 +639,7 @@ def strip(f):
 
 def assert_provenance_holds(f):
     """A table with provenance reads distinct columns, and each entry's
-    codes are the cells of its source row on them."""
+    codes are the cells of its source row on them, in the data's dtype."""
     if f.data is None:
         assert f.rows is None
         return
@@ -649,6 +649,7 @@ def assert_provenance_holds(f):
     assert f.rows.dtype == code_dtype(f.data.n_rows - 1)
     cells = f.data.cells[:, [f.data.column_index(c) for c in columns]]
     assert np.array_equal(cells[f.rows.astype(np.intp)].reshape(f.codes.shape), f.codes)
+    assert f.codes.dtype == f.data.cells.dtype
 
 
 def assert_same_as_stripped(got, want):
@@ -795,15 +796,6 @@ def lazy(f):
     return SparseFactor.trusted(f.scope, None, f.values, f.underflow_dropped, f.data, f.rows)
 
 
-def assert_codes_are_the_rows_cells(f):
-    """f's codes are the cells of its source rows on its columns, gathered
-    rows first, in the dataset's dtype."""
-    columns = [f.data.column_index(n.rstrip("'")) for n in f.names]
-    want = f.data.cells[f.rows.astype(np.intp)][:, columns]
-    assert f.codes.dtype == f.data.cells.dtype
-    assert np.array_equal(f.codes, want)
-
-
 @settings(max_examples=200, deadline=None)
 @given(provenance_pairs(), st.data())
 def test_codes_read_from_the_rows_equal_the_eager_ones(pair, data):
@@ -828,7 +820,7 @@ def test_codes_read_from_the_rows_equal_the_eager_ones(pair, data):
             continue
         note(kind)
         assert got._codes is None or kind == "join"
-        assert_codes_are_the_rows_cells(got)
+        assert_provenance_holds(got)
         want = build(strip(a), strip(b))
         assert_same_as_int64(got, want)
         assert got.codes.dtype == want.codes.dtype
@@ -844,7 +836,7 @@ def test_restrict_reads_the_assigned_columns_of_the_rows():
         assert f._codes is None and got._codes is None and got.data is data
         assert_same_as_int64(got, want)
         assert got.codes.dtype == want.codes.dtype
-        assert_codes_are_the_rows_cells(got)
+        assert_provenance_holds(got)
         assert dict(got.items()) == {k: v for k, v in eager.items()
                                      if all(k[f.names.index(n)] == x for n, x in do.items())}
 
@@ -881,4 +873,4 @@ def test_chain99_builds_no_code_matrix_before_its_result_is_read(fixture_path, m
         report = engine.pi_hte(flatten(parse(fh.read())), data)
     assert len(made) == 99 + 98 + 50
     assert all(t.data is data and t._codes is None for t in made)
-    assert_codes_are_the_rows_cells(report.result)
+    assert_provenance_holds(report.result)

@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimitExceeded,
 )
 from .estimand import flatten, parse
-from .model import load_dataset, load_graph
+from .model import load_dataset, load_graph, open_text
 
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
@@ -41,7 +41,7 @@ def _read_estimand(args) -> str:
     if getattr(args, "estimand", None):
         return args.estimand
     if getattr(args, "estimand_file", None):
-        with open(args.estimand_file, encoding="utf-8") as fh:
+        with open_text(args.estimand_file) as fh:
             return fh.read()
     raise ValueError("an estimand is required (--estimand or --estimand-file)")
 

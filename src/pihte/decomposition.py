@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import ParseError, UncoverableCluster, UnknownVariable
-from .model import name_key, statements
+from .model import name_key, open_text, statements
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def load_decomposition(path) -> TreeDecomposition:
     `engine.plan` validates the result against the level it is supplied for."""
     clusters = {}
     edges = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in statements(fh):
             if line.startswith("cluster"):
                 head, _, body = line.partition(":")

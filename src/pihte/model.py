@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
-import io
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,13 +284,25 @@ def statements(lines):
             yield lineno, line
 
 
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """A text input opened as UTF-8 with its byte-order mark, if any, dropped;
+    a byte that is not UTF-8 raises a ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                         path) from None
+
+
 def load_graph(path) -> CausalGraph:
     """Parse the graph text format: `var <name> <k>`, `a -> b`, `a <-> b`."""
     variables = {}  # name -> Variable, in declaration order
     directed = []
     bidirected = []
     endpoints = {}  # edge endpoint -> the first line naming it
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in statements(fh):
             parts = line.split()
             if parts[0] == "var":
@@ -320,67 +333,53 @@ def load_graph(path) -> CausalGraph:
         raise CycleError(f"{path}: {exc}") from None
 
 
-# the characters of a plain dataset body: numpy's C reader takes it whole
-_PLAIN = b"0123456789,\r\n"
-
-
-def _plain_cells(body: str, width: int):
-    """The cells of a non-empty plain body (only digits, commas and line
-    breaks) as an int64 matrix of `width` columns, read by numpy's C reader
-    (`np.loadtxt`, numpy >= 1.23), or None when the body is not one. Python
-    splits the lines, so line endings mean what they mean to `csv`. The
-    cells are read as int64, so that a value past it fails here rather than
-    wrap, and `Dataset` narrows them once they are range-checked."""
-    if body.encode().translate(None, _PLAIN) or not body.strip("\r\n"):
-        return None
-    try:
-        cells = np.loadtxt(body.splitlines(), delimiter=",", dtype=np.int64,
-                           ndmin=2, comments=None)
-    except ValueError:  # an empty cell, a ragged row, an int64 overflow
-        return None
-    return cells if cells.shape[1] == width else None
-
-
 def load_dataset(path, graph: CausalGraph) -> Dataset:
     """Load a CSV of integer cells, range-checked against the graph's domains.
 
-    A plain body is read by `_plain_cells`; any other body, and a plain one
-    that fails, is read record by record with `csv`, whose errors name the
-    `path:line` of the first bad record.
+    An ASCII file is read in one pass: `csv` reads the header, and numpy's C
+    reader (`np.loadtxt`, numpy >= 1.23) streams the body from the same file
+    straight into the cells' `code_dtype`, on universal newlines so that it
+    sees only `\\n`. Any failure there (an error, a warning, a row of another
+    width, a cell out of its domain, a byte that is not ASCII, which numpy
+    may read as a digit) reads the file again record by record with `csv`,
+    whose errors name the `path:line` of the first bad record. A cell is an
+    integer as `int` reads it once `str.strip` has cut its whitespace.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    buf = io.StringIO(text, newline="")
-    reader = csv.reader(buf)
     try:
-        header = next((rec for rec in reader if rec), None)  # blank lines come as []
-    except csv.Error as exc:  # a cell past the field size limit; a NUL before Python 3.11
-        raise ParseError(str(exc), path, reader.line_num) from None
-    if header is None:
-        raise ParseError("empty file", path)
-    columns = [c.strip() for c in header]
-    declared = {v.name: v.domain_size for v in graph.variables}
-    for i, c in enumerate(columns):
-        if c not in declared:
-            raise UnknownVariable(f"{path}:{reader.line_num}: column {c!r} is not "
-                                  "declared in the graph")
-        if columns.index(c) != i:
-            raise ParseError(f"column {c!r} appears more than once", path, reader.line_num)
-    domains = {c: declared[c] for c in columns}
-    cells = _plain_cells(text[buf.tell():], len(columns))
-    if cells is not None:
-        try:
+        with open(path, encoding="ascii") as fh:
+            columns = [c.strip() for c in next(filter(None, csv.reader(fh)))]
+            domains = {c: graph.domain_size(c) for c in columns}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns on an empty body
+                cells = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                   dtype=code_dtype(max(domains.values()) - 1))
+        if cells.shape[1] == len(columns):
             return Dataset(columns, cells, domains)
-        except DomainViolation:
-            pass  # the records below name its line
-    try:
-        records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
-    except csv.Error as exc:
-        raise ParseError(str(exc), path, reader.line_num) from None
+    except Exception:
+        pass  # the records below give the error, or the cells numpy would not
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next((rec for rec in reader if rec), None)  # blank lines come as []
+            if header is None:
+                raise ParseError("empty file", path)
+            columns = [c.strip() for c in header]
+            declared = {v.name: v.domain_size for v in graph.variables}
+            for i, c in enumerate(columns):
+                if c not in declared:
+                    raise UnknownVariable(f"{path}:{reader.line_num}: column {c!r} is not "
+                                          "declared in the graph")
+                if columns.index(c) != i:
+                    raise ParseError(f"column {c!r} appears more than once", path,
+                                     reader.line_num)
+            records = [(reader.line_num, rec) for rec in reader if rec]  # a record's last line
+        except csv.Error as exc:  # a cell past the field size limit; a NUL before Python 3.11
+            raise ParseError(str(exc), path, reader.line_num) from None
+    domains = {c: declared[c] for c in columns}
     rows = []
     for lineno, rec in records:
         try:
-            rows.append(tuple(int(cell) for cell in rec))
+            rows.append(tuple(int(cell.strip()) for cell in rec))
         except ValueError:
             raise ParseError(f"non-integer cell in {rec!r}", path, lineno) from None
     for lineno, rec in records:

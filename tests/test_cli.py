@@ -481,6 +481,47 @@ def test_repeated_or_bad_input_names_itself_exit2(capsys, napkin, tmp_path, monk
     assert name in err
 
 
+def napkin_inputs(napkin, tmp_path):
+    """Napkin's four text inputs, keyed by suffix, with a one-cluster `.td`."""
+    graph, estimand, data = napkin
+    td = tmp_path / "napkin.td"
+    td.write_text(NAPKIN_CLUSTER)
+    return {"graph": graph, "estimand": estimand, "csv": data, "td": str(td)}
+
+
+def estimate_inputs(capsys, files):
+    return run(capsys, "estimate", "--graph", files["graph"], "--estimand-file",
+               files["estimand"], "--data", files["csv"], "--decomposition", files["td"])
+
+
+@pytest.mark.parametrize("suffix", ["graph", "estimand", "csv", "td"])
+def test_input_with_a_byte_order_mark_reads_as_without(capsys, napkin, tmp_path, suffix):
+    files = napkin_inputs(napkin, tmp_path)
+    code, out, _ = estimate_inputs(capsys, files)
+    assert code == 0
+    bom = tmp_path / f"bom.{suffix}"
+    with open(files[suffix], "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    files[suffix] = str(bom)
+    code, bom_out, err = estimate_inputs(capsys, files)
+    assert (code, err) == (0, "")
+    assert json.loads(bom_out)["result"] == json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("suffix", ["graph", "estimand", "csv", "td"])
+def test_input_that_is_not_utf8_names_itself_exit2(capsys, napkin, tmp_path, suffix):
+    files = napkin_inputs(napkin, tmp_path)
+    bad = tmp_path / f"bad.{suffix}"
+    with open(files[suffix], "rb") as fh:
+        text = fh.read()
+    cut = text.index(b"\n") + 1  # a byte of Latin-1 after the first line
+    bad.write_bytes(text[:cut] + b"caf\xe9\n" + text[cut:])
+    files[suffix] = str(bad)
+    code, out, err = estimate_inputs(capsys, files)
+    assert code == 2 and not out
+    assert err == f"error: {bad}: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+
+
 AB_GRAPH = "var A 2\nvar B 2\nA -> B\n"
 AB_ROWS = "A,B\n0,0\n0,1\n1,1\n1,1\n"
 

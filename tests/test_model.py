@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pihte import factor, model
+from pihte import factor
 from pihte.cli import main
 from pihte.decomposition import load_decomposition
 from pihte.errors import (
@@ -21,7 +22,6 @@ from pihte.errors import (
 )
 from pihte.factor import SparseFactor
 from pihte.model import (
-    _plain_cells,
     CausalGraph,
     Dataset,
     Variable,
@@ -281,6 +281,7 @@ def test_load_dataset(tmp_path):
     ("A,B\n", ()),
     ("\nA,B\n0,1\n1,0\n", ((0, 1), (1, 0))),  # blank lines before the header too
     ("\n\nA,B\n", ()),
+    ("A,B\n\n\n", ()),  # a body of blank lines only: numpy warns, csv reads no rows
 ])
 def test_load_dataset_cells(tmp_path, text, rows):
     g = CausalGraph([Variable("A", 2), Variable("B", 2)], [])
@@ -326,7 +327,8 @@ def dataset_texts(draw):
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     cell = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["00", "01", "010"]))
     if odd:
-        cell = st.one_of(cell, st.sampled_from(['"1"', " 0", "2 ", "", "x", "-1", "1.0"]))
+        cell = st.one_of(cell, st.sampled_from(['"1"', " 0", "2 ", "", "x", "-1", "1.0", "+1",
+                                                "-0", "1_0", "\x1c1", "\u0661", "\u0906"]))
     rows = draw(st.lists(st.lists(cell, min_size=1 if odd else 2, max_size=3 if odd else 2),
                          max_size=6))
     lines = [""] * draw(st.integers(0, 2)) + ["A,B"]
@@ -358,25 +360,76 @@ def load_outcome(path, graph):
 @example("A,B\n99999999999999999999,1\n")  # past int64
 @example("A,B\n")  # the header alone
 @example("A,B\r\n\r\n")  # the header and a blank line
+@example("A,B\n\n\n")  # a body of blank lines only
 def test_load_dataset_matches_the_record_reader(tmp_path_factory, text):
-    # a plain body is read by numpy, any other by csv records; both must give
-    # the same cells, or the same error naming the same line
+    # numpy's reader streams the body, and any failure there reads the file
+    # again with csv records: both must give the same cells, or the same
+    # error naming the same line
     g = CausalGraph([Variable("A", 13), Variable("B", 11)], [])
     p = tmp_path_factory.getbasetemp() / "d.csv"
     p.write_bytes(text.encode())
-    fast = []
+    loadtxt, read = np.loadtxt, []
 
-    def plain_cells(body, width):
-        fast.append(_plain_cells(body, width))
-        return fast[-1]
+    def spy(*args, **kwargs):
+        read.append(loadtxt(*args, **kwargs))
+        return read[-1]
 
-    with mock.patch.object(model, "_plain_cells", plain_cells):
+    with mock.patch.object(np, "loadtxt", spy):
         got = load_outcome(p, g)
-    with mock.patch.object(model, "_plain_cells", lambda body, width: None):
+    with mock.patch.object(np, "loadtxt", mock.Mock(side_effect=ValueError("refused"))):
         want = load_outcome(p, g)
     assert got == want
     if set(text.split("A,B", 1)[1]) <= set("0123456789,\r\n") and got[0] == ("A", "B") and got[1]:
-        assert fast[0] is not None  # a plain file with rows takes numpy's reader
+        assert read and read[0].tolist() == got[1]  # a plain file with rows takes numpy's reader
+
+
+@pytest.mark.parametrize("cell, want", [
+    ("+1", [[0, 1]]),
+    (" 1", [[0, 1]]),
+    ("1\t", [[0, 1]]),
+    ("1.0", (ParseError, "d.csv:2: non-integer cell in ['0', '1.0']")),
+    ("1e0", (ParseError, "d.csv:2: non-integer cell in ['0', '1e0']")),
+    ("0x1", (ParseError, "d.csv:2: non-integer cell in ['0', '0x1']")),
+    ("1_0", [[0, 10]]),  # int's digit grouping
+    ("\uff11", [[0, 1]]),  # a full-width 1
+    ("-0", [[0, 0]]),
+    ("300", (DomainViolation, "d.csv:2: column 'B': value 300 out of domain")),  # past uint8
+    ("\x1c1", [[0, 1]]),  # an ASCII separator numpy cuts as whitespace
+    # numpy 2.4 reads this Devanagari letter as 214 under uint8
+    ("\u0906", (ParseError, "d.csv:2: non-integer cell in ['0', '\u0906']")),
+])
+def test_load_dataset_reads_each_cell_as_the_record_reader(tmp_path, cell, want):
+    g = CausalGraph([Variable("A", 2), Variable("B", 256)], [])  # uint8 cells
+    p = tmp_path / "d.csv"
+    p.write_text(f"A,B\n0,{cell}\n", encoding="utf-8")
+    got = load_outcome(p, g)
+    with mock.patch.object(np, "loadtxt", mock.Mock(side_effect=ValueError("refused"))):
+        assert load_outcome(p, g) == got
+    if isinstance(want, list):
+        assert got == (("A", "B"), want)
+    else:
+        assert got == (want[0], f"{p.parent}/{want[1]}")
+
+
+def test_load_dataset_peak_memory_is_a_few_times_the_cells(tmp_path):
+    # the body streams into one-byte cells: no whole text, line list or
+    # int64 matrix is held beside them
+    rng = np.random.default_rng(0)
+    g = CausalGraph([Variable(f"V{i}", 4) for i in range(99)], [])
+    p = tmp_path / "d.csv"
+    body = rng.integers(0, 4, size=(20_000, 99))
+    with open(p, "w") as fh:
+        fh.write(",".join(g.names) + "\n")
+        np.savetxt(fh, body, fmt="%d", delimiter=",")
+    del body
+    tracemalloc.start()
+    try:
+        cells = load_dataset(p, g).cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells.dtype == np.uint8 and cells.shape == (20_000, 99)
+    assert peak <= 8 * cells.nbytes, f"peak {peak / cells.nbytes:.1f}x the cells"
 
 
 def test_empirical_prob_marginal():

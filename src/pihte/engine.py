@@ -12,11 +12,11 @@ where and what each message sums out. One plan serves any number of datasets.
 Every bound term and its all-ones copy for the support check
 (`factor.with_values`) carry provenance (see `factor`), as does each table
 made from them that stays rows of the data, a child output among them; the
-products and marginals between such tables are gathers over `Dataset.group`
-ids. The join order's `join_size`, `check_support`'s partner search and
-`_renormalize`'s division keep `factor.matches`' keys, which read the keyed
-columns from the data's rows. On chain99 no table builds a code matrix
-until the report (or `_renormalize`) reads the result's.
+products, marginals and `factor.matches` between such tables (the join
+order's `join_size`, `check_support`'s partner search and `_renormalize`'s
+division among them) work on `Dataset.group` ids. On chain99 no table
+builds a code matrix until the report (or `_renormalize`) reads the
+result's, and no key is encoded.
 """
 
 from __future__ import annotations

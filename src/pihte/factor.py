@@ -9,15 +9,17 @@ keeps its inputs' dtype, or the wider of two. Entries are validated where
 they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
 the algebra builds its results with `SparseFactor.trusted`. It is the join and
 aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
-2016) as array kernels over sortable row keys, one per row by the
-`key_rule` of the key's domains: an `int64` mixed-radix number when the
-domains multiply to at most 2**63, else big-endian bytes (`row_keys`).
-Every join aligns its two scopes, checks their shared domains and finds its
-partners in one place, `matches`, a binary search whose runs a product
-expands, `join_size` counts and the engine's support check and
-renormalization read, and a marginal sums each group found by a sort. The
-algebra knows nothing of ratios: the engine checks each denominator's
-support once per level, before any product.
+2016) as array kernels over sortable `int64` row keys, one per row: the
+`Dataset.group` ids of the source rows between two tables of one dataset,
+else `keys` of the key's domains, a mixed-radix number when they multiply
+to at most 2**63 and the rows' dense ids past it. Every grouping runs
+through one kernel, `model.group_rows`. Every join aligns its two scopes,
+checks their shared domains and finds its partners in one place,
+`matches`, a binary search whose runs a product expands, `join_size`
+counts and the engine's support check and renormalization read, and a
+marginal sums each group of its kept columns. The algebra knows nothing
+of ratios: the engine checks each denominator's support once per level,
+before any product.
 
 Plug-in tables are projections of the data, and a table bound from a
 dataset (`model.empirical_prob`) says so: it carries provenance, the
@@ -30,15 +32,16 @@ is a row of the data. Such a table is a set of row references plus values,
 the factorised representation of Olteanu & Zavodny (TODS 2015): it is
 built without a code matrix, and `codes` gathers one from the rows' cells
 only when read, as the report's result and `items` do. Between such
-tables of one dataset no key is built: a join whose narrower operand's
+tables of one dataset no key is encoded: a join whose narrower operand's
 names lie inside the wider's (the semi-join of Yannakakis) gathers each
-partner by the `Dataset.group` id of the wider's source row, and a
-marginal groups by those ids of the kept columns. Every other join,
-`join_size`, the support check, and tables without provenance (built by
-`SparseFactor(...)` or `trusted` alone, joined across datasets, or a
-join's fan-out) keep the key path, `matches` and `group_ids`, which read
-the columns they key through `SparseFactor.take`: from the code matrix
-when the table holds one, else from the rows' cells, building none.
+partner by the `Dataset.group` id of the wider's source row, a marginal
+groups by those ids of the kept columns, and `matches` (so every other
+join, `join_size` and the support check) searches those ids of the
+shared columns. Tables without provenance (built by `SparseFactor(...)`
+or `trusted` alone, or a join's fan-out) and joins across datasets keep
+the key path, `keys` and `group_rows`, which read the columns they key
+through `SparseFactor.take`: from the code matrix when the table holds
+one, else from the rows' cells, building none.
 """
 
 from __future__ import annotations
@@ -49,64 +52,43 @@ import math
 import numpy as np
 
 from .errors import IncompleteAssignment, ScopeConflict, UnknownVariable
-from .model import base_name, code_dtype, name_key
+from .model import base_name, code_dtype, group_rows, name_key
 
 # Values whose magnitude falls below this after arithmetic are treated as an
 # underflow to zero and dropped (the no-zero invariant is kept explicit).
 UNDERFLOW_FLOOR = 1e-300
 
 
-def row_keys(codes, top):
-    """Each row of a non-negative code matrix as one opaque key of big-endian
-    bytes, every code in the `code_dtype` of `top`. For codes up to `top` the
-    keys' memcmp order is numeric lexicographic row order, so a whole row
-    compares as one value; two matrices encoded at the same `top` give
-    comparable keys. The keys of a C-contiguous `uint8` matrix at a `top`
-    below 256 are a view of it; any other matrix is copied. A matrix with no
-    columns gives equal keys."""
-    n, width = codes.shape
-    if width == 0:
-        return np.zeros(n, dtype=np.uint8)
-    dtype = code_dtype(top).newbyteorder(">")
-    flat = np.ascontiguousarray(codes, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * width)))
-    return flat.reshape(-1)
-
-
-def key_rule(sizes):
-    """The one key rule of the algebra: for code matrices whose columns have
-    domain `sizes`, the function that turns one into a sortable key per row.
-    Sorted keys are rows in lexicographic order, and any two matrices
-    encoded by one rule give comparable keys.
-    - Columns whose sizes multiply to at most 2**63 give one `int64` per
-      row, its mixed-radix number with the first column most significant,
-      which numpy compares as a number: a column's own code for one column,
-      else one matrix product with the columns' place values. A column of
-      domain 1 has place value 0, since its codes are all 0.
-    - Any other key is `row_keys` at the largest size.
+def keys(sizes, *parts):
+    """The one key rule of the algebra: for code matrices whose columns
+    have domains `sizes`, one sortable `int64` key per row, an array per
+    part. Sorted keys are rows in lexicographic order, and the keys of all
+    the parts compare with one another, so a join encodes both its tables
+    in one call.
+    - Columns whose sizes multiply to at most 2**63 give each row its
+      mixed-radix number with the first column most significant, one
+      matrix product with the columns' place values. A column of domain 1
+      has place value 0, since its codes are all 0.
+    - Any other key is the rows' dense ids by `group_rows`, over the rows
+      of all the parts together.
     """
     span = math.prod(sizes)
     if span > 1 << 63:
-        top = max(sizes) - 1
-        return lambda codes: row_keys(codes, top)
-    if len(sizes) == 1:
-        return lambda codes: codes[:, 0].astype(np.int64)
-    weights = []
-    for k in sizes:
-        span //= k
-        weights.append(span if k > 1 else 0)
-    weights = np.array(weights, dtype=np.int64)
-    return lambda codes: codes.astype(np.int64) @ weights
+        ids, _ = group_rows(np.concatenate(parts), range(len(sizes)), sizes)
+        return np.split(ids, np.cumsum([len(p) for p in parts[:-1]]))
+    # each place value is the product of the later sizes
+    weights = np.array([(span := span // k) if k > 1 else 0 for k in sizes], dtype=np.int64)
+    return [p.astype(np.int64) @ weights for p in parts]
 
 
 def group_ids(codes, sizes):
     """Dense group ids of the rows of a code matrix, numbered in
-    lexicographic row order, and the index of each group's first row.
-
-    One `np.unique` over the rows' keys by the `key_rule` of `sizes`, one
-    domain size per column, sorts and groups every column at once.
-    """
-    _, first, ids = np.unique(key_rule(sizes)(codes), return_index=True, return_inverse=True)
-    return ids.reshape(-1), first
+    lexicographic row order, and the index of a row of each group: the
+    `group_rows` of all its columns (domains `sizes`) from one group."""
+    ids, count = group_rows(codes, range(len(sizes)), sizes)
+    first = np.empty(count, dtype=np.intp)
+    first[ids] = np.arange(len(ids))
+    return ids, first
 
 
 def take_columns(codes, positions):
@@ -263,11 +245,13 @@ def matches(f: SparseFactor, g: SparseFactor):
     shared variables, in g's canonical order: for f's row i, g's rows
     `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None. `g_only`
     lists g's other columns; a shared name whose domains differ raises
-    ScopeConflict. Both sides' shared columns are encoded by one `key_rule`
-    of g's shared domains, so an integer key wherever those fit 63 bits;
-    g's keys are sorted when its shared columns lead its scope, else one
-    stable argsort sorts them into `g_rows`. Two binary searches bound each
-    run; with nothing shared, each f row meets all of g.
+    ScopeConflict. Two tables with provenance from one dataset are keyed by
+    the `Dataset.group` ids of their source rows on the shared columns;
+    every other pair by one `keys` call over both sides' shared columns, at
+    g's shared domains. Either way g's keys are sorted when its shared
+    columns lead its scope, else one stable argsort sorts them into
+    `g_rows`. Two binary searches bound each run; with nothing shared, each
+    f row meets all of g.
     """
     f_pos = {n: i for i, n in enumerate(f.names)}
     f_shared, g_shared, g_only, sizes = [], [], [], []
@@ -282,13 +266,15 @@ def matches(f: SparseFactor, g: SparseFactor):
         f_shared.append(i)
         g_shared.append(j)
         sizes.append(v.domain_size)
-    encode = key_rule(sizes)
-    g_keys = encode(g.take(g_shared))
+    if f.data is not None and g.data is f.data:
+        ids, _ = f.data.group(_columns(tuple([g.names[j] for j in g_shared])))
+        g_keys, probe = ids[g.rows], ids[f.rows]
+    else:
+        g_keys, probe = keys(sizes, g.take(g_shared), f.take(f_shared))
     g_rows = None
     if g_only and g_only[0] < len(g_shared):  # g's shared columns do not lead its scope
         g_rows = np.argsort(g_keys, kind="stable")
         g_keys = g_keys[g_rows]
-    probe = encode(f.take(f_shared))
     lo = np.searchsorted(g_keys, probe, "left")
     return lo, np.searchsorted(g_keys, probe, "right"), g_rows, g_only
 
@@ -381,7 +367,8 @@ def _partners(f: SparseFactor, g: SparseFactor):
     g's columns, of f's source row. g's rows are those groups in order, so
     when g holds every group its row is the group id; else a map from group
     to row, -1 where g lacks the group (after `restrict`, or an underflow),
-    leads from one to the other."""
+    leads from one to the other. It is not `matches`, whose keys are these
+    ids too, because indexing by group id beats a sort and binary search."""
     ids, count = f.data.group(_columns(g.names))
     lo = ids[f.rows]
     if len(g.values) < count:
@@ -412,10 +399,10 @@ def _source_rows(f: SparseFactor, g: SparseFactor, g_only, f_rows, extra):
 
 def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     """Sum out `out_vars`; exact-zero results are dropped. Each group is
-    summed by `np.bincount` in f's row order. A table with provenance is
-    grouped by `Dataset.group` on the kept columns, whose ids follow the
-    kept codes' order, and keeps one source row per group and no codes;
-    any other is grouped by `group_ids`."""
+    summed by `np.bincount` in f's row order. The kept columns' group ids,
+    which follow the kept codes' order, are `Dataset.group`'s for a table
+    with provenance, which keeps one source row per group and no codes,
+    and `group_rows` over the code matrix for any other."""
     out = set(out_vars)
     unknown = out - set(f.names)
     if unknown:
@@ -424,26 +411,23 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
         return f
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
     scope = tuple([f.scope[i] for i in keep])
-    rows = f.rows
-    if rows is None:
-        kept_codes = take_columns(f.codes, keep)
-        ids, first = group_ids(kept_codes, [v.domain_size for v in scope])
-        sums = np.bincount(ids, weights=f.values)  # each group summed in canonical row order
+    if f.rows is None:
+        ids, count = group_rows(f.codes, keep, [v.domain_size for v in f.scope])
     else:
         ids, count = f.data.group(_columns(tuple([v.name for v in scope])))
-        ids = ids[rows]
-        sums = np.bincount(ids, weights=f.values, minlength=count)
-        first = np.full(count, -1, dtype=np.intp)
-        first[ids] = np.arange(len(ids))  # any row of f in each group f holds
-        held = first >= 0
-        if not held.all():
-            sums, first = sums[held], first[held]
+        ids = ids[f.rows]
+    sums = np.bincount(ids, weights=f.values, minlength=count)
+    first = np.full(count, -1, dtype=np.intp)
+    first[ids] = np.arange(len(ids))  # any row of f in each group f holds
+    held = first >= 0
+    if not held.all():
+        sums, first = sums[held], first[held]
     kept = np.abs(sums) >= UNDERFLOW_FLOOR
     first = first[kept]
-    codes, rows = (kept_codes[first], None) if rows is None else (None, rows[first])
+    codes = None if f.rows is not None else take_columns(f.codes, keep)[first]
     return SparseFactor.trusted(
         scope, codes, sums[kept], underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
-        data=f.data, rows=rows,
+        data=f.data, rows=_select(f.rows, first),
     )
 
 

@@ -73,6 +73,53 @@ def code_dtype(top) -> np.dtype:
                     else np.uint32 if top < 1 << 32 else np.int64)
 
 
+def group_rows(cells, positions, sizes, ids=None, count=None):
+    """Dense ids, in lexicographic order, of the rows of a code matrix on
+    its columns `positions` (`sizes[j]` the domain of column j) behind the
+    leading `ids` of `count` groups (by default one group of all rows), and
+    their number: the package's one grouping. Each column of domain k adds
+    a digit to one `int64` key behind the leading id (`key * k + cell`), so
+    the key orders rows as the longer prefix does; before a column would
+    carry the key past 63 bits, and at the end, `_dense` numbers the key's
+    groups. A column whose domain alone passes 63 bits behind the groups
+    adds the dense ids of its own codes as its digit instead. Once every
+    row is a group of its own, the ids are final: no column splits a group.
+    """
+    if ids is None:
+        ids, count = np.zeros(len(cells), dtype=np.intp), min(len(cells), 1)
+    key, width = ids.astype(np.int64), 1
+    for j in positions:
+        k, column = sizes[j], cells[:, j]
+        if count * width * k > 1 << 63:  # the key is full: number its groups first
+            ids, count = _dense(key, count * width)
+            key, width = ids.astype(np.int64), 1
+        if count == len(ids):
+            return ids, count
+        if count * k > 1 << 63:
+            column, k = _dense(column, k)
+        key *= k
+        key += column
+        width *= k
+    return _dense(key, count * width)
+
+
+def _dense(key, slots):
+    """Dense ids, in order, of n non-negative integer keys below `slots`, and
+    their number: up to `8 * n` slots by marking the keys in one array and a
+    `cumsum` over it, in O(slots + n), more by `np.unique`, in O(n log n).
+    On random keys of 800 to 12,800 rows the two meet at 6.5 to 8 slots per
+    row, about 3 ns per slot against 25 ns per row (at 200 rows, near 14)."""
+    if slots <= 8 * len(key):
+        label = np.zeros(slots, dtype=np.intp)
+        label[key] = 1
+        np.cumsum(label, out=label)  # each seen key's rank, from 1
+        ids = label[key]
+        ids -= 1
+        return ids, int(label[-1]) if slots else 0
+    uniques, ids = np.unique(key, return_inverse=True)
+    return ids, len(uniques)
+
+
 def base_name(name: str) -> str:
     """Strip renamer primes, recovering the dataset column a variable reads."""
     return name.rstrip("'")
@@ -170,7 +217,7 @@ class Dataset:
             if self._col_index[c] != i:
                 raise ParseError(f"column {c!r} appears more than once")
         width = len(self.columns)
-        sizes = np.array([self.domains[c] for c in self.columns], dtype=np.int64)
+        sizes = self._sizes = [self.domains[c] for c in self.columns]  # by column index
         try:
             cells = np.asarray(rows).reshape(len(rows), width)  # no cast: int64 would truncate 1.7
         except (ValueError, OverflowError):
@@ -185,11 +232,12 @@ class Dataset:
                     if not 0 <= v < self.domains[c]:
                         raise DomainViolation(i, c, v)
             raise ParseError("dataset cells must be integers")
-        bad = (cells < 0) | (cells >= sizes)
-        if bad.any():
+        if len(cells) and ((cells.max(axis=0) >= sizes).any()
+                           or (cells.dtype.kind == "i" and (cells.min(axis=0) < 0).any())):
+            bad = (cells < 0) | (cells >= sizes)  # built only to find the first bad cell
             i, j = np.argwhere(bad)[0]  # row-major: the cell a scan meets first
             raise DomainViolation(int(i), self.columns[j], rows[i][j])
-        cells = cells.astype(code_dtype(sizes.max(initial=1) - 1))  # a copy of its own
+        cells = cells.astype(code_dtype(max(sizes, default=1) - 1))  # a copy of its own
         cells.flags.writeable = False
         self.cells = cells
         self._groups = {(): (np.broadcast_to(np.uint8(0), len(cells)), 1)}  # see `group`
@@ -213,20 +261,10 @@ class Dataset:
         """Dense group ids of the rows on `columns` (a tuple of names), numbered
         in lexicographic order of their cells, and the number of groups.
 
-        Results are memoised per column tuple asked for; a miss starts from
-        the longest cached prefix, the trie over a variable order of Leapfrog
-        Triejoin (Veldhuizen, ICDT 2014). Each step adds as many columns as
-        fit one `int64` key behind the prefix's `count` groups, a digit per
-        column of domain k (`key * k + cell`) after the prefix id, so the
-        key orders rows as the longer prefix does. Over n rows, a key of
-        `count * width` slots is relabelled densely without a sort while it
-        has at most 8 slots per row, by marking its slots in one array and a
-        `cumsum` over it, in O(slots + n); a wider one is grouped by
-        `np.unique`, in O(n log n). On random keys of 800 to 12,800 rows
-        the two meet at 6.5 to 8 slots per row, about 3 ns per slot against
-        25 ns per row (at 200 rows, near 14). A column whose domain alone
-        carries the key past 63 bits is grouped with the prefix id by
-        `factor.group_ids`, as bytes. The memo keeps each id array in the
+        Results are memoised per column tuple asked for; a miss groups the
+        columns past the longest cached prefix behind the prefix's ids by
+        `group_rows`, the trie over a variable order of Leapfrog Triejoin
+        (Veldhuizen, ICDT 2014). The memo keeps each id array in the
         `code_dtype` of `count - 1`.
         """
         columns = tuple(columns)
@@ -236,34 +274,8 @@ class Dataset:
         known = len(columns) - 1
         while columns[:known] not in self._groups:
             known -= 1
-        ids, count = self._groups[columns[:known]]
-        while known < len(columns):
-            key, width, start = ids.astype(np.int64), 1, known
-            for name in columns[known:]:
-                k = self.domains[name]
-                if count * width * k > 1 << 63:
-                    break  # the prefix id and these columns fill one int64 key
-                key *= k
-                key += self.cells[:, self.column_index(name)]
-                width *= k
-                known += 1
-            if known == start:  # this column's domain alone passes 63 bits
-                from .factor import group_ids
-                name = columns[known]
-                cell = self.cells[:, self.column_index(name)]
-                ids, first = group_ids(np.column_stack([ids, cell]), [count, self.domains[name]])
-                count = len(first)
-                known += 1
-            elif count * width <= 8 * len(ids):
-                label = np.zeros(count * width, dtype=np.intp)
-                label[key] = 1
-                np.cumsum(label, out=label)  # each seen key's rank, from 1
-                ids = label[key]
-                ids -= 1
-                count = int(label[-1]) if len(label) else 0
-            else:
-                uniques, ids = np.unique(key, return_inverse=True)
-                count = len(uniques)
+        ids, count = group_rows(self.cells, map(self.column_index, columns[known:]),
+                                self._sizes, *self._groups[columns[:known]])
         ids = ids.astype(code_dtype(count - 1), copy=False)
         ids.flags.writeable = False
         self._groups[columns] = (ids, count)
@@ -336,17 +348,20 @@ def load_graph(path) -> CausalGraph:
 def load_dataset(path, graph: CausalGraph) -> Dataset:
     """Load a CSV of integer cells, range-checked against the graph's domains.
 
-    An ASCII file is read in one pass: `csv` reads the header, and numpy's C
-    reader (`np.loadtxt`, numpy >= 1.23) streams the body from the same file
-    straight into the cells' `code_dtype`, on universal newlines so that it
-    sees only `\\n`. Any failure there (an error, a warning, a row of another
-    width, a cell out of its domain, a byte that is not ASCII, which numpy
-    may read as a digit) reads the file again record by record with `csv`,
-    whose errors name the `path:line` of the first bad record. A cell is an
-    integer as `int` reads it once `str.strip` has cut its whitespace.
+    An ASCII file, after a UTF-8 byte-order mark if it has one, is read in
+    one pass: `csv` reads the header, and numpy's C reader (`np.loadtxt`,
+    numpy >= 1.23) streams the body from the same file straight into the
+    cells' `code_dtype`, on universal newlines so that it sees only `\\n`.
+    Any failure there (an error, a warning, a row of another width, a cell
+    out of its domain, a byte that is not ASCII, which numpy may read as a
+    digit) reads the file again record by record with `csv`, whose errors
+    name the `path:line` of the first bad record. A cell is an integer as
+    `int` reads it once `str.strip` has cut its whitespace.
     """
     try:
         with open(path, encoding="ascii") as fh:
+            if fh.buffer.peek(3).startswith(b"\xef\xbb\xbf"):
+                fh.buffer.read(3)  # a leading byte-order mark, as `open_text` drops it
             columns = [c.strip() for c in next(filter(None, csv.reader(fh)))]
             domains = {c: graph.domain_size(c) for c in columns}
             with warnings.catch_warnings():

@@ -13,11 +13,10 @@ from pihte.factor import (
     SparseFactor,
     invert,
     join_size,
-    key_rule,
+    keys,
     marginalize,
     matches,
     product,
-    row_keys,
     unit_factor,
     with_values,
 )
@@ -398,7 +397,7 @@ def assert_runs(f, g):
 @st.composite
 def wide_pairs(draw):
     """f and g sharing 62 to 66 binary columns S0, S1, ...: their shared
-    keys are integers up to 63 columns and bytes from 64. g may add A,
+    keys are mixed-radix up to 63 columns and dense ids from 64. g may add A,
     which sorts before the shared columns (so g sorts its keys and a
     product re-sorts its rows), and T after them; f may add B and U. Rows
     draw their shared cells from a few patterns, so that runs meet."""
@@ -422,11 +421,12 @@ def wide_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(wide_pairs(), st.data())
 def test_byte_keys_agree_with_a_dict_reference(drawn, data):
-    """Past 63 bits of shared domains, the byte keys give every join and
-    marginal the entries, and the order, of the dict reference."""
+    """Past 63 bits of shared domains, where keys are the rows' dense ids,
+    every join and marginal has the entries, and the order, of the dict
+    reference; the keys are `int64` on either side of the limit."""
     width, f, g = drawn
-    key_kind = key_rule([2] * width)(np.zeros((1, width), dtype=np.uint8)).dtype.kind
-    assert key_kind == ("V" if width >= 64 else "i")
+    codes = np.zeros((1, width), dtype=np.uint8)
+    assert [k.dtype for k in keys([2] * width, codes, codes)] == [np.int64] * 2
     for x, y in ((f, g), (g, f)):
         assert_runs(x, y)
         assert_matches(product(x, y), ref_product(x, y))
@@ -547,18 +547,6 @@ def test_mixed_dtypes_match_the_int64_algebra(pair, data):
     assert_same_as_int64(invert(h), invert(as_int64(h)))
 
 
-def test_row_keys_of_a_contiguous_byte_matrix_are_a_view():
-    codes = np.array([[1, 2], [0, 3], [1, 0]], dtype=np.uint8)
-    keys = row_keys(codes, 3)
-    assert np.shares_memory(keys, codes)
-    assert np.argsort(keys, kind="stable").tolist() == [1, 2, 0]
-    # a column run that is not the whole row, and codes past one byte, are copied
-    assert not np.shares_memory(row_keys(codes[:, :1], 3), codes)
-    wide = codes.astype(np.uint16)
-    assert not np.shares_memory(row_keys(wide, 3), wide)
-    assert np.array_equal(row_keys(wide, 3), keys)  # the same keys from either dtype
-
-
 # -- keys -------------------------------------------------------------------
 
 
@@ -588,24 +576,22 @@ def code_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(code_matrices())
-def test_keys_order_rows_as_tuples_and_row_keys_do(drawn):
-    """A key of up to 4 columns is an int64 exactly when the domains
-    multiply to at most 2**63; either way, keys order and equate rows as
-    Python tuples and `row_keys` do, also when two halves are encoded
-    apart by one rule."""
+def test_keys_order_rows_as_tuples_do(drawn):
+    """Keys of up to 4 columns, whose domains multiply to either side of
+    2**63, are `int64` and order and equate rows as Python tuples do,
+    also across two halves encoded in one call."""
     codes, sizes = drawn
-    encode = key_rule(sizes)
-    got = encode(codes)
-    assert (got.dtype == np.int64) == (math.prod(sizes) <= 2**63)
+    (got,) = keys(sizes, codes)
+    assert got.dtype == np.int64
     assert key_ranks(got) == tuple_ranks(codes)
     half = len(codes) // 2
-    parts = np.concatenate([encode(codes[:half]), encode(codes[half:])])
-    assert key_ranks(parts) == tuple_ranks(codes)
-    if sizes:
-        assert key_ranks(row_keys(codes, max(sizes) - 1)) == tuple_ranks(codes)
+    parts = keys(sizes, codes[:half], codes[half:])
+    assert [len(p) for p in parts] == [half, len(codes) - half]
+    assert all(p.dtype == np.int64 for p in parts)
+    assert key_ranks(np.concatenate(parts)) == tuple_ranks(codes)
 
 
-@pytest.mark.parametrize("sizes, integer", [
+@pytest.mark.parametrize("sizes, mixed_radix", [
     ([2**32, 2**31], True),  # exactly 2**63: the top row is 2**63 - 1
     ([1, 2**32, 2**31], True),  # the same under a column of domain 1
     ([2**32, 2**31 + 1], False),  # just past it
@@ -617,16 +603,18 @@ def test_keys_order_rows_as_tuples_and_row_keys_do(drawn):
     ([1] * 30 + [2] * 63 + [1] * 30, True),  # exactly 2**63 among columns of domain 1
     ([2] * 32 + [1] * 40 + [2] * 32, False),  # 2**64
 ])
-def test_keys_at_the_63_bit_limit(sizes, integer):
+def test_keys_at_the_63_bit_limit(sizes, mixed_radix):
+    """Up to 2**63 a key is the row's mixed-radix number, past it the
+    row's dense id; both are `int64` and order rows as tuples do."""
     rng = np.random.default_rng(0)
     rows = [[k - 1 for k in sizes], [0] * len(sizes)]
     rows += [[int(rng.choice([0, k // 2, k - 1])) for k in sizes] for _ in range(40)]
     codes = np.array(rows + rows[::3], dtype=code_dtype(max(sizes) - 1))
-    got = key_rule(sizes)(codes)
-    assert (got.dtype == np.int64) == integer
-    if integer:
-        assert got[0] == math.prod(sizes) - 1 and got[1] == 0
-    assert key_ranks(got) == tuple_ranks(codes) == key_ranks(row_keys(codes, max(sizes) - 1))
+    (got,) = keys(sizes, codes)
+    assert got.dtype == np.int64
+    top = math.prod(sizes) - 1 if mixed_radix else len(set(map(tuple, rows))) - 1
+    assert got[0] == top and got[1] == 0
+    assert key_ranks(got) == tuple_ranks(codes)
 
 
 # -- provenance ---------------------------------------------------------------
@@ -874,3 +862,17 @@ def test_chain99_builds_no_code_matrix_before_its_result_is_read(fixture_path, m
     assert len(made) == 99 + 98 + 50
     assert all(t.data is data and t._codes is None for t in made)
     assert_provenance_holds(report.result)
+
+
+def test_chain99_encodes_no_key(fixture_path, monkeypatch):
+    """On chain99 at 200 rows every table is bound from one dataset, so
+    even its one general join, on 97 shared columns, is keyed by
+    `Dataset.group` ids: `keys` is never called."""
+    calls = []
+    monkeypatch.setattr(factor, "keys", lambda *args: calls.append(args) or keys(*args))
+    graph = load_graph(fixture_path("chain99.graph"))
+    data = sample_dataset(random_cbn(graph, dist="dirichlet", alpha=1.0, seed=3), 200, seed=4)
+    with open(fixture_path("chain99.estimand"), encoding="utf-8") as fh:
+        report = engine.pi_hte(flatten(parse(fh.read())), data)
+    assert calls == []
+    assert report.result.tightness > 0

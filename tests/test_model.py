@@ -1,6 +1,8 @@
+import contextlib
 import gc
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -432,6 +434,42 @@ def test_load_dataset_peak_memory_is_a_few_times_the_cells(tmp_path):
     assert peak <= 8 * cells.nbytes, f"peak {peak / cells.nbytes:.1f}x the cells"
 
 
+def test_load_dataset_streams_a_file_with_a_byte_order_mark(tmp_path):
+    # the mark is skipped on the fast handle, so the body still streams
+    g = CausalGraph([Variable("A", 3), Variable("B", 300)], [])
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(b"A,B\r\n0,299\r\n2,0\r\n\r\n1,7\r\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got = load_dataset(bom, g)
+    assert loadtxt.call_count == 1
+    want = load_dataset(plain, g)
+    assert got.columns == want.columns == ("A", "B")
+    assert got.cells.dtype == want.cells.dtype == np.uint16
+    assert got.cells.tolist() == want.cells.tolist() == [[0, 299], [2, 0], [1, 7]]
+
+
+def test_dataset_range_check_holds_no_cell_sized_temporary():
+    # a per-column max finds a bad column, so checking and copying cells
+    # that are in range costs the copy alone
+    cells = np.random.default_rng(0).integers(0, 4, size=(20_000, 99)).astype(np.uint8)
+    columns = tuple(f"V{i}" for i in range(99))
+    domains = dict.fromkeys(columns, 4)
+    tracemalloc.start()
+    try:
+        data = Dataset(columns, cells, domains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.cells, cells) and not np.shares_memory(data.cells, cells)
+    assert peak <= 1.5 * cells.nbytes, f"peak {peak / cells.nbytes:.2f}x the cells"
+    cells[12_345, 67] = 4
+    with pytest.raises(DomainViolation) as exc:
+        Dataset(columns, cells, domains)
+    assert (exc.value.row, exc.value.column, exc.value.value) == (12_345, "V67", 4)
+    assert str(exc.value) == "row 12345, column 'V67': value 4 out of domain"
+
+
 def test_empirical_prob_marginal():
     d = Dataset(("A",), [(0,), (0,), (1,), (0,)], {"A": 2})
     f = empirical_prob(d, ("A",))
@@ -585,9 +623,9 @@ def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, rows, rela
     assert_groups_like_unique(data, ("A",))
     with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
             mock.patch("numpy.unique", wraps=np.unique) as unique, \
-            mock.patch("pihte.factor.group_ids") as group_ids:
+            calls_into(factor) as called:
         data.group(("A", "B", "C", "D"))
-    assert group_ids.call_count == 0
+    assert called == []
     if relabelled:
         assert (cumsum.call_count, unique.call_count) == (1, 0)
     else:
@@ -595,32 +633,68 @@ def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, rows, rela
     assert_groups_like_unique(data, ("A", "B", "C", "D"))
 
 
-@pytest.mark.parametrize("prefix_groups, integer", [(2, True), (3, False)])
-def test_group_past_63_bits_takes_byte_keys(prefix_groups, integer):
+@contextlib.contextmanager
+def calls_into(module):
+    """The names of the functions of `module` called inside the block."""
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == module.__file__:
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        yield called
+    finally:
+        sys.setprofile(None)
+
+
+@pytest.mark.parametrize("prefix_groups", [2, 3])
+def test_group_past_63_bits_keys_the_column_by_its_dense_ids(prefix_groups):
     """B's domain of 2**62 behind A's 2 groups is a key of exactly 2**63
-    values, an int64 sorted by `np.unique`; behind 3 groups it is bytes,
-    through `factor.group_ids`."""
+    values, one int64; behind 3 groups B alone passes 63 bits, and the
+    dense ids of its codes stand in for them: the one `np.unique` reads its
+    codes, and a relabel of 12 slots follows. Either way the rows group as
+    `np.unique` over their cells does, and nothing in `factor` is called."""
     domains = {"A": prefix_groups, "B": 2**62}
     rows = [(a, b) for a in range(prefix_groups) for b in (2**62 - 1, 0, 5, 2**61)] * 2
     data = Dataset(("A", "B"), rows, domains)
     assert_groups_like_unique(data, ("A",))
-    original, made = factor.key_rule, []
+    with mock.patch("numpy.unique", wraps=np.unique) as unique, calls_into(factor) as called:
+        data.group(("A", "B"))
+    assert called == []
+    assert unique.call_count == 1
+    assert np.array_equal(unique.call_args.args[0], data.cells[:, 1]) == (prefix_groups == 3)
+    assert_groups_like_unique(data, ("A", "B"))
 
-    def recorded(sizes):
-        made.append(list(sizes))
-        return original(sizes)
 
-    with mock.patch("pihte.factor.key_rule", recorded):
-        assert_groups_like_unique(data, ("A", "B"))
-    assert made == ([] if integer else [[prefix_groups, 2**62]])
+def test_group_behind_a_prefix_that_splits_every_row_is_the_prefix():
+    """Once a prefix puts every row in a group of its own, later columns
+    split nothing: the longer tuple keeps the prefix's ids without a key,
+    also when the prefix is met inside one miss."""
+    rng = np.random.default_rng(0)
+    domains = {"A": 1000, "B": 4, "C": 2**40, "D": 2**30}
+    rows = np.column_stack([rng.permutation(1000), rng.integers(0, 4, (1000, 1)),
+                            rng.integers(0, 2**40, (1000, 1)), rng.integers(0, 2**30, (1000, 1))])
+    data = Dataset(tuple(domains), rows, domains)
+    ids, _ = data.group(("A",))
+    with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
+            mock.patch("numpy.unique", wraps=np.unique) as unique:
+        assert data.group(("A", "B", "C", "D"))[0] is ids
+    assert (cumsum.call_count, unique.call_count) == (0, 0)
+    assert_groups_like_unique(data, ("A", "B", "C", "D"))
+    # the key fills up before D, and before C: B,C and D,B,A split every row
+    assert_groups_like_unique(data, ("B", "C", "D", "A"))
+    assert_groups_like_unique(data, ("D", "B", "A", "C"))
 
 
 def test_group_of_columns_of_domain_one():
     """Columns of domain 1 add no digit to the key: 70 of them are grouped
-    in one step, with no byte fallback."""
+    in one step, with one relabel."""
     columns = tuple(f"V{i}" for i in range(70))
     data = Dataset(columns, [(0,) * 70] * 3, {c: 1 for c in columns})
-    with mock.patch("pihte.factor.group_ids") as group_ids:
+    with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
+            mock.patch("numpy.unique", wraps=np.unique) as unique:
         data.group(columns)
-    assert group_ids.call_count == 0
+    assert (cumsum.call_count, unique.call_count) == (1, 0)
     assert_groups_like_unique(data, columns)

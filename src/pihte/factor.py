@@ -13,13 +13,13 @@ aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
 `Dataset.group` ids of the source rows between two tables of one dataset,
 else `keys` of the key's domains, a mixed-radix number when they multiply
 to at most 2**63 and the rows' dense ids past it. Every grouping runs
-through one kernel, `model.group_rows`. Every join aligns its two scopes,
-checks their shared domains and finds its partners in one place,
-`matches`, a binary search whose runs a product expands, `join_size`
-counts and the engine's support check and renormalization read, and a
-marginal sums each group of its kept columns. The algebra knows nothing
-of ratios: the engine checks each denominator's support once per level,
-before any product.
+through one kernel, `model.group_rows`, whose `model.Grouping` record holds
+each group's `first` row and its `sizes`. Every join aligns its two scopes,
+checks their shared domains and finds its partners in one place, `matches`,
+a binary search whose runs a product expands, `join_size` counts and the
+engine's support check and renormalization read, and a marginal sums each
+group of its kept columns. The algebra knows nothing of ratios: the engine
+checks each denominator's support once per level, before any product.
 
 Plug-in tables are projections of the data, and a table bound from a
 dataset (`model.empirical_prob`) says so: it carries provenance, the
@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import IncompleteAssignment, ScopeConflict, UnknownVariable
-from .model import base_name, code_dtype, group_rows, name_key
+from .model import Grouping, base_name, code_dtype, group_rows, name_key
 
 # Values whose magnitude falls below this after arithmetic are treated as an
 # underflow to zero and dropped (the no-zero invariant is kept explicit).
@@ -74,21 +74,11 @@ def keys(sizes, *parts):
     """
     span = math.prod(sizes)
     if span > 1 << 63:
-        ids, _ = group_rows(np.concatenate(parts), range(len(sizes)), sizes)
+        ids = group_rows(np.concatenate(parts), range(len(sizes)), sizes).ids.astype(np.int64)
         return np.split(ids, np.cumsum([len(p) for p in parts[:-1]]))
     # each place value is the product of the later sizes
     weights = np.array([(span := span // k) if k > 1 else 0 for k in sizes], dtype=np.int64)
     return [p.astype(np.int64) @ weights for p in parts]
-
-
-def group_ids(codes, sizes):
-    """Dense group ids of the rows of a code matrix, numbered in
-    lexicographic row order, and the index of a row of each group: the
-    `group_rows` of all its columns (domains `sizes`) from one group."""
-    ids, count = group_rows(codes, range(len(sizes)), sizes)
-    first = np.empty(count, dtype=np.intp)
-    first[ids] = np.arange(len(ids))
-    return ids, first
 
 
 def take_columns(codes, positions):
@@ -138,7 +128,7 @@ class SparseFactor:
         scope = tuple(scope[i] for i in order)
         codes = codes[:, order].astype(code_dtype(sizes.max(initial=1) - 1))
         # rows sorted; keys are unique, coming from a mapping
-        _, first = group_ids(codes, [v.domain_size for v in scope])
+        first = group_rows(codes, range(len(scope)), [v.domain_size for v in scope]).first
         self._set(scope, codes[first], values[first], 0)
 
     def _set(self, scope, codes, values, underflow_dropped, data=None, rows=None):
@@ -267,7 +257,7 @@ def matches(f: SparseFactor, g: SparseFactor):
         g_shared.append(j)
         sizes.append(v.domain_size)
     if f.data is not None and g.data is f.data:
-        ids, _ = f.data.group(_columns(tuple([g.names[j] for j in g_shared])))
+        ids = f.data.group(_columns(tuple([g.names[j] for j in g_shared]))).ids
         g_keys, probe = ids[g.rows], ids[f.rows]
     else:
         g_keys, probe = keys(sizes, g.take(g_shared), f.take(f_shared))
@@ -337,7 +327,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
         scope = tuple(scope[i] for i in order)
         codes = codes[:, order]
-        _, first = group_ids(codes, [v.domain_size for v in scope])
+        first = group_rows(codes, range(len(scope)), [v.domain_size for v in scope]).first
         codes, values, source = codes[first], values[first], _select(source, first)
     return _trusted_product(scope, codes, values, None if source is None else f.data, source)
 
@@ -365,16 +355,15 @@ def _partners(f: SparseFactor, g: SparseFactor):
     -1, when both carry provenance from one dataset and g's names lie
     inside f's: the entry of g that holds the group, by `Dataset.group` on
     g's columns, of f's source row. g's rows are those groups in order, so
-    when g holds every group its row is the group id; else a map from group
-    to row, -1 where g lacks the group (after `restrict`, or an underflow),
-    leads from one to the other. It is not `matches`, whose keys are these
-    ids too, because indexing by group id beats a sort and binary search."""
-    ids, count = f.data.group(_columns(g.names))
-    lo = ids[f.rows]
-    if len(g.values) < count:
-        row_of = np.full(count, -1, dtype=np.intp)
-        row_of[ids[g.rows]] = np.arange(len(g.values))
-        lo = row_of[lo]
+    when g holds every group its row is the group id; else the `first` of
+    the `Grouping` of g's rows, -1 where g lacks the group (after `restrict`,
+    or an underflow), leads from one to the other. It is not `matches`,
+    whose keys are these ids too, because indexing by group id beats a sort
+    and binary search."""
+    groups = f.data.group(_columns(g.names))
+    lo = groups.ids[f.rows]
+    if len(g.values) < groups.count:
+        lo = Grouping(groups.ids[g.rows], groups.count).first[lo]
     return lo
 
 
@@ -399,10 +388,10 @@ def _source_rows(f: SparseFactor, g: SparseFactor, g_only, f_rows, extra):
 
 def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     """Sum out `out_vars`; exact-zero results are dropped. Each group is
-    summed by `np.bincount` in f's row order. The kept columns' group ids,
-    which follow the kept codes' order, are `Dataset.group`'s for a table
-    with provenance, which keeps one source row per group and no codes,
-    and `group_rows` over the code matrix for any other."""
+    summed by `np.bincount` in f's row order. f's rows are grouped on the
+    kept columns, in the kept codes' order, by `Dataset.group`'s ids for a
+    table with provenance, which keeps the groups' `first` rows and no
+    codes, and by `group_rows` over the code matrix for any other."""
     out = set(out_vars)
     unknown = out - set(f.names)
     if unknown:
@@ -412,21 +401,16 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     keep = [i for i, v in enumerate(f.scope) if v.name not in out]
     scope = tuple([f.scope[i] for i in keep])
     if f.rows is None:
-        ids, count = group_rows(f.codes, keep, [v.domain_size for v in f.scope])
+        g = group_rows(f.codes, keep, [v.domain_size for v in f.scope])
     else:
-        ids, count = f.data.group(_columns(tuple([v.name for v in scope])))
-        ids = ids[f.rows]
-    sums = np.bincount(ids, weights=f.values, minlength=count)
-    first = np.full(count, -1, dtype=np.intp)
-    first[ids] = np.arange(len(ids))  # any row of f in each group f holds
-    held = first >= 0
-    if not held.all():
-        sums, first = sums[held], first[held]
-    kept = np.abs(sums) >= UNDERFLOW_FLOOR
-    first = first[kept]
+        g = f.data.group(_columns(tuple([v.name for v in scope])))
+        g = Grouping(g.ids[f.rows], g.count)
+    sums = np.bincount(g.ids, weights=f.values, minlength=g.count)
+    kept = np.abs(sums) >= UNDERFLOW_FLOOR  # a group f lacks sums to 0
+    first = g.first[kept]  # a row of f in each group kept
     codes = None if f.rows is not None else take_columns(f.codes, keep)[first]
     return SparseFactor.trusted(
-        scope, codes, sums[kept], underflow_dropped=len(sums) - int(np.count_nonzero(kept)),
+        scope, codes, sums[kept], underflow_dropped=np.count_nonzero(g.first >= 0) - len(first),
         data=f.data, rows=_select(f.rows, first),
     )
 

@@ -73,34 +73,56 @@ def code_dtype(top) -> np.dtype:
                     else np.uint32 if top < 1 << 32 else np.int64)
 
 
-def group_rows(cells, positions, sizes, ids=None, count=None):
-    """Dense ids, in lexicographic order, of the rows of a code matrix on
-    its columns `positions` (`sizes[j]` the domain of column j) behind the
-    leading `ids` of `count` groups (by default one group of all rows), and
-    their number: the package's one grouping. Each column of domain k adds
-    a digit to one `int64` key behind the leading id (`key * k + cell`), so
-    the key orders rows as the longer prefix does; before a column would
-    carry the key past 63 bits, and at the end, `_dense` numbers the key's
-    groups. A column whose domain alone passes 63 bits behind the groups
-    adds the dense ids of its own codes as its digit instead. Once every
-    row is a group of its own, the ids are final: no column splits a group.
+class Grouping:
+    """Rows in `count` groups: `ids[i]`, row i's dense group id, read-only in
+    the `code_dtype` of `count - 1`. Built on first read and kept, each as
+    narrow as the row count allows: `first`, one row of each group or -1 where
+    no row is (signed), and `sizes`, the rows of each group. The package's
+    one scatter of rows into their groups and one count of a group's rows."""
+
+    def __init__(self, ids, count):
+        self.ids, self.count = ids.astype(code_dtype(count - 1), copy=False), count
+        self.ids.flags.writeable = False
+
+    @functools.cached_property
+    def first(self):
+        first = np.full(self.count, -1, dtype=np.min_scalar_type(-1 - len(self.ids)))
+        first[self.ids] = np.arange(len(self.ids))  # any one row of each group
+        return first
+
+    @functools.cached_property
+    def sizes(self):
+        return np.bincount(self.ids, minlength=self.count).astype(code_dtype(len(self.ids)))
+
+
+def group_rows(cells, positions, sizes, prefix=None) -> Grouping:
+    """The `Grouping` of the rows of a code matrix on its columns `positions`
+    (`sizes[j]` the domain of column j) behind the groups of `prefix` (by
+    default one group of all rows), its ids in lexicographic order: the
+    package's one grouping. Each column of domain k adds a digit to one
+    `int64` key behind the leading id (`key * k + cell`), so the key orders
+    rows as the longer prefix does; before a column would carry the key
+    past 63 bits, and at the end, `_dense` numbers the key's groups. A
+    column whose domain alone passes 63 bits behind the groups adds the
+    dense ids of its own codes as its digit instead. Once every row is a
+    group of its own, no column splits a group: the grouping is final, and
+    `prefix` itself when no key was numbered.
     """
-    if ids is None:
-        ids, count = np.zeros(len(cells), dtype=np.intp), min(len(cells), 1)
-    key, width = ids.astype(np.int64), 1
+    g = prefix or Grouping(np.zeros(len(cells), dtype=np.uint8), min(len(cells), 1))
+    key, width = g.ids.astype(np.int64), 1
     for j in positions:
         k, column = sizes[j], cells[:, j]
-        if count * width * k > 1 << 63:  # the key is full: number its groups first
-            ids, count = _dense(key, count * width)
-            key, width = ids.astype(np.int64), 1
-        if count == len(ids):
-            return ids, count
-        if count * k > 1 << 63:
+        if g.count * width * k > 1 << 63:  # the key is full: number its groups first
+            g, width = Grouping(*_dense(key, g.count * width)), 1
+            key = g.ids.astype(np.int64)
+        if g.count == len(g.ids):
+            return g
+        if g.count * k > 1 << 63:
             column, k = _dense(column, k)
         key *= k
         key += column
         width *= k
-    return _dense(key, count * width)
+    return Grouping(*_dense(key, g.count * width))
 
 
 def _dense(key, slots):
@@ -240,7 +262,7 @@ class Dataset:
         cells = cells.astype(code_dtype(max(sizes, default=1) - 1))  # a copy of its own
         cells.flags.writeable = False
         self.cells = cells
-        self._groups = {(): (np.broadcast_to(np.uint8(0), len(cells)), 1)}  # see `group`
+        self._groups = {(): Grouping(np.broadcast_to(np.uint8(0), len(cells)), 1)}  # see `group`
 
     @property
     def rows(self):
@@ -257,29 +279,24 @@ class Dataset:
         except KeyError:
             raise UnknownVariable(name) from None
 
-    def group(self, columns):
-        """Dense group ids of the rows on `columns` (a tuple of names), numbered
-        in lexicographic order of their cells, and the number of groups.
+    def group(self, columns) -> Grouping:
+        """The `Grouping` of the rows on `columns` (a tuple of names), its ids
+        in lexicographic order of their cells.
 
-        Results are memoised per column tuple asked for; a miss groups the
-        columns past the longest cached prefix behind the prefix's ids by
+        Records are memoised per column tuple asked for; a miss groups the
+        columns past the longest cached prefix behind the prefix's record by
         `group_rows`, the trie over a variable order of Leapfrog Triejoin
-        (Veldhuizen, ICDT 2014). The memo keeps each id array in the
-        `code_dtype` of `count - 1`.
+        (Veldhuizen, ICDT 2014). A tuple that splits no group of its prefix
+        shares the prefix's record, and with it `first` and `sizes`.
         """
         columns = tuple(columns)
-        hit = self._groups.get(columns)
-        if hit is not None:
-            return hit
-        known = len(columns) - 1
+        known = len(columns)
         while columns[:known] not in self._groups:
             known -= 1
-        ids, count = group_rows(self.cells, map(self.column_index, columns[known:]),
-                                self._sizes, *self._groups[columns[:known]])
-        ids = ids.astype(code_dtype(count - 1), copy=False)
-        ids.flags.writeable = False
-        self._groups[columns] = (ids, count)
-        return ids, count
+        if known < len(columns):
+            self._groups[columns] = group_rows(self.cells, map(self.column_index, columns[known:]),
+                                               self._sizes, self._groups[columns[:known]])
+        return self._groups[columns]
 
     def project(self, names):
         """Distinct-preserving projection: per-row tuples for the given columns."""
@@ -413,12 +430,13 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     Names are the term's own, primed or not: each reads the column of its
     base name, and the scope is the names in canonical order. The term's
     rows and its conditioning side's are grouped by `data.group`, whose
-    ids follow that order, so one representative row per group lists the
-    entries already sorted. The table keeps those rows as its provenance
-    and no code matrix: its `codes` gather the rows' cells only when read.
-    Entries exist only for configurations seen in the data; counts are
-    exact integers, divided once per entry. With right empty this is the
-    empirical marginal over `left`.
+    ids follow that order, so the term's `first` rows list the entries
+    already sorted. The table keeps them as its provenance and no code
+    matrix: its `codes` gather the rows' cells only when read. Entries
+    exist only for configurations seen in the data; the values are the
+    term's `sizes` over the conditioning side's, exact integers divided
+    once per entry. With right empty this is the empirical marginal over
+    `left`.
     """
     from .factor import SparseFactor, _columns
 
@@ -439,10 +457,7 @@ def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
     # the conditioning side first: when its names sort first, it is the
     # prefix the term's own grouping then extends; with right empty it is
     # the one group of all rows
-    right_ids, _ = data.group(_columns(tuple(sorted(right, key=name_key))))
-    ids, count = data.group(columns)
-    first = np.empty(count, dtype=np.intp)
-    first[ids] = np.arange(data.n_rows)  # any row of a group holds its cells
-    denom = np.bincount(right_ids)[right_ids[first]]
-    return SparseFactor.trusted(scope, None, np.bincount(ids) / denom,
-                                data=data, rows=first.astype(code_dtype(data.n_rows - 1)))
+    given = data.group(_columns(tuple(sorted(right, key=name_key))))
+    term = data.group(columns)
+    return SparseFactor.trusted(scope, None, term.sizes / given.sizes[given.ids[term.first]],
+                                data=data, rows=term.first.astype(code_dtype(data.n_rows - 1)))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CausalGraph, Dataset, Variable, name_key
-from .factor import SparseFactor, group_ids, marginalize, product, unit_factor
+from .model import CausalGraph, Dataset, Variable, group_rows, name_key
+from .factor import SparseFactor, marginalize, product, unit_factor
 
 LATENT_DOMAIN = 2
 # the families `random_cbn` draws each CPT row from
@@ -102,8 +102,9 @@ def random_cbn(graph: CausalGraph, dist="dirichlet", alpha=1.0, seed=0) -> CBN:
 
 def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
     """Ancestral sampling; returns a Dataset over the observed columns only.
-    Each variable is drawn once per configuration of its parents, which
-    `factor.group_ids` groups, in their lexicographic order."""
+    Each variable is drawn once per configuration of its parents, in the
+    order of their `model.group_rows` record, whose `first` and `sizes`
+    give each group's cells and its number of rows."""
     rng = np.random.default_rng(seed)
     samples = {}
     for name in cbn.graph.topological_order():
@@ -114,10 +115,10 @@ def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
             samples[name] = rng.choice(k, size=n, p=table)
             continue
         pcols = np.stack([samples[p] for p in parents], axis=1)
-        ids, first = group_ids(pcols, [cbn.graph.domain_size(p) for p in parents])
-        groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+        g = group_rows(pcols, range(len(parents)), [cbn.graph.domain_size(p) for p in parents])
+        groups = np.split(np.argsort(g.ids, kind="stable"), np.cumsum(g.sizes)[:-1])
         out = np.empty(n, dtype=np.int64)
-        for cfg, group in zip(pcols[first].tolist(), groups):  # each group's rows in row order
+        for cfg, group in zip(pcols[g.first].tolist(), groups):  # each group's rows in row order
             out[group] = rng.choice(k, size=len(group), p=table[tuple(cfg)])
         samples[name] = out
     cols = tuple(sorted(cbn.observed, key=name_key))

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pihte import factor
+from pihte import factor, model
 from pihte.cli import main
 from pihte.decomposition import load_decomposition
+from pihte.engine import pi_hte
 from pihte.errors import (
     CycleError,
     DomainViolation,
@@ -26,6 +27,7 @@ from pihte.factor import SparseFactor
 from pihte.model import (
     CausalGraph,
     Dataset,
+    Grouping,
     Variable,
     base_name,
     code_dtype,
@@ -34,6 +36,8 @@ from pihte.model import (
     load_graph,
     name_key,
 )
+from pihte.estimand import flatten, parse
+from pihte.simulate import random_cbn, sample_dataset
 
 
 def test_name_key_orders_numerically():
@@ -562,16 +566,27 @@ def test_binding_matches_dict_reference(data, seq):
         assert all(value == entries[key] for key, value in f.items())  # exact
 
         columns = tuple(base_name(n) for n in names)
-        ids, count = data.group(columns)
+        g = data.group(columns)
         cells = [tuple(row[data.columns.index(c)] for c in columns) for row in data.rows]
         rank = {key: i for i, key in enumerate(sorted(set(cells)))}
-        assert (ids.tolist(), count) == ([rank[key] for key in cells], len(rank))
+        assert (g.ids.tolist(), g.count) == ([rank[key] for key in cells], len(rank))
+        # the record's `first` and `sizes`, and those of a grouping of every
+        # other row, as `restrict` leaves a table: a group no row holds has
+        # first -1 and size 0
+        for record, step in ((g, 1), (Grouping(g.ids[::2], g.count), 2)):
+            held = Counter(cells[::step])
+            assert record.sizes.tolist() == [held[key] for key in rank]
+            assert [cells[::step][i] if i >= 0 else None for i in record.first.tolist()] == \
+                [key if held[key] else None for key in rank]
 
 
 def assert_groups_like_unique(data, columns):
     """`data.group(columns)` numbers the rows as `np.unique` over their cells
-    does, and keeps its ids in the narrowest unsigned dtype that holds them."""
-    ids, count = data.group(columns)
+    does, and keeps its ids read-only in the narrowest unsigned dtype that
+    holds them."""
+    g = data.group(columns)
+    ids, count = g.ids, g.count
+    assert not ids.flags.writeable
     cells = data.cells[:, [data.columns.index(c) for c in columns]]
     unique, inverse = np.unique(cells, axis=0, return_inverse=True)
     assert count == len(unique)
@@ -600,8 +615,8 @@ def test_group_ids_are_narrow_and_exact_across_dtype_limits():
 
 def test_group_of_no_columns_is_one_group():
     d = Dataset(("A",), [(1,), (0,), (1,)], {"A": 2})
-    ids, count = d.group(())
-    assert (ids.tolist(), count) == ([0, 0, 0], 1)
+    g = d.group(())
+    assert (g.ids.tolist(), g.count) == ([0, 0, 0], 1)
 
 
 @pytest.mark.parametrize("domain, rows, relabelled", [
@@ -619,7 +634,7 @@ def test_group_extends_a_prefix_by_several_columns_in_one_key(domain, rows, rela
     rng = np.random.default_rng(0)
     domains = {"A": domain, "B": domain, "C": domain, "D": domain}
     data = Dataset(tuple(domains), rng.integers(0, domain, (rows, 4)), domains)
-    assert data.group(("A",))[1] == domain
+    assert data.group(("A",)).count == domain
     assert_groups_like_unique(data, ("A",))
     with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
             mock.patch("numpy.unique", wraps=np.unique) as unique, \
@@ -677,10 +692,10 @@ def test_group_behind_a_prefix_that_splits_every_row_is_the_prefix():
     rows = np.column_stack([rng.permutation(1000), rng.integers(0, 4, (1000, 1)),
                             rng.integers(0, 2**40, (1000, 1)), rng.integers(0, 2**30, (1000, 1))])
     data = Dataset(tuple(domains), rows, domains)
-    ids, _ = data.group(("A",))
+    ids = data.group(("A",)).ids
     with mock.patch("numpy.cumsum", wraps=np.cumsum) as cumsum, \
             mock.patch("numpy.unique", wraps=np.unique) as unique:
-        assert data.group(("A", "B", "C", "D"))[0] is ids
+        assert data.group(("A", "B", "C", "D")).ids is ids
     assert (cumsum.call_count, unique.call_count) == (0, 0)
     assert_groups_like_unique(data, ("A", "B", "C", "D"))
     # the key fills up before D, and before C: B,C and D,B,A split every row
@@ -698,3 +713,33 @@ def test_group_of_columns_of_domain_one():
         data.group(columns)
     assert (cumsum.call_count, unique.call_count) == (1, 0)
     assert_groups_like_unique(data, columns)
+
+
+def test_chain99_terms_share_one_grouping_per_id_array(fixture_path):
+    """In a chain99 `pi_hte` at 200 rows, column tuples whose rows group
+    alike share one `Grouping`, and each record builds its `first` and
+    `sizes` at most once, where each of the 99 terms ran its own scatter
+    and two counts."""
+    graph = load_graph(fixture_path("chain99.graph"))
+    data = sample_dataset(random_cbn(graph, dist="dirichlet", alpha=1.0, seed=3), 200, seed=4)
+    with open(fixture_path("chain99.estimand"), encoding="utf-8") as fh:
+        hier = flatten(parse(fh.read()))
+    built = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == model.__file__ and \
+                code.co_name in ("first", "sizes"):
+            built.append((code.co_name, frame.f_locals["self"]))  # kept alive: ids stay unique
+
+    sys.setprofile(profile)
+    try:
+        pi_hte(hier, data)
+    finally:
+        sys.setprofile(None)
+    records = list(data._groups.values())
+    by_ids = {id(g.ids): g for g in records}
+    assert all(by_ids[id(g.ids)] is g for g in records)
+    assert len(by_ids) < len(records)
+    assert len({(name, id(g)) for name, g in built}) == len(built)
+    assert sum(name == "first" and id(g.ids) in by_ids for name, g in built) < 99

@@ -2,21 +2,18 @@
 
 Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
-computed), the width statistics and the CTE schedule. `execute` then binds
-each level's probability terms to frequency tables extracted from a dataset
-(primed variables read their base column), checks that each child denominator
-output covers the support of the level's terms, injects it inverted as an
-ordinary factor, and runs the schedule, which alone says which tables meet
-where and what each message sums out. One plan serves any number of datasets.
+computed), the width statistics, the CTE schedule and each term's resolved
+`model.Binding`. `execute` then binds the terms to frequency tables of a
+dataset (primed variables read their base column), checks that each child
+denominator output covers the support of the level's terms, injects it
+inverted as an ordinary factor, and runs the schedule, which alone says
+which tables meet where and what each message sums out. One plan serves
+any number of datasets.
 
-Every bound term and its all-ones copy for the support check
-(`factor.with_values`) carry provenance (see `factor`), as does each table
-made from them that stays rows of the data, a child output among them; the
-products, marginals and `factor.matches` between such tables (the join
-order's `join_size`, `check_support`'s partner search and `_renormalize`'s
-division among them) work on `Dataset.group` ids. On chain99 no table
-builds a code matrix until the report (or `_renormalize`) reads the
-result's, and no key is encoded.
+Bound terms, their all-ones copies for the support check and every table
+made from them that stays rows of the data carry provenance (see `factor`):
+their joins, marginals and `factor.matches` work on `Dataset.group` ids. On
+chain99 no table builds a code matrix until the report reads the result's.
 """
 
 from __future__ import annotations
@@ -46,11 +43,12 @@ from .errors import (
     DenseLimitExceeded,
     DivisionInconsistency,
     ResourceLimitExceeded,
+    ScopeConflict,
     UnknownVariable,
     ValidationError,
 )
 from .estimand import FlatLevel, Hierarchy, dense_expr_eval, free_vars, prob_terms
-from .model import Variable, base_name, empirical_prob, name_key
+from .model import Variable, base_name, empirical_prob, name_key, resolve, shared_variable
 
 MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
 
@@ -85,7 +83,8 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
     for u in reversed(order):
         factors = tuple(sorted(td.clusters[u].psi & scopes.keys(), key=name_key))
         children = tuple(v for v in adj[u] if v != parent[u])
-        names = set().union(*(scopes[f] for f in factors), *(held.pop(v) for v in children))
+        names = held.pop(children[0]) if children else set()  # the first child's, extended
+        names.update(*(scopes[f] for f in factors), *(held.pop(v) for v in children[1:]))
         up = td.clusters[parent[u]].chi if parent[u] is not None else frozenset()
         # names lie in u's chi or are outputs, so a name is kept exactly
         # when it is an output or u's parent holds it too
@@ -319,6 +318,7 @@ class LevelPlan:
 
     level: FlatLevel
     hypergraph: Hypergraph
+    bindings: tuple  # per bound term of the level, its model.Binding
     td: TreeDecomposition
     steps: tuple  # the CTE schedule, leaves to root
     support: tuple  # per child output, check_support's schedule and its context's, if needed
@@ -357,7 +357,7 @@ class Plan:
 
 
 def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
-    """Build each level's hypergraph once, decompose it once, and fix its CTE schedule.
+    """Build each level's hypergraph, decomposition, CTE schedule and bindings once.
 
     `domains` maps variable names to domain sizes; a primed name reads its
     base name. `decompositions` maps a level id to a supplied
@@ -368,12 +368,12 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
     decompositions = decompositions or {}
     levels = {}
     for level in hier.levels:
-        names = set().union(*level.factor_scopes)
-        undeclared = {base_name(n) for n in names} - domains.keys()
+        hg = build_hypergraph(level)
+        undeclared = {base_name(n) for n in hg.nodes} - domains.keys()
         if undeclared:
             raise UnknownVariable(
                 f"estimand variable {min(undeclared, key=name_key)!r} is not declared")
-        hg = build_hypergraph(level, {n: domains[base_name(n)] for n in names})
+        hg.domains.update((n, domains[base_name(n)]) for n in hg.nodes)
         td = decompositions.get(level.level_id)
         if td is None:
             td = decompose(hg, seed=seed, restarts=restarts)
@@ -401,9 +401,12 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
             reach = (schedule(td, outside, carried.union(child.free_vars), root)
                      if child.child_outputs else None)
             support.append((schedule(td, bound, carried.union(scope), root), reach))
+        variables = {n: shared_variable(n, k) for n, k in hg.domains.items()}
         levels[level.level_id] = LevelPlan(
             level=level,
             hypergraph=hg,
+            bindings=tuple(resolve(variables.__getitem__, t.left, t.right, t.scope)
+                           for t in level.factors),
             td=td,
             steps=schedule(td, dict(hg.edges), level.free_vars,
                            select_root(td, level.free_vars)),
@@ -419,12 +422,18 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
 
 
 def _check_inputs(p: Plan, data, do):
-    """The dataset has every column the plan binds, and `do` fixes only free
-    variables of the root level, inside their domains."""
-    bound = {base_name(n) for lp in p.levels.values() for n in lp.hypergraph.nodes}
-    missing = sorted(bound - set(data.domains), key=name_key)
+    """The dataset has every column the plan binds, each with the plan's
+    domain (so the plan's `Variable`s stand for the data's), and `do` fixes
+    only free variables of the root level, inside their domains."""
+    bound = {base_name(n): k for lp in p.levels.values() for n, k in lp.hypergraph.domains.items()}
+    missing = sorted(bound.keys() - set(data.columns), key=name_key)
     if missing:
         raise UnknownVariable(f"dataset has no column {missing[0]!r}")
+    changed = sorted((c for c, k in bound.items() if data.domains[c] != k), key=name_key)
+    if changed:
+        c = changed[0]
+        raise ScopeConflict(f"column {c!r} has domain {data.domains[c]} in the dataset but "
+                            f"{bound[c]} in the plan")
     root = p.levels[p.hier.root]
     free = root.level.free_vars
     for name, value in do.items():
@@ -485,9 +494,8 @@ def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     stats = LevelStats(level_id, **lp.widths(), k=max(lp.hypergraph.domains.values()), cap=cap)
 
     factors = {}
-    for i, term in enumerate(lp.level.factors):
-        bound = empirical_prob(data, term.left, term.right).restrict(do)
-        factors[f"f{i}"] = stats.record(bound)
+    for i, binding in enumerate(lp.bindings):
+        factors[f"f{i}"] = stats.record(empirical_prob(data, binding).restrict(do))
     ones = {fid: sf.with_values(f, np.ones(f.tightness))
             for fid, f in factors.items()} if lp.support else {}
     for (child_id, _), (check, reach) in zip(lp.level.child_outputs, lp.support):
@@ -536,7 +544,7 @@ def brute_force_eval(expr, data, dense_limit=10**6, do=None) -> sf.SparseFactor:
     for term in prob_terms(expr):
         key = term.key()
         if key not in bindings:
-            bindings[key] = empirical_prob(data, term.left, term.right)
+            bindings[key] = empirical_prob(data, resolve(data.variable, term.left, term.right))
     domains = data.domains
 
     ranges = [(do[n],) if n in do else range(domains[n]) for n in free]

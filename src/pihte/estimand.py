@@ -21,7 +21,7 @@ from .errors import (
     EstimandSyntaxError,
     UnusedBoundVar,
 )
-from .model import name_key
+from .model import name_key, sides
 
 # -- AST -------------------------------------------------------------------
 
@@ -37,23 +37,24 @@ class ProbTerm:
     free: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # for terms built in code; the parser reports the position
-        if set(self.left) & set(self.right):
-            raise EstimandSyntaxError(
-                f"variables on both sides of '|': {sorted(set(self.left) & set(self.right))}", 0
-            )
         object.__setattr__(self, "free", frozenset((*self.left, *self.right)))
+        if len(self.free) < len(self.left) + len(self.right) and set(self.left) & set(self.right):
+            both = sorted(set(self.left) & set(self.right))
+            raise EstimandSyntaxError(f"variables on both sides of '|': {both}", 0)
 
     @cached_property
-    def scope(self):  # sorted once, on first use; text order is often sorted already
-        names = (*self.left, *self.right)
+    def scope(self):  # sorted once, on first use; the conditioning side often sorts first
+        names = (*self.right, *self.left)
         return tuple(sorted(names if len(names) == len(self.free) else self.free, key=name_key))
 
     def key(self) -> str:
-        """Canonical text form, used to bind factors to terms."""
-        body = ",".join(sorted(self.left, key=name_key))
-        if self.right:
-            body += "|" + ",".join(sorted(self.right, key=name_key))
-        return f"P({body})"
+        """Canonical text form, used to bind factors to terms: each side in
+        canonical order, read off `scope` unless a name repeats."""
+        if len(self.scope) == len(self.left) + len(self.right):
+            left, right = sides(self.scope, self.right, self.scope)
+        else:  # built in code: the repeated name stays
+            left, right = sorted(self.left, key=name_key), sorted(self.right, key=name_key)
+        return f"P({','.join(left)}{'|' if right else ''}{','.join(right)})"
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,36 @@
 """Relational (zero-suppressed) factors and the algebra CTE needs.
 
-A factor stores only non-zero assignments; everything absent is zero. It holds
-a scope in the canonical global variable order, a code matrix of unique rows
-sorted lexicographically, and a float64 value vector, so merges and serialized
-output are deterministic. Codes enter in the `model.code_dtype` of their
-largest domain, one byte each when no domain passes 256, and every result
-keeps its inputs' dtype, or the wider of two. Entries are validated where
-they enter from outside (`SparseFactor(scope, entries)` and `model.Dataset`);
-the algebra builds its results with `SparseFactor.trusted`. It is the join and
-aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis, Ngo & Rudra, PODS
-2016) as array kernels over sortable `int64` row keys, one per row: the
+A factor stores only non-zero assignments: a scope in the canonical variable
+order, a code matrix of unique rows sorted lexicographically and a float64
+value vector, so merges and serialized output are deterministic. Codes are in
+the `model.code_dtype` of their largest domain (one byte each up to 256), and
+every result keeps its inputs' dtype, or the wider of two. Entries are checked
+where they enter from outside (`SparseFactor(scope, entries)`,
+`model.Dataset`); the algebra builds its results with `SparseFactor.trusted`.
+It is the join and aggregate of Yannakakis (VLDB 1981) and FAQ (Abo Khamis,
+Ngo & Rudra, PODS 2016) as array kernels over sortable `int64` row keys: the
 `Dataset.group` ids of the source rows between two tables of one dataset,
-else `keys` of the key's domains, a mixed-radix number when they multiply
-to at most 2**63 and the rows' dense ids past it. Every grouping runs
-through one kernel, `model.group_rows`, whose `model.Grouping` record holds
-each group's `first` row and its `sizes`. Every join aligns its two scopes,
-checks their shared domains and finds its partners in one place, `matches`,
-a binary search whose runs a product expands, `join_size` counts and the
-engine's support check and renormalization read, and a marginal sums each
-group of its kept columns. The algebra knows nothing of ratios: the engine
-checks each denominator's support once per level, before any product.
+else `keys` (mixed-radix numbers up to 2**63, the rows' dense ids past it).
+Every grouping runs through `model.group_rows`, whose `model.Grouping` holds
+each group's `first` row and `sizes`. Every join finds its partners in one
+place, `matches`, a binary search whose runs a product expands, `join_size`
+counts and the engine's support check and renormalization read; a marginal
+sums each group of its kept columns. The algebra knows nothing of ratios.
 
-Plug-in tables are projections of the data, and a table bound from a
-dataset (`model.empirical_prob`) says so: it carries provenance, the
-`model.Dataset` as `data` and one source row per entry as `rows`, its
-names read distinct columns, and each entry's codes are its row's cells
-on them. `restrict`, `invert`, the engine's all-ones copies (`with_values`),
-a marginal and a product that adds no column to its wider operand keep it;
-a general join of two such tables gets it back when every entry it makes
-is a row of the data. Such a table is a set of row references plus values,
-the factorised representation of Olteanu & Zavodny (TODS 2015): it is
-built without a code matrix, and `codes` gathers one from the rows' cells
-only when read, as the report's result and `items` do. Between such
-tables of one dataset no key is encoded: a join whose narrower operand's
-names lie inside the wider's (the semi-join of Yannakakis) gathers each
-partner by the `Dataset.group` id of the wider's source row, a marginal
-groups by those ids of the kept columns, and `matches` (so every other
-join, `join_size` and the support check) searches those ids of the
-shared columns. Tables without provenance (built by `SparseFactor(...)`
-or `trusted` alone, or a join's fan-out) and joins across datasets keep
-the key path, `keys` and `group_rows`, which read the columns they key
-through `SparseFactor.take`: from the code matrix when the table holds
-one, else from the rows' cells, building none.
+A table bound from a dataset (`model.empirical_prob`) carries provenance: the
+`model.Dataset` as `data` and one source row per entry as `rows`; its names
+read distinct columns, and each entry's codes are its row's cells on them.
+`restrict`, `invert`, `with_values`, a marginal and a product that adds no
+column to its wider operand keep it (all but the marginal with their input's
+scope and `names` tuples); a general join of two such tables gets it back
+when every entry it makes is a row of the data. Such a table is row
+references plus values, the factorised representation of Olteanu & Zavodny
+(TODS 2015): `codes` gathers a code matrix from the rows' cells only when
+read. Between such tables of one dataset no key is encoded: a semi-join
+gathers each partner by the `Dataset.group` id of the wider table's source
+row, a marginal groups by those ids, and `matches` searches them. Other
+tables and joins across datasets take `keys` and `group_rows`, reading
+columns through `SparseFactor.take`, which builds no code matrix.
 """
 
 from __future__ import annotations
@@ -60,18 +49,14 @@ UNDERFLOW_FLOOR = 1e-300
 
 
 def keys(sizes, *parts):
-    """The one key rule of the algebra: for code matrices whose columns
-    have domains `sizes`, one sortable `int64` key per row, an array per
-    part. Sorted keys are rows in lexicographic order, and the keys of all
-    the parts compare with one another, so a join encodes both its tables
-    in one call.
-    - Columns whose sizes multiply to at most 2**63 give each row its
-      mixed-radix number with the first column most significant, one
-      matrix product with the columns' place values. A column of domain 1
-      has place value 0, since its codes are all 0.
-    - Any other key is the rows' dense ids by `group_rows`, over the rows
-      of all the parts together.
-    """
+    """The one key rule of the algebra: for code matrices whose columns have
+    domains `sizes`, one sortable `int64` key per row, an array per part, all
+    comparable, so a join encodes both its tables in one call; sorted keys are
+    rows in lexicographic order. Columns whose sizes multiply to at most 2**63
+    give each row its mixed-radix number, first column most significant (one
+    matrix product with the place values; a column of domain 1 has place
+    value 0); any other key is the dense ids of all the parts' rows together
+    by `group_rows`."""
     span = math.prod(sizes)
     if span > 1 << 63:
         ids = group_rows(np.concatenate(parts), range(len(sizes)), sizes).ids.astype(np.int64)
@@ -131,9 +116,9 @@ class SparseFactor:
         first = group_rows(codes, range(len(scope)), [v.domain_size for v in scope]).first
         self._set(scope, codes[first], values[first], 0)
 
-    def _set(self, scope, codes, values, underflow_dropped, data=None, rows=None):
+    def _set(self, scope, codes, values, underflow_dropped, data=None, rows=None, names=None):
         self.scope = scope
-        self.names = tuple([v.name for v in scope])  # a list builds it in half the time
+        self.names = names or tuple([v.name for v in scope])  # a list builds it in half the time
         self._codes = codes
         self.values = values
         self.underflow_dropped = int(underflow_dropped)
@@ -142,16 +127,17 @@ class SparseFactor:
         self._lookup = None
 
     @classmethod
-    def trusted(cls, scope, codes, values, underflow_dropped=0, data=None, rows=None):
+    def trusted(cls, scope, codes, values, underflow_dropped=0, data=None, rows=None, names=None):
         """A factor from arrays already in canonical form: scope in name
-        order, unique in-domain rows sorted lexicographically, no zeros.
+        order, unique in-domain rows sorted lexicographically, no zeros;
+        `names`, if given, the scope's names, which its caller already holds.
 
         With `data`, the table has provenance: its names read distinct
         columns of that `model.Dataset` (their base names), and entry i's
         codes are the cells of row `rows[i]` on those columns, and `codes`
         may be None: the `codes` property derives them when read."""
         f = cls.__new__(cls)
-        f._set(scope, codes, values, underflow_dropped, data, rows)
+        f._set(scope, codes, values, underflow_dropped, data, rows, names)
         return f
 
     # -- introspection -----------------------------------------------------
@@ -211,7 +197,7 @@ class SparseFactor:
         for i, want in positions:
             keep &= self.take([i])[:, 0] == want
         return SparseFactor.trusted(self.scope, _select(self._codes, keep), self.values[keep],
-                                    data=self.data, rows=_select(self.rows, keep))
+                                    data=self.data, rows=_select(self.rows, keep), names=self.names)
 
 
 def _select(a, index):
@@ -222,7 +208,7 @@ def _select(a, index):
 def with_values(f: SparseFactor, values) -> SparseFactor:
     """f's entries with new values, one per entry, none of them zero: the
     same scope, codes (or none) and provenance."""
-    return SparseFactor.trusted(f.scope, f._codes, values, data=f.data, rows=f.rows)
+    return SparseFactor.trusted(f.scope, f._codes, values, data=f.data, rows=f.rows, names=f.names)
 
 
 def unit_factor() -> SparseFactor:
@@ -233,16 +219,14 @@ def unit_factor() -> SparseFactor:
 def matches(f: SparseFactor, g: SparseFactor):
     """For each row of f, the run of g's rows that agree with it on their
     shared variables, in g's canonical order: for f's row i, g's rows
-    `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None. `g_only`
-    lists g's other columns; a shared name whose domains differ raises
-    ScopeConflict. Two tables with provenance from one dataset are keyed by
-    the `Dataset.group` ids of their source rows on the shared columns;
-    every other pair by one `keys` call over both sides' shared columns, at
-    g's shared domains. Either way g's keys are sorted when its shared
-    columns lead its scope, else one stable argsort sorts them into
-    `g_rows`. Two binary searches bound each run; with nothing shared, each
-    f row meets all of g.
-    """
+    `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None; `g_only`
+    lists g's other columns, and a shared name whose domains differ raises
+    ScopeConflict. Tables with provenance from one dataset are keyed by the
+    `Dataset.group` ids of their source rows on the shared columns, other
+    pairs by one `keys` call at g's shared domains; g's keys are sorted by
+    one stable argsort (`g_rows`) unless its shared columns lead its scope.
+    Two binary searches bound each run; with nothing shared, each f row
+    meets all of g."""
     f_pos = {n: i for i, n in enumerate(f.names)}
     f_shared, g_shared, g_only, sizes = [], [], [], []
     for j, v in enumerate(g.scope):
@@ -250,7 +234,7 @@ def matches(f: SparseFactor, g: SparseFactor):
         if i is None:
             g_only.append(j)
             continue
-        prior = f.scope[i]  # mostly v itself: scopes share `model._variable`'s objects
+        prior = f.scope[i]  # mostly v itself: scopes share `model.shared_variable`'s objects
         if prior is not v and prior.domain_size != v.domain_size:
             raise ScopeConflict(f"{v.name!r}: domain {prior.domain_size} vs {v.domain_size}")
         f_shared.append(i)
@@ -279,21 +263,16 @@ def join_size(f: SparseFactor, g: SparseFactor) -> int:
 
 
 def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
-    """The join of f and g on their shared variables, keyed on the union
-    scope, each entry the product of the two it joins. An output entry
-    exists iff both projections exist, so multiplication is absorbing
-    relative to zero.
-
-    The wider operand, else f, probes the other and is repeated once per
-    partner; the other's columns follow its own, sorted in only when out of
-    name order. When the other adds no column, a probe row has one partner
-    at most, and the output is the probe rows that have one, in their order,
-    with the probe's provenance. Between two tables with provenance from one
-    dataset those partners are a gather (`_partners`); every other join
-    finds its partners by `matches` (Yannakakis, VLDB 1981), and a join of
+    """The join of f and g on their shared variables over the union scope,
+    each entry the product of the two it joins; an entry exists iff both
+    projections do, so zero absorbs. The wider operand, else f, probes the
+    other and is repeated once per partner; the other's columns follow, sorted
+    in only when out of name order. When the other adds no column, the output
+    is the probe rows with a partner, in order, with the probe's provenance.
+    Partners are gathered between tables with provenance from one dataset
+    (`_partners`), else found by `matches` (Yannakakis, VLDB 1981); a join of
     two such tables gets provenance back where `_source_rows` finds each
-    entry a row of the data.
-    """
+    entry a row of the data."""
     if len(g.scope) > len(f.scope):
         f, g = g, f
     if f.data is not None and g.data is f.data and set(g.names).issubset(f.names):
@@ -306,7 +285,7 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         codes, values, rows = f._codes, f.values, f.rows
         if not hit.all():
             codes, values, lo, rows = _select(codes, hit), values[hit], lo[hit], _select(rows, hit)
-        return _trusted_product(f.scope, codes, values * g.values[lo], f.data, rows)
+        return _trusted_product(f.scope, codes, values * g.values[lo], f.data, rows, f.names)
 
     # output k, the j-th of f row i's, meets g's run row lo[i] + j, in g's canonical order
     count = hi - lo
@@ -332,14 +311,14 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     return _trusted_product(scope, codes, values, None if source is None else f.data, source)
 
 
-def _trusted_product(scope, codes, values, data=None, rows=None) -> SparseFactor:
+def _trusted_product(scope, codes, values, data=None, rows=None, names=None) -> SparseFactor:
     """A product's canonical rows (or None, given provenance) and values,
     less the values that underflow."""
     kept = np.abs(values) >= UNDERFLOW_FLOOR
     dropped = len(values) - int(np.count_nonzero(kept))
     if dropped:
         codes, values, rows = _select(codes, kept), values[kept], _select(rows, kept)
-    return SparseFactor.trusted(scope, codes, values, dropped, data, rows)
+    return SparseFactor.trusted(scope, codes, values, dropped, data, rows, names)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -352,14 +331,12 @@ def _columns(names):
 
 def _partners(f: SparseFactor, g: SparseFactor):
     """For each row of f, the row of g that agrees with it on g's names, or
-    -1, when both carry provenance from one dataset and g's names lie
-    inside f's: the entry of g that holds the group, by `Dataset.group` on
-    g's columns, of f's source row. g's rows are those groups in order, so
-    when g holds every group its row is the group id; else the `first` of
-    the `Grouping` of g's rows, -1 where g lacks the group (after `restrict`,
-    or an underflow), leads from one to the other. It is not `matches`,
-    whose keys are these ids too, because indexing by group id beats a sort
-    and binary search."""
+    -1, when both carry provenance from one dataset and g's names lie inside
+    f's: the entry of g holding the `Dataset.group` group of f's source row on
+    g's columns. When g holds every group its row is the group id; else the
+    `first` of the `Grouping` of g's rows leads there (-1 where g lacks it,
+    after `restrict` or an underflow). Indexing by group id beats `matches`'s
+    sort and binary search over the same ids."""
     groups = f.data.group(_columns(g.names))
     lo = groups.ids[f.rows]
     if len(g.values) < groups.count:
@@ -398,12 +375,12 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
         raise UnknownVariable(f"not in scope: {sorted(unknown)}")
     if not out:
         return f
-    keep = [i for i, v in enumerate(f.scope) if v.name not in out]
-    scope = tuple([f.scope[i] for i in keep])
+    keep = [i for i, n in enumerate(f.names) if n not in out]
+    scope, names = tuple([f.scope[i] for i in keep]), tuple([f.names[i] for i in keep])
     if f.rows is None:
         g = group_rows(f.codes, keep, [v.domain_size for v in f.scope])
     else:
-        g = f.data.group(_columns(tuple([v.name for v in scope])))
+        g = f.data.group(_columns(names))
         g = Grouping(g.ids[f.rows], g.count)
     sums = np.bincount(g.ids, weights=f.values, minlength=g.count)
     kept = np.abs(sums) >= UNDERFLOW_FLOOR  # a group f lacks sums to 0
@@ -411,7 +388,7 @@ def marginalize(f: SparseFactor, out_vars) -> SparseFactor:
     codes = None if f.rows is not None else take_columns(f.codes, keep)[first]
     return SparseFactor.trusted(
         scope, codes, sums[kept], underflow_dropped=np.count_nonzero(g.first >= 0) - len(first),
-        data=f.data, rows=_select(f.rows, first),
+        data=f.data, rows=_select(f.rows, first), names=names,
     )
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import operator
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +85,33 @@ class Grouping:
     def __init__(self, ids, count):
         self.ids, self.count = ids.astype(code_dtype(count - 1), copy=False), count
         self.ids.flags.writeable = False
+        self._first = self._sizes = None
 
-    @functools.cached_property
+    @property
     def first(self):
-        first = np.full(self.count, -1, dtype=np.min_scalar_type(-1 - len(self.ids)))
-        first[self.ids] = np.arange(len(self.ids))  # any one row of each group
-        return first
+        if self._first is None:
+            self._first = np.full(self.count, -1, dtype=np.min_scalar_type(-1 - len(self.ids)))
+            self._first[self.ids] = np.arange(len(self.ids))  # any one row of each group
+        return self._first
 
-    @functools.cached_property
+    @property
     def sizes(self):
-        return np.bincount(self.ids, minlength=self.count).astype(code_dtype(len(self.ids)))
+        if self._sizes is None:
+            sizes = np.bincount(self.ids, minlength=self.count)
+            self._sizes = sizes.astype(code_dtype(len(self.ids)))
+        return self._sizes
 
 
 def group_rows(cells, positions, sizes, prefix=None) -> Grouping:
-    """The `Grouping` of the rows of a code matrix on its columns `positions`
-    (`sizes[j]` the domain of column j) behind the groups of `prefix` (by
-    default one group of all rows), its ids in lexicographic order: the
-    package's one grouping. Each column of domain k adds a digit to one
-    `int64` key behind the leading id (`key * k + cell`), so the key orders
-    rows as the longer prefix does; before a column would carry the key
-    past 63 bits, and at the end, `_dense` numbers the key's groups. A
-    column whose domain alone passes 63 bits behind the groups adds the
-    dense ids of its own codes as its digit instead. Once every row is a
-    group of its own, no column splits a group: the grouping is final, and
-    `prefix` itself when no key was numbered.
-    """
+    """The package's one grouping: the `Grouping` of a code matrix's rows on
+    its columns `positions` (`sizes[j]` column j's domain) behind the groups
+    of `prefix` (default: one group of all rows), ids in lexicographic order.
+    Each column of domain k adds a digit to one `int64` key behind the
+    leading id (`key * k + cell`); `_dense` numbers the key's groups before
+    it would pass 63 bits, and at the end. A column whose domain alone
+    passes 63 bits adds the dense ids of its codes instead. Once every row
+    is a group of its own, the grouping is final (`prefix` itself if no key
+    was numbered)."""
     g = prefix or Grouping(np.zeros(len(cells), dtype=np.uint8), min(len(cells), 1))
     key, width = g.ids.astype(np.int64), 1
     for j in positions:
@@ -147,6 +151,17 @@ def base_name(name: str) -> str:
     return name.rstrip("'")
 
 
+def sides(names, right, of):
+    """`of`, one entry per name of `names` (a scope without repeats), split at
+    the names outside `right` and those in it, each part in scope order: two
+    slices when `right` is the scope's first names, as a chain's is."""
+    if names[:len(right)] == right:
+        return of[len(right):], of[:len(right)]
+    right = set(right)
+    return (tuple([x for n, x in zip(names, of) if n not in right]),
+            tuple([x for n, x in zip(names, of) if n in right]))
+
+
 @dataclass(frozen=True, order=True)
 class Variable:
     name: str
@@ -155,11 +170,12 @@ class Variable:
     def __post_init__(self):
         if self.domain_size < 1:
             raise ValueError(f"domain_size of {self.name!r} must be >= 1")
+        object.__setattr__(self, "column", base_name(self.name))  # the dataset column it reads
 
 
 # one shared Variable per (name, domain): the same names are bound again by
 # every query, and a frozen dataclass is slow to build
-_variable = functools.lru_cache(maxsize=None)(Variable)
+shared_variable = functools.lru_cache(maxsize=None)(Variable)
 
 
 class CausalGraph:
@@ -225,11 +241,12 @@ class CausalGraph:
 
 class Dataset:
     """Integer-coded sample rows over named columns, held as one matrix
-    (`cells`, one row per sample) that is range-checked once and then kept in
-    the `code_dtype` of the largest domain: one byte per cell when every
-    domain has at most 256 values. Immutable."""
+    (`cells`, one row per sample), range-checked once and kept in the
+    `code_dtype` of the largest domain. Immutable: the cells are a copy of
+    the rows, unless `copy=False` hands over an array in that dtype that no
+    one else holds (`load_dataset`'s)."""
 
-    def __init__(self, columns, rows, domains):
+    def __init__(self, columns, rows, domains, copy=True):
         self.columns = tuple(columns)
         self.domains = dict(domains)
         self._col_index = {c: i for i, c in enumerate(self.columns)}
@@ -259,10 +276,11 @@ class Dataset:
             bad = (cells < 0) | (cells >= sizes)  # built only to find the first bad cell
             i, j = np.argwhere(bad)[0]  # row-major: the cell a scan meets first
             raise DomainViolation(int(i), self.columns[j], rows[i][j])
-        cells = cells.astype(code_dtype(max(sizes, default=1) - 1))  # a copy of its own
+        cells = cells.astype(code_dtype(max(sizes, default=1) - 1), copy=copy)
         cells.flags.writeable = False
         self.cells = cells
         self._groups = {(): Grouping(np.broadcast_to(np.uint8(0), len(cells)), 1)}  # see `group`
+        self._ends = set()  # (length, last column) of each cached tuple but ()
 
     @property
     def rows(self):
@@ -279,24 +297,30 @@ class Dataset:
         except KeyError:
             raise UnknownVariable(name) from None
 
-    def group(self, columns) -> Grouping:
-        """The `Grouping` of the rows on `columns` (a tuple of names), its ids
-        in lexicographic order of their cells.
+    def variable(self, name: str) -> Variable:
+        """The shared `Variable` of a name, with its base name's column's domain."""
+        return shared_variable(name, self._sizes[self.column_index(base_name(name))])
 
-        Records are memoised per column tuple asked for; a miss groups the
-        columns past the longest cached prefix behind the prefix's record by
-        `group_rows`, the trie over a variable order of Leapfrog Triejoin
-        (Veldhuizen, ICDT 2014). A tuple that splits no group of its prefix
-        shares the prefix's record, and with it `first` and `sizes`.
-        """
+    def group(self, columns) -> Grouping:
+        """The `Grouping` of the rows on `columns` (a tuple of names), ids in
+        lexicographic order, memoised per tuple. A miss groups the columns
+        past the longest cached prefix behind its record by `group_rows`, the
+        trie over a variable order of Leapfrog Triejoin (Veldhuizen, ICDT
+        2014); a tuple that splits no group shares its prefix's record. The
+        search walks back from the end once, slicing a prefix only where a
+        cached tuple of that length ends in the same column (`_ends`)."""
         columns = tuple(columns)
-        known = len(columns)
-        while columns[:known] not in self._groups:
-            known -= 1
-        if known < len(columns):
-            self._groups[columns] = group_rows(self.cells, map(self.column_index, columns[known:]),
-                                               self._sizes, self._groups[columns[:known]])
-        return self._groups[columns]
+        g = self._groups.get(columns)
+        if g is None:
+            known = len(columns) - 1
+            while known and ((known, columns[known - 1]) not in self._ends
+                             or columns[:known] not in self._groups):
+                known -= 1
+            self._groups[columns] = g = group_rows(
+                self.cells, map(self.column_index, columns[known:]), self._sizes,
+                self._groups[columns[:known]])
+            self._ends.add((len(columns), columns[-1]))
+        return g
 
     def project(self, names):
         """Distinct-preserving projection: per-row tuples for the given columns."""
@@ -365,15 +389,13 @@ def load_graph(path) -> CausalGraph:
 def load_dataset(path, graph: CausalGraph) -> Dataset:
     """Load a CSV of integer cells, range-checked against the graph's domains.
 
-    An ASCII file, after a UTF-8 byte-order mark if it has one, is read in
-    one pass: `csv` reads the header, and numpy's C reader (`np.loadtxt`,
-    numpy >= 1.23) streams the body from the same file straight into the
-    cells' `code_dtype`, on universal newlines so that it sees only `\\n`.
-    Any failure there (an error, a warning, a row of another width, a cell
-    out of its domain, a byte that is not ASCII, which numpy may read as a
-    digit) reads the file again record by record with `csv`, whose errors
-    name the `path:line` of the first bad record. A cell is an integer as
-    `int` reads it once `str.strip` has cut its whitespace.
+    An ASCII file, after a UTF-8 byte-order mark if any, is read in one pass:
+    `csv` reads the header and `np.loadtxt` (numpy >= 1.23) streams the body
+    into the cells' `code_dtype`, on universal newlines. Any failure there
+    (an error, a warning, a row of another width, a cell out of its domain, a
+    byte past ASCII, which numpy may read as a digit) reads the file again
+    record by record with `csv`, whose errors name the first bad record's
+    `path:line`. A cell is an integer as `int` reads it once stripped.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -386,7 +408,7 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
                 cells = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
                                    dtype=code_dtype(max(domains.values()) - 1))
         if cells.shape[1] == len(columns):
-            return Dataset(columns, cells, domains)
+            return Dataset(columns, cells, domains, copy=False)  # nobody else holds `cells`
     except Exception:
         pass  # the records below give the error, or the cells numpy would not
     with open_text(path, newline="") as fh:
@@ -424,40 +446,45 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
                               records[exc.row][0]) from None
 
 
-def empirical_prob(data: Dataset, left, right=()) -> "SparseFactor":
-    """Empirical conditional table P_D(left | right) as a sparse factor.
+# a term resolved before any data is read: its names, in canonical order and as shared
+# `Variable`s (`scope`), the column each reads and its conditioning side's (`given`)
+Binding = namedtuple("Binding", "scope names columns given")
 
-    Names are the term's own, primed or not: each reads the column of its
-    base name, and the scope is the names in canonical order. The term's
-    rows and its conditioning side's are grouped by `data.group`, whose
-    ids follow that order, so the term's `first` rows list the entries
-    already sorted. The table keeps them as its provenance and no code
-    matrix: its `codes` gather the rows' cells only when read. Entries
-    exist only for configurations seen in the data; the values are the
-    term's `sizes` over the conditioning side's, exact integers divided
-    once per entry. With right empty this is the empirical marginal over
-    `left`.
-    """
-    from .factor import SparseFactor, _columns
 
-    left = tuple(left)
-    right = tuple(right)
+def resolve(variable, left, right=(), names=None) -> Binding:
+    """The name work of binding P(left | right), once per term: `variable(n)`
+    is name n's shared `Variable` (a plan level's, or `Dataset.variable`),
+    and `names` the scope in canonical order, sorted here unless given (a
+    `ProbTerm`'s `scope`). Raises ValueError for an empty left side or a term
+    that reads a column more than once."""
+    left, right = tuple(left), tuple(right)
     if not left:
         raise ValueError("left variable set must be non-empty")
-    scope_names = tuple(sorted(left + right, key=name_key))
-    columns = _columns(scope_names)
-    if len(set(columns)) != len(columns):
+    if names is None:
+        names = tuple(sorted(left + right, key=name_key))
+    scope = tuple(map(variable, names))
+    columns = tuple(map(operator.attrgetter("column"), scope))
+    if len(set(columns)) != len(left) + len(right):
         term = ",".join(left) + ("|" + ",".join(right) if right else "")
         raise ValueError(f"term P({term}) reads a column more than once")
+    return Binding(scope, names, columns, sides(names, right, columns)[1])
+
+
+def empirical_prob(data: Dataset, binding: Binding) -> "SparseFactor":
+    """The empirical table P_D(left | right) of a resolved term, whose
+    `Variable`s carry the data's domains (`engine.execute` checks them): the
+    data work of binding, and all of it. `data.group` groups the term's rows
+    in scope order, so its `first` rows, kept as the table's provenance with
+    no code matrix, list the seen entries sorted; each value is the term's
+    `sizes` over its conditioning side's, one exact division per entry."""
+    from .factor import SparseFactor
+
     if data.n_rows == 0:
         raise EmptyDataset("cannot extract probabilities from zero rows")
-
-    list(map(data.column_index, columns))  # names a missing column
-    scope = tuple(map(_variable, scope_names, map(data.domains.__getitem__, columns)))
-    # the conditioning side first: when its names sort first, it is the
-    # prefix the term's own grouping then extends; with right empty it is
-    # the one group of all rows
-    given = data.group(_columns(tuple(sorted(right, key=name_key))))
-    term = data.group(columns)
-    return SparseFactor.trusted(scope, None, term.sizes / given.sizes[given.ids[term.first]],
-                                data=data, rows=term.first.astype(code_dtype(data.n_rows - 1)))
+    # the conditioning side first: when it sorts first, the term's grouping
+    # extends it; with right empty it is the one group of all rows
+    given = data.group(binding.given)
+    term = data.group(binding.columns)
+    values = term.sizes / given.sizes[given.ids[term.first]]
+    return SparseFactor.trusted(binding.scope, None, values, data=data, names=binding.names,
+                                rows=term.first.astype(code_dtype(data.n_rows - 1)))

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from pihte.model import empirical_prob, resolve
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
@@ -14,6 +16,12 @@ def factors_close(a, b, rel=1e-9, abs_tol=0.0):
     return all(abs(x.get(k, 0.0) - y.get(k, 0.0))
                <= max(rel * max(abs(x.get(k, 0.0)), abs(y.get(k, 0.0))), abs_tol)
                for k in x.keys() | y.keys())
+
+
+def bind(data, left, right=()):
+    """The empirical table P_D(left | right), its names resolved against the
+    data's own domains, as `engine.brute_force_eval` binds a term."""
+    return empirical_prob(data, resolve(data.variable, left, right))
 
 
 @pytest.fixture

@@ -10,10 +10,11 @@ import ast
 import importlib
 import os
 
+from conftest import bind
 from pihte.engine import pi_hte
 from pihte.estimand import flatten, parse
 from pihte.factor import marginalize, product
-from pihte.model import Dataset, empirical_prob
+from pihte.model import Dataset
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
 
@@ -49,6 +50,6 @@ def test_names_read_outside_the_traced_functions():
     data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1)], {"A": 2, "B": 2})
     assert data.rows == ((0, 0), (0, 1), (1, 1))
     assert data.project(("B", "A")) == [(0, 0), (1, 0), (1, 1)]
-    joint = product(empirical_prob(data, ("A",)), empirical_prob(data, ("B",), ("A",)))
+    joint = product(bind(data, ("A",)), bind(data, ("B",), ("A",)))
     assert joint.underflow_dropped == 0
     assert marginalize(joint, ["A"]).underflow_dropped == 0

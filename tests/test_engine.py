@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import factors_close
+from conftest import bind, factors_close
 from pihte.cli import main
 from pihte.decomposition import (
     Cluster,
@@ -34,12 +34,13 @@ from pihte.errors import (
     DivisionByZero,
     DivisionInconsistency,
     ResourceLimitExceeded,
+    ScopeConflict,
     UnknownVariable,
     ValidationError,
 )
 from pihte.estimand import MAX_NESTING, ProbTerm, Product, Ratio, Sum, flatten, parse
 from pihte.factor import UNDERFLOW_FLOOR, SparseFactor, product, unit_factor
-from pihte.model import CausalGraph, Dataset, Variable, empirical_prob, name_key
+from pihte.model import CausalGraph, Dataset, Variable, empirical_prob, load_graph, name_key
 from pihte.simulate import random_cbn, sample_dataset
 from pihte.suite import make_instance
 
@@ -68,8 +69,8 @@ def run_cte(td, factors, free, root=None):
 
 def test_cte_single_cluster_matches_dense():
     data = small_data()
-    fa = empirical_prob(data, ("V0",))
-    fb = empirical_prob(data, ("V1",), ("V0",))
+    fa = bind(data, ("V0",))
+    fb = bind(data, ("V1",), ("V0",))
     td = TreeDecomposition(
         clusters={0: Cluster(chi=frozenset({"V0", "V1"}), psi=frozenset({"f0", "f1"}),
                              cover=("f1",))},
@@ -86,8 +87,8 @@ def test_cte_single_cluster_matches_dense():
 
 def test_cte_two_clusters_matches_dense():
     data = small_data(seed=3)
-    f0 = empirical_prob(data, ("V1",), ("V0",))
-    f1 = empirical_prob(data, ("V2",), ("V1",))
+    f0 = bind(data, ("V1",), ("V0",))
+    f1 = bind(data, ("V2",), ("V1",))
     td = TreeDecomposition(
         clusters={
             0: Cluster(chi=frozenset({"V0", "V1"}), psi=frozenset({"f0"}), cover=("f0",)),
@@ -106,8 +107,8 @@ def test_cte_two_clusters_matches_dense():
 
 def test_cte_root_invariance():
     data = small_data(seed=4)
-    f0 = empirical_prob(data, ("V1",), ("V0",))
-    f1 = empirical_prob(data, ("V2",), ("V1",))
+    f0 = bind(data, ("V1",), ("V0",))
+    f1 = bind(data, ("V2",), ("V1",))
     td = TreeDecomposition(
         clusters={
             0: Cluster(chi=frozenset({"V0", "V1"}), psi=frozenset({"f0"}), cover=("f0",)),
@@ -358,6 +359,72 @@ def test_plan_names_undeclared_variable():
         plan(flatten(parse("P(V0|Z)")), {"V0": 2})
 
 
+def planned_cases(fixture_path):
+    """(hierarchy, dataset) for chain99, chain7, the cone, napkin and suite
+    instances 0-99."""
+    for stem, rows in (("chain99", 200), ("chain7", 400), ("cone_cloud", 400), ("napkin", 400)):
+        graph = load_graph(fixture_path(f"{stem}.graph"))
+        with open(fixture_path(f"{stem}.estimand"), encoding="utf-8") as fh:
+            hier = flatten(parse(fh.read()))
+        yield stem, hier, sample_dataset(random_cbn(graph, dist="dirichlet", alpha=1.0, seed=3),
+                                         rows, seed=4)
+    for seed in range(100):
+        inst = make_instance(seed)
+        yield f"suite {seed}", flatten(parse(inst.estimand)), inst.data
+
+
+def test_planned_bindings_equal_binding_by_names(fixture_path):
+    """Every bound term of every level, bound through the plan's resolved
+    `Binding`, equals the term bound from its names alone on a fresh copy of
+    the data (its own group memo): the same `Variable` objects, names, row
+    dtype and rows, and values bit for bit; with and without a `do` slice
+    on the root's first free variable."""
+    for case, hier, data in planned_cases(fixture_path):
+        p = plan(hier, data.domains)
+        fresh = Dataset(data.columns, data.cells, data.domains)
+        first = p.levels[hier.root].level.free_vars[0]
+        for do in ({}, {first: min(1, data.domains[first.rstrip("'")] - 1)}):
+            for lp in p.levels.values():
+                assert len(lp.bindings) == len(lp.level.factors), case
+                for term, binding in zip(lp.level.factors, lp.bindings):
+                    got = empirical_prob(data, binding).restrict(do)
+                    want = bind(fresh, term.left, term.right).restrict(do)
+                    assert all(a is b for a, b in zip(got.scope, want.scope)), (case, term)
+                    assert len(got.scope) == len(want.scope)
+                    assert got.names == want.names == term.scope, (case, term)
+                    assert got.rows.dtype == want.rows.dtype, (case, term)
+                    assert np.array_equal(got.rows, want.rows), (case, term)
+                    assert got.values.tobytes() == want.values.tobytes(), (case, term)
+
+
+def test_a_column_whose_domain_differs_from_the_plan_is_an_input_error(
+        monkeypatch, capsys, tmp_path):
+    """The plan's `Variable`s stand for the data's only when each bound
+    column has the plan's domain; a dataset that widens one is an input
+    error (exit 2) naming the column, raised before any term is bound."""
+    import pihte.cli as cli
+    import pihte.engine as engine_module
+
+    estimand = "sum[V1](P(V1|V0) P(V2|V1))"
+    p = plan(flatten(parse(estimand)), {"V0": 2, "V1": 2, "V2": 2})
+    data = Dataset(("V0", "V1", "V2"), [(0, 0, 1), (1, 2, 0)], {"V0": 2, "V1": 3, "V2": 2})
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "empirical_prob", lambda *args: calls.append(args))
+        with pytest.raises(ScopeConflict,
+                           match="column 'V1' has domain 3 in the dataset but 2 in the plan"):
+            execute(p, data)
+    assert calls == []
+
+    graph = tmp_path / "g.graph"
+    graph.write_text("var V0 2\nvar V1 2\nvar V2 2\nV0 -> V1\nV1 -> V2\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_load_data", lambda args, g: data)
+    code = main(["estimate", "--graph", str(graph), "--estimand", estimand,
+                 "--data", str(tmp_path / "unused.csv")])
+    assert code == 2
+    assert "column 'V1' has domain 3 in the dataset but 2 in the plan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("do, error, name", [
     ({"V1": 0}, UnknownVariable, "V1"),   # summed out, not free
     ({"Q": 0}, UnknownVariable, "Q"),     # not in the estimand
@@ -545,7 +612,7 @@ def test_brute_force_do_evaluates_the_slice_alone():
 def test_brute_force_single_term_is_marginal():
     data = small_data(seed=10)
     out = brute_force_eval(parse("P(V0)"), data)
-    want = empirical_prob(data, ("V0",))
+    want = bind(data, ("V0",))
     assert factors_close(out, want, rel=1e-15)
 
 
@@ -597,8 +664,8 @@ def test_total_entries_charges_each_table_once():
 
 def test_empirical_prob_primed_reads_base_column():
     data = small_data(seed=13)
-    f = empirical_prob(data, ("V1",), ("V0'",))
-    base = empirical_prob(data, ("V1",), ("V0",))
+    f = bind(data, ("V1",), ("V0'",))
+    base = bind(data, ("V1",), ("V0",))
     assert f.names == ("V0'", "V1")
     assert [v.domain_size for v in f.scope] == [v.domain_size for v in base.scope]
     assert dict(f.items()) == dict(base.items())

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bind
 from pihte.engine import brute_force_eval
 from pihte.errors import DivisionByZero, DuplicateBoundVar, EstimandSyntaxError, UnusedBoundVar
 from pihte.estimand import (
@@ -17,7 +18,7 @@ from pihte.estimand import (
     parse,
     prob_terms,
 )
-from pihte.model import Dataset, empirical_prob
+from pihte.model import Dataset, name_key
 from pihte.suite import make_instance
 
 
@@ -116,6 +117,33 @@ def test_free_vars():
 def test_prob_terms_in_order():
     expr = parse("sum[B](P(A|B) P(B))")
     assert [t.key() for t in prob_terms(expr)] == ["P(A|B)", "P(B)"]
+
+
+def sorted_key(term):
+    """`ProbTerm.key()` as each side, sorted afresh, spells it."""
+    body = ",".join(sorted(term.left, key=name_key))
+    return f"P({body}|{','.join(sorted(term.right, key=name_key))})" if term.right else f"P({body})"
+
+
+@pytest.mark.parametrize("left, right, key", [
+    (("B", "A"), ("D", "C"), "P(A,B|C,D)"),
+    (("V10", "V2'"), ("V2",), "P(V2',V10|V2)"),
+    (("A", "A"), (), "P(A,A)"),  # built in code: a repeated name is kept
+    (("B", "A", "B"), ("C", "C"), "P(A,B,B|C,C)"),
+])
+def test_key_reads_the_sorted_scope_and_keeps_a_repeated_name(left, right, key):
+    term = ProbTerm(left, right)
+    assert term.key() == sorted_key(term) == key
+
+
+def test_key_of_every_term_is_each_side_sorted(fixture_path):
+    texts = [open(fixture_path(f"{stem}.estimand"), encoding="utf-8").read()
+             for stem in ("chain7", "chain99", "cone_cloud", "napkin")]
+    texts += [make_instance(seed).estimand for seed in range(100)]
+    for text in texts:
+        expr = parse(text)
+        terms = list(prob_terms(expr)) + [t for lv in flatten(expr).levels for t in lv.factors]
+        assert [t.key() for t in terms] == [sorted_key(t) for t in terms]
 
 
 # -- flattening ------------------------------------------------------------
@@ -218,10 +246,10 @@ def test_flattened_hierarchy_matches_original_ast(seed):
         for lv in hier.levels:
             for term in lv.factors:
                 if term.key() not in bindings:
-                    bindings[term.key()] = empirical_prob(inst.data, term.left, term.right)
+                    bindings[term.key()] = bind(inst.data, term.left, term.right)
         for term in prob_terms(expr):
             if term.key() not in bindings:
-                bindings[term.key()] = empirical_prob(inst.data, term.left, term.right)
+                bindings[term.key()] = bind(inst.data, term.left, term.right)
 
         domains = dict(inst.data.domains)
         for name in list(domains):
@@ -238,8 +266,8 @@ def test_flattened_hierarchy_matches_original_ast(seed):
 
 def test_dense_expr_eval_zero_over_zero():
     expr = parse("P(A) / (P(B))")
-    a = empirical_prob(_tiny_data(), ("A",))
-    b = empirical_prob(_tiny_data(), ("B",))
+    a = bind(_tiny_data(), ("A",))
+    b = bind(_tiny_data(), ("B",))
     bindings = {"P(A)": a, "P(B)": b}
     # B=1 never occurs, so P(B)=0 there; A=1 also never occurs -> 0/0 = 0
     assert dense_expr_eval(expr, bindings, {"A": 1, "B": 1}, {"A": 2, "B": 2}) == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from conftest import factors_close
+from conftest import bind, factors_close
 from pihte import engine, factor
 from pihte.errors import IncompleteAssignment, ScopeConflict, UnknownVariable
 from pihte.estimand import flatten, parse
@@ -20,7 +20,7 @@ from pihte.factor import (
     unit_factor,
     with_values,
 )
-from pihte.model import Dataset, Variable, code_dtype, empirical_prob, load_graph, name_key
+from pihte.model import Dataset, Variable, code_dtype, load_graph, name_key
 from pihte.simulate import random_cbn, sample_dataset
 
 
@@ -458,8 +458,8 @@ def test_canonical_order_past_one_byte(top):
 
 def test_items_are_python_scalars_in_sorted_order():
     d = Dataset(("A", "B"), [(1, 0), (0, 1), (1, 1), (0, 1)], {"A": 2, "B": 2})
-    for f in (empirical_prob(d, ("A",), ("B",)),
-              product(empirical_prob(d, ("A",)), empirical_prob(d, ("B",), ("A",)))):
+    for f in (bind(d, ("A",), ("B",)),
+              product(bind(d, ("A",)), bind(d, ("B",), ("A",)))):
         items = list(f.items())
         assert [k for k, _ in items] == sorted(k for k, _ in items)
         assert all(type(c) is int for k, _ in items for c in k)
@@ -519,7 +519,7 @@ def mixed_dtype_operands(draw):
     chosen = draw(st.permutations(names))
     cut = draw(st.integers(1, len(names)))
     split = draw(st.integers(1, cut))
-    term = empirical_prob(data, tuple(chosen[:split]), tuple(chosen[split:cut]))
+    term = bind(data, tuple(chosen[:split]), tuple(chosen[split:cut]))
     scope = [c for c in names if draw(st.booleans())]
     keys = draw(st.sets(st.tuples(*(cell[c] for c in scope)), max_size=12))
     vals = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
@@ -656,7 +656,7 @@ def bound_term(draw, data, names_):
     restricted by a drawn `do`, so it may lack some of its groups."""
     names_ = draw(st.permutations(names_))
     split = draw(st.integers(1, len(names_)))
-    f = empirical_prob(data, tuple(names_[:split]), tuple(names_[split:]))
+    f = bind(data, tuple(names_[:split]), tuple(names_[split:]))
     scale = draw(st.sampled_from([1.0, 1e-150, 3e-300]))
     f = with_values(f, f.values * scale)
     do = {n: draw(st.integers(0, 1)) for n in f.names if draw(st.integers(0, 3)) == 0}
@@ -710,8 +710,8 @@ def test_provenance_gives_the_keyed_algebra_bit_for_bit(pair, data):
 
 def test_contained_product_gathers_partners_where_the_narrower_lacks_groups():
     data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 1), (1, 0), (1, 1), (0, 0)], {"A": 2, "B": 2})
-    wide = empirical_prob(data, ("A'",), ("B",))
-    narrow = empirical_prob(data, ("B",)).restrict({"B": 1})  # B=0 is gone
+    wide = bind(data, ("A'",), ("B",))
+    narrow = bind(data, ("B",)).restrict({"B": 1})  # B=0 is gone
     assert narrow.tightness == 1 and narrow.data is data
     h = product(narrow, wide)
     assert_same_as_stripped(h, product(strip(wide), strip(narrow)))
@@ -720,7 +720,7 @@ def test_contained_product_gathers_partners_where_the_narrower_lacks_groups():
 
 def test_restrict_keeps_provenance_and_an_empty_assignment_returns_self():
     data = Dataset(("A", "B"), [(0, 0), (1, 1), (1, 0)], {"A": 2, "B": 2})
-    f = empirical_prob(data, ("A", "B"))
+    f = bind(data, ("A", "B"))
     assert f.restrict({}) is f
     r = f.restrict({"A": 1})
     assert r.data is data and r.rows.tolist() == [2, 1]
@@ -731,7 +731,7 @@ def test_general_join_gets_provenance_back_when_each_entry_is_a_row():
     # B decides C, so each (A, B) entry meets exactly the C of its own row
     rows = [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 1, 0)]
     data = Dataset(("A", "B", "C"), rows, {"A": 2, "B": 2, "C": 2})
-    f, g = empirical_prob(data, ("A", "B")), empirical_prob(data, ("C",), ("B",))
+    f, g = bind(data, ("A", "B")), bind(data, ("C",), ("B",))
     h = product(f, g)
     assert h.data is data
     assert_same_as_stripped(h, product(strip(f), strip(g)))
@@ -752,7 +752,7 @@ def test_general_join_gets_provenance_back_when_each_entry_is_a_row():
 ])
 def test_general_join_keeps_no_provenance_unless_each_entry_is_a_row(rows, left, right):
     data = Dataset(("A", "B", "C"), rows, {"A": 2, "B": 2, "C": 2})
-    f, g = empirical_prob(data, left), empirical_prob(data, right)
+    f, g = bind(data, left), bind(data, right)
     h = product(f, g)
     assert h.data is None and h.rows is None
     assert_same_as_stripped(h, product(strip(f), strip(g)))
@@ -764,16 +764,16 @@ def test_tables_of_two_datasets_are_never_gathered_together():
     # two lacks A=0, and its A=1 row is row 2, where one holds A=0: a
     # gather by one's group ids would pair every entry wrongly
     two = Dataset(("A", "B"), [(1, 0), (1, 1), (1, 0)], domains)
-    wide, narrow = empirical_prob(one, ("A", "B")), empirical_prob(two, ("A",))
+    wide, narrow = bind(one, ("A", "B")), bind(two, ("A",))
     for x, y in ((wide, narrow), (narrow, wide)):
         h = product(x, y)
         assert_same_as_stripped(h, product(strip(x), strip(y)))
         assert h.data is one  # the wider table's entries, with their own rows
     # a general join across datasets keeps none
-    h = product(empirical_prob(one, ("A",)), empirical_prob(two, ("B",)))
+    h = product(bind(one, ("A",)), bind(two, ("B",)))
     assert h.data is None
-    assert_same_as_stripped(h, product(strip(empirical_prob(one, ("A",))),
-                                       strip(empirical_prob(two, ("B",)))))
+    assert_same_as_stripped(h, product(strip(bind(one, ("A",))),
+                                       strip(bind(two, ("B",)))))
 
 
 # -- codes read from the rows -------------------------------------------------
@@ -817,8 +817,8 @@ def test_codes_read_from_the_rows_equal_the_eager_ones(pair, data):
 def test_restrict_reads_the_assigned_columns_of_the_rows():
     data = Dataset(("A", "B", "C"), [(0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)],
                    {"A": 2, "B": 2, "C": 2})
-    f = empirical_prob(data, ("C", "A'"), ("B",))
-    eager = strip(empirical_prob(data, ("C", "A'"), ("B",)))
+    f = bind(data, ("C", "A'"), ("B",))
+    eager = strip(bind(data, ("C", "A'"), ("B",)))
     for do in ({"A'": 1}, {"B": 0, "C": 1}, {"A'": 0, "C": 0}):
         got, want = f.restrict(do), eager.restrict(do)
         assert f._codes is None and got._codes is None and got.data is data
@@ -831,7 +831,7 @@ def test_restrict_reads_the_assigned_columns_of_the_rows():
 
 def test_with_values_keeps_the_entries_and_builds_no_codes():
     data = Dataset(("A", "B"), [(0, 0), (1, 1), (1, 0)], {"A": 2, "B": 2})
-    f = empirical_prob(data, ("A",), ("B",))
+    f = bind(data, ("A",), ("B",))
     ones = with_values(f, np.ones(f.tightness))
     assert ones._codes is None and ones.data is data and ones.rows is f.rows
     assert ones.scope == f.scope and ones.values.tolist() == [1.0] * f.tightness

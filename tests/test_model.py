@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import bind
 from pihte import factor, model
 from pihte.cli import main
 from pihte.decomposition import load_decomposition
@@ -31,7 +32,6 @@ from pihte.model import (
     Variable,
     base_name,
     code_dtype,
-    empirical_prob,
     load_dataset,
     load_graph,
     name_key,
@@ -252,7 +252,7 @@ def test_codes_take_the_narrowest_dtype_of_the_largest_domain(domain, dtype):
     f = SparseFactor((Variable("A", 2), Variable("B", domain)), {(1, 0): 0.5, (0, 0): 2.0})
     assert f.codes.dtype == dtype
     assert list(f.items()) == [((0, 0), 2.0), ((1, 0), 0.5)]
-    bound = empirical_prob(d, ("A",), ("B",))
+    bound = bind(d, ("A",), ("B",))
     assert bound.codes.dtype == dtype  # a gather of the cells keeps their dtype
     assert list(bound.items()) == [((0, domain - 1), 1.0), ((1, 0), 1.0)]
 
@@ -474,9 +474,35 @@ def test_dataset_range_check_holds_no_cell_sized_temporary():
     assert str(exc.value) == "row 12345, column 'V67': value 4 out of domain"
 
 
+def test_dataset_copies_a_callers_array_and_keeps_the_loaders_own(tmp_path):
+    # the caller still holds its array, so the dataset takes a copy that a
+    # later write to the array does not reach
+    cells = np.array([[0, 2], [1, 0]], dtype=np.uint8)
+    data = Dataset(("A", "B"), cells, {"A": 2, "B": 3})
+    assert data.cells.dtype == cells.dtype and not np.shares_memory(data.cells, cells)
+    assert cells.flags.writeable and not data.cells.flags.writeable
+    cells[0, 0] = 1
+    assert data.rows == ((0, 2), (1, 0))
+    # the matrix `load_dataset` reads has no other holder: it is kept, not copied
+    graph = CausalGraph([Variable("A", 2), Variable("B", 3)], [])
+    path = tmp_path / "d.csv"
+    path.write_text("A,B\n0,2\n1,0\n", encoding="utf-8")
+    read, loadtxt = [], np.loadtxt
+
+    def keep(*args, **kwargs):
+        read.append(loadtxt(*args, **kwargs))
+        return read[-1]
+
+    with mock.patch.object(np, "loadtxt", keep):
+        loaded = load_dataset(path, graph)
+    assert len(read) == 1 and np.shares_memory(loaded.cells, read[0])
+    assert not loaded.cells.flags.writeable
+    assert loaded.rows == ((0, 2), (1, 0))
+
+
 def test_empirical_prob_marginal():
     d = Dataset(("A",), [(0,), (0,), (1,), (0,)], {"A": 2})
-    f = empirical_prob(d, ("A",))
+    f = bind(d, ("A",))
     assert f.dense_eval({"A": 0}) == 0.75
     assert f.dense_eval({"A": 1}) == 0.25
     assert math.isclose(math.fsum(f.values), 1.0)
@@ -485,7 +511,7 @@ def test_empirical_prob_marginal():
 def test_empirical_prob_conditional_rows_normalize():
     rows = [(0, 0), (0, 1), (0, 1), (1, 1)]
     d = Dataset(("A", "B"), rows, {"A": 2, "B": 2})
-    f = empirical_prob(d, ("B",), ("A",))
+    f = bind(d, ("B",), ("A",))
     assert f.dense_eval({"A": 0, "B": 1}) == pytest.approx(2 / 3)
     assert f.dense_eval({"A": 1, "B": 1}) == 1.0
     # unseen configuration is absent, i.e. zero
@@ -495,7 +521,7 @@ def test_empirical_prob_conditional_rows_normalize():
 def test_empirical_prob_tightness_bounded_by_rows():
     rows = [(i % 2, (i // 2) % 2, i % 3) for i in range(7)]
     d = Dataset(("A", "B", "C"), rows, {"A": 2, "B": 2, "C": 3})
-    f = empirical_prob(d, ("A", "C"), ("B",))
+    f = bind(d, ("A", "C"), ("B",))
     assert f.tightness <= d.n_rows
 
 
@@ -504,13 +530,13 @@ def test_empirical_prob_tightness_bounded_by_rows():
 def test_empirical_prob_reads_each_column_once(left, right):
     d = Dataset(("A",), [(0,), (1,)], {"A": 2})
     with pytest.raises(ValueError, match="reads a column more than once"):
-        empirical_prob(d, left, right)
+        bind(d, left, right)
 
 
 def test_empirical_prob_empty_dataset():
     d = Dataset(("A",), [], {"A": 2})
     with pytest.raises(EmptyDataset):
-        empirical_prob(d, ("A",))
+        bind(d, ("A",))
 
 
 # -- binding against a dict reference --------------------------------------
@@ -557,7 +583,7 @@ def test_binding_matches_dict_reference(data, seq):
     # forward then reversed: later binds hit groups cached by earlier ones, and
     # every term is bound twice against the same dataset
     for left, right in seq + seq[::-1]:
-        f = empirical_prob(data, left, right)
+        f = bind(data, left, right)
         names, entries = ref_prob(data, left, right)
         assert f.names == names
         assert [v.domain_size for v in f.scope] == [data.domains[base_name(n)] for n in names]
@@ -607,7 +633,7 @@ def test_group_ids_are_narrow_and_exact_across_dtype_limits():
     for columns in [("C",), ("A",), ("A", "B"), ("A", "B", "C"), ("D",), ("C", "D"),
                     ("A", "C"), ("C", "A", "B"), ("B", "C", "D")]:
         assert_groups_like_unique(data, columns)
-    f = empirical_prob(data, ("B", "C"), ("A",))
+    f = bind(data, ("B", "C"), ("A",))
     names, entries = ref_prob(data, ("B", "C"), ("A",))
     assert f.names == names
     assert dict(f.items()) == entries
@@ -703,6 +729,32 @@ def test_group_behind_a_prefix_that_splits_every_row_is_the_prefix():
     assert_groups_like_unique(data, ("D", "B", "A", "C"))
 
 
+def test_group_slices_a_prefix_only_where_a_cached_tuple_ends_alike():
+    """The longest cached prefix is found in one walk back from the end: a
+    length is sliced and looked up only where some cached tuple of that
+    length ends in the same column. Each tuple asked adds one record."""
+    columns = tuple(f"V{i}" for i in range(97))
+    rng = np.random.default_rng(0)
+    data = Dataset(columns + ("X",), rng.integers(0, 2, (300, 98)),
+                   dict.fromkeys(columns + ("X",), 2))
+    for i in range(1, 98):  # every prefix, as chain99's terms leave them
+        data.group(columns[:i])
+    data.group(("X", "V5"))
+    probes = []
+
+    class Probed(dict):
+        def __contains__(self, key):
+            probes.append(key)
+            return super().__contains__(key)
+
+    data._groups = Probed(data._groups)
+    asked = [columns[1:], ("V4", "V5", "V6"), columns[:11] + ("X",)]
+    for tuple_ in asked:
+        assert_groups_like_unique(data, tuple_)
+    assert probes == [("V4", "V5"), columns[:11]]
+    assert len(data._groups) == 1 + 97 + 1 + len(asked)
+
+
 def test_group_of_columns_of_domain_one():
     """Columns of domain 1 add no digit to the key: 70 of them are grouped
     in one step, with one relabel."""
@@ -727,9 +779,11 @@ def test_chain99_terms_share_one_grouping_per_id_array(fixture_path):
     built = []
 
     def profile(frame, event, arg):
+        # a read that finds the record's slot empty builds the field
         code = frame.f_code
         if event == "call" and code.co_filename == model.__file__ and \
-                code.co_name in ("first", "sizes"):
+                code.co_name in ("first", "sizes") and \
+                getattr(frame.f_locals["self"], "_" + code.co_name) is None:
             built.append((code.co_name, frame.f_locals["self"]))  # kept alive: ids stay unique
 
     sys.setprofile(profile)

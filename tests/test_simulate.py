@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bind
 from pihte.estimand import dense_expr_eval, parse, prob_terms
 from pihte.factor import SparseFactor
-from pihte.model import CausalGraph, Variable, empirical_prob, load_graph, name_key
+from pihte.model import CausalGraph, Variable, load_graph, name_key
 from pihte.simulate import (
     DISTS,
     expand_bidirected,
@@ -115,7 +116,7 @@ def test_deterministic_latent_free_chain_is_point_mass():
 def test_root_marginal_converges():
     cbn = random_cbn(chain(2, k=3), seed=10)
     data = sample_dataset(cbn, 100_000, seed=11)
-    emp = empirical_prob(data, ("V0",))
+    emp = bind(data, ("V0",))
     truth = SparseFactor(
         (Variable("V0", 3),),
         {(i,): p for i, p in enumerate(cbn.cpts["V0"]) if p > 0},
@@ -188,6 +189,6 @@ def test_empirical_joint_converges(seed):
     tvs = []
     for n in (100, 100_000):
         data = sample_dataset(cbn, n, seed=seed + 50)
-        emp = empirical_prob(data, ("V0", "V1", "V2"))
+        emp = bind(data, ("V0", "V1", "V2"))
         tvs.append(total_variation(emp, truth))
     assert tvs[1] < tvs[0]

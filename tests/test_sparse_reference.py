@@ -13,11 +13,12 @@ import math
 
 import pytest
 
+from conftest import bind
 from pihte.decomposition import load_decomposition
 from pihte.engine import brute_force_eval, pi_hte
 from pihte.errors import DivisionByZero
 from pihte.estimand import ProbTerm, Product, Ratio, Sum, flatten, parse
-from pihte.model import Dataset, empirical_prob, load_graph, name_key
+from pihte.model import Dataset, load_graph, name_key
 from pihte.simulate import random_cbn, sample_dataset
 
 # the most entries any table of the reference may hold; a cross product in
@@ -77,7 +78,7 @@ def reference_eval(expr, data):
     """The table of `expr` over its free variables: (names, {key: value}),
     holding every nonzero value and every POISON."""
     if isinstance(expr, ProbTerm):
-        f = empirical_prob(data, expr.left, expr.right)
+        f = bind(data, expr.left, expr.right)
         return f.names, dict(f.items())
     if isinstance(expr, Product):
         table = ((), {(): 1.0})

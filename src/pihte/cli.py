@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -69,9 +70,8 @@ def _emit(text: str, out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        # flushed here, so that a closed stdout fails inside `main`, not at exit
+        print(text, end="" if text.endswith("\n") else "\n", flush=True)
 
 
 def _load_data(args, graph):
@@ -348,6 +348,10 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except (PihteError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:  # the reader left first (`| true`): an output error, like an --out dir
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        print("error: the output was closed before it was written", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -12,7 +12,7 @@ import itertools
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ParseError, UncoverableCluster, UnknownVariable
@@ -24,7 +24,6 @@ class Hypergraph:
     """Variables as nodes, one hyperedge per factor scope (ids kept distinct)."""
 
     edges: tuple  # ((factor_id, scope_tuple), ...)
-    domains: dict = field(default_factory=dict, compare=False)
 
     @cached_property
     def nodes(self):  # sorted once, on first use
@@ -40,7 +39,7 @@ class Hypergraph:
         return adj
 
 
-def build_hypergraph(level, domains=None) -> Hypergraph:
+def build_hypergraph(level) -> Hypergraph:
     """One hyperedge per level factor, child output functions included.
 
     ProbTerms get ids f0..fN in flattened order; the output function of child
@@ -51,7 +50,7 @@ def build_hypergraph(level, domains=None) -> Hypergraph:
         edges.append((f"f{i}", term.scope))
     for child_id, scope in level.child_outputs:
         edges.append((f"g{child_id}", tuple(sorted(scope, key=name_key))))
-    return Hypergraph(tuple(edges), domains or {})
+    return Hypergraph(tuple(edges))
 
 
 @dataclass
@@ -275,7 +274,7 @@ def cover_width_excluding_outputs(td: TreeDecomposition, h: Hypergraph):
     """
     base_edges = tuple(e for e in h.edges if not e[0].startswith("g"))
     try:
-        alt = hypertree_cover(td, Hypergraph(base_edges, h.domains))
+        alt = hypertree_cover(td, Hypergraph(base_edges))
     except UncoverableCluster:
         return None
     return alt.hyperwidth

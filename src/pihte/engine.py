@@ -2,12 +2,12 @@
 
 Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
-computed), the width statistics, the CTE schedule and each term's resolved
-`model.Binding`. `execute` then binds the terms to frequency tables of a
-dataset (primed variables read their base column), checks that each child
-denominator output covers the support of the level's terms, injects it
-inverted as an ordinary factor, and runs the schedule, which alone says
-which tables meet where and what each message sums out. One plan serves
+computed), the width statistics, the CTE schedule and its shared `Variable`s.
+`execute` then binds each term to a frequency table of a dataset through them
+(`model.empirical_prob`; primed names read their base column), checks that
+each child denominator output covers the support of the level's terms,
+injects it inverted as an ordinary factor, and runs the schedule, which alone
+says which tables meet where and what each message sums out. One plan serves
 any number of datasets.
 
 Bound terms, their all-ones copies for the support check and every table
@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .estimand import FlatLevel, Hierarchy, dense_expr_eval, free_vars, prob_terms
-from .model import Variable, base_name, empirical_prob, name_key, resolve, shared_variable
+from .model import Variable, base_name, empirical_prob, name_key, shared_variable
 
 MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
 
@@ -318,7 +318,7 @@ class LevelPlan:
 
     level: FlatLevel
     hypergraph: Hypergraph
-    bindings: tuple  # per bound term of the level, its model.Binding
+    variables: dict  # name -> its shared model.Variable, for every name of the level
     td: TreeDecomposition
     steps: tuple  # the CTE schedule, leaves to root
     support: tuple  # per child output, check_support's schedule and its context's, if needed
@@ -351,13 +351,13 @@ class Plan:
             [{"level_id": lid, "w": lp.td.treewidth, "hw": lp.td.hyperwidth}
              for lid, lp in self.levels.items()],
             t=t,
-            k=max(max(lp.hypergraph.domains.values()) for lp in lps),
+            k=max(v.domain_size for lp in lps for v in lp.variables.values()),
             n=max(len(lp.hypergraph.nodes) for lp in lps),
         )
 
 
 def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
-    """Build each level's hypergraph, decomposition, CTE schedule and bindings once.
+    """Build each level's hypergraph, decomposition, CTE schedule and `Variable`s once.
 
     `domains` maps variable names to domain sizes; a primed name reads its
     base name. `decompositions` maps a level id to a supplied
@@ -373,7 +373,7 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
         if undeclared:
             raise UnknownVariable(
                 f"estimand variable {min(undeclared, key=name_key)!r} is not declared")
-        hg.domains.update((n, domains[base_name(n)]) for n in hg.nodes)
+        variables = {n: shared_variable(n, domains[base_name(n)]) for n in hg.nodes}
         td = decompositions.get(level.level_id)
         if td is None:
             td = decompose(hg, seed=seed, restarts=restarts)
@@ -401,12 +401,10 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
             reach = (schedule(td, outside, carried.union(child.free_vars), root)
                      if child.child_outputs else None)
             support.append((schedule(td, bound, carried.union(scope), root), reach))
-        variables = {n: shared_variable(n, k) for n, k in hg.domains.items()}
         levels[level.level_id] = LevelPlan(
             level=level,
             hypergraph=hg,
-            bindings=tuple(resolve(variables.__getitem__, t.left, t.right, t.scope)
-                           for t in level.factors),
+            variables=variables,
             td=td,
             steps=schedule(td, dict(hg.edges), level.free_vars,
                            select_root(td, level.free_vars)),
@@ -425,7 +423,7 @@ def _check_inputs(p: Plan, data, do):
     """The dataset has every column the plan binds, each with the plan's
     domain (so the plan's `Variable`s stand for the data's), and `do` fixes
     only free variables of the root level, inside their domains."""
-    bound = {base_name(n): k for lp in p.levels.values() for n, k in lp.hypergraph.domains.items()}
+    bound = {v.column: v.domain_size for lp in p.levels.values() for v in lp.variables.values()}
     missing = sorted(bound.keys() - set(data.columns), key=name_key)
     if missing:
         raise UnknownVariable(f"dataset has no column {missing[0]!r}")
@@ -442,7 +440,7 @@ def _check_inputs(p: Plan, data, do):
                 f"do variable {name!r} is not a free variable of the estimand "
                 f"(free: {', '.join(free)})"
             )
-        k = root.hypergraph.domains[name]
+        k = root.variables[name].domain_size
         if not 0 <= value < k:
             raise ValueError(f"do value {name}={value} is outside the domain 0..{k - 1}")
 
@@ -491,11 +489,13 @@ def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     before it is inverted; a child with checks of its own gets its context."""
     lp = p.levels[level_id]
     t0 = time.monotonic()
-    stats = LevelStats(level_id, **lp.widths(), k=max(lp.hypergraph.domains.values()), cap=cap)
+    stats = LevelStats(level_id, **lp.widths(), cap=cap,
+                       k=max(v.domain_size for v in lp.variables.values()))
 
     factors = {}
-    for i, binding in enumerate(lp.bindings):
-        factors[f"f{i}"] = stats.record(empirical_prob(data, binding).restrict(do))
+    for i, t in enumerate(lp.level.factors):
+        bound = empirical_prob(data, lp.variables.__getitem__, t.left, t.right, t.scope)
+        factors[f"f{i}"] = stats.record(bound.restrict(do))
     ones = {fid: sf.with_values(f, np.ones(f.tightness))
             for fid, f in factors.items()} if lp.support else {}
     for (child_id, _), (check, reach) in zip(lp.level.child_outputs, lp.support):
@@ -544,7 +544,7 @@ def brute_force_eval(expr, data, dense_limit=10**6, do=None) -> sf.SparseFactor:
     for term in prob_terms(expr):
         key = term.key()
         if key not in bindings:
-            bindings[key] = empirical_prob(data, resolve(data.variable, term.left, term.right))
+            bindings[key] = empirical_prob(data, data.variable, term.left, term.right)
     domains = data.domains
 
     ranges = [(do[n],) if n in do else range(domains[n]) for n in free]

@@ -109,12 +109,8 @@ class SparseFactor:
         names = [v.name for v in scope]
         if len(set(names)) != len(names):
             raise ScopeConflict(f"repeated variable in scope {names}")
-        order = sorted(range(len(scope)), key=lambda i: name_key(names[i]))
-        scope = tuple(scope[i] for i in order)
-        codes = codes[:, order].astype(code_dtype(sizes.max(initial=1) - 1))
-        # rows sorted; keys are unique, coming from a mapping
-        first = group_rows(codes, range(len(scope)), [v.domain_size for v in scope]).first
-        self._set(scope, codes[first], values[first], 0)
+        scope, codes, first = _canonical(scope, codes.astype(code_dtype(sizes.max(initial=1) - 1)))
+        self._set(scope, codes, values[first], 0)  # keys are unique, coming from a mapping
 
     def _set(self, scope, codes, values, underflow_dropped, data=None, rows=None, names=None):
         self.scope = scope
@@ -198,6 +194,17 @@ class SparseFactor:
             keep &= self.take([i])[:, 0] == want
         return SparseFactor.trusted(self.scope, _select(self._codes, keep), self.values[keep],
                                     data=self.data, rows=_select(self.rows, keep), names=self.names)
+
+
+def _canonical(scope, codes):
+    """`scope` in name order, `codes`'s columns permuted to match and its
+    distinct rows sorted lexicographically, and `first`, the input row of
+    each sorted row: the one sort of a table built out of canonical form."""
+    order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
+    scope = tuple([scope[i] for i in order])
+    codes = codes[:, order]
+    first = group_rows(codes, range(len(scope)), [v.domain_size for v in scope]).first
+    return scope, codes[first], first
 
 
 def _select(a, index):
@@ -303,11 +310,8 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
         return _trusted_product(scope, None, values, f.data, source)
     codes = np.concatenate([f.take(range(len(f.scope)), f_rows), extra], axis=1)
     if not ordered:
-        order = sorted(range(len(scope)), key=lambda i: name_key(scope[i].name))
-        scope = tuple(scope[i] for i in order)
-        codes = codes[:, order]
-        first = group_rows(codes, range(len(scope)), [v.domain_size for v in scope]).first
-        codes, values, source = codes[first], values[first], _select(source, first)
+        scope, codes, first = _canonical(scope, codes)
+        values, source = values[first], _select(source, first)
     return _trusted_product(scope, codes, values, None if source is None else f.data, source)
 
 

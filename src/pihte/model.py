@@ -8,7 +8,6 @@ import functools
 import operator
 import re
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,17 +445,21 @@ def load_dataset(path, graph: CausalGraph) -> Dataset:
                               records[exc.row][0]) from None
 
 
-# a term resolved before any data is read: its names, in canonical order and as shared
-# `Variable`s (`scope`), the column each reads and its conditioning side's (`given`)
-Binding = namedtuple("Binding", "scope names columns given")
+def empirical_prob(data: Dataset, variable, left, right=(), names=None) -> "SparseFactor":
+    """The empirical table P_D(left | right): all of binding, in one call.
+    `variable(n)` is name n's shared `Variable` (a plan level's, whose domains
+    `engine.execute` checks against the data's, or `Dataset.variable`), and
+    `names` the scope in canonical order, sorted here unless given (a
+    `ProbTerm`'s `scope`). Each name reads its `Variable`'s column, so a primed
+    name reads its base name's and the table keeps the term's own names.
+    Raises ValueError for an empty left side or a term that reads a column
+    more than once, before EmptyDataset for a dataset of no rows. The term's
+    rows are grouped in scope order (`data.group`), so its `first` rows, kept
+    as the table's provenance with no code matrix, list the seen entries
+    sorted; each value is the term's `sizes` over its conditioning side's,
+    one exact division per entry."""
+    from .factor import SparseFactor
 
-
-def resolve(variable, left, right=(), names=None) -> Binding:
-    """The name work of binding P(left | right), once per term: `variable(n)`
-    is name n's shared `Variable` (a plan level's, or `Dataset.variable`),
-    and `names` the scope in canonical order, sorted here unless given (a
-    `ProbTerm`'s `scope`). Raises ValueError for an empty left side or a term
-    that reads a column more than once."""
     left, right = tuple(left), tuple(right)
     if not left:
         raise ValueError("left variable set must be non-empty")
@@ -467,24 +470,12 @@ def resolve(variable, left, right=(), names=None) -> Binding:
     if len(set(columns)) != len(left) + len(right):
         term = ",".join(left) + ("|" + ",".join(right) if right else "")
         raise ValueError(f"term P({term}) reads a column more than once")
-    return Binding(scope, names, columns, sides(names, right, columns)[1])
-
-
-def empirical_prob(data: Dataset, binding: Binding) -> "SparseFactor":
-    """The empirical table P_D(left | right) of a resolved term, whose
-    `Variable`s carry the data's domains (`engine.execute` checks them): the
-    data work of binding, and all of it. `data.group` groups the term's rows
-    in scope order, so its `first` rows, kept as the table's provenance with
-    no code matrix, list the seen entries sorted; each value is the term's
-    `sizes` over its conditioning side's, one exact division per entry."""
-    from .factor import SparseFactor
-
     if data.n_rows == 0:
         raise EmptyDataset("cannot extract probabilities from zero rows")
-    # the conditioning side first: when it sorts first, the term's grouping
-    # extends it; with right empty it is the one group of all rows
-    given = data.group(binding.given)
-    term = data.group(binding.columns)
+    # the conditioning side's columns first, in scope order: when they sort first, the
+    # term's grouping extends theirs; with right empty they are the one group of all rows
+    given = data.group(sides(names, right, columns)[1])
+    term = data.group(columns)
     values = term.sizes / given.sizes[given.ids[term.first]]
-    return SparseFactor.trusted(binding.scope, None, values, data=data, names=binding.names,
+    return SparseFactor.trusted(scope, None, values, data=data, names=names,
                                 rows=term.first.astype(code_dtype(data.n_rows - 1)))

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from pihte.model import empirical_prob, resolve
+from pihte.model import empirical_prob
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -19,9 +19,9 @@ def factors_close(a, b, rel=1e-9, abs_tol=0.0):
 
 
 def bind(data, left, right=()):
-    """The empirical table P_D(left | right), its names resolved against the
-    data's own domains, as `engine.brute_force_eval` binds a term."""
-    return empirical_prob(data, resolve(data.variable, left, right))
+    """The empirical table P_D(left | right), its names bound to the data's
+    own `Variable`s, as `engine.brute_force_eval` binds a term."""
+    return empirical_prob(data, data.variable, left, right)
 
 
 @pytest.fixture

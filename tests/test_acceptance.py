@@ -220,7 +220,7 @@ def test_criterion_9_property_suites(seed):
         rest = [v for v in nodes if v not in covered]
         if rest:
             edges.append((f"f{len(edges)}", tuple(rest)))
-        h = Hypergraph(tuple(edges), {})
+        h = Hypergraph(tuple(edges))
         td = decompose(h, seed=seed, restarts=2)
         assert not validate(td, h)
         assert td == decompose(h, seed=seed, restarts=2)

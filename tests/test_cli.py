@@ -768,3 +768,28 @@ def test_validation_messages_do_not_depend_on_hash_seed(fixture_path, tmp_path):
     assert runs[0].stderr == runs[1].stderr
     assert runs[0].stderr.count("condition 2: cluster 0 misses") == 7
     assert runs[0].stderr.index("of f0;") < runs[0].stderr.index("of f1;")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("cmd", ["analyze", "simulate"])
+def test_closed_stdout_is_an_output_error_exit2(fixture_path, cmd, unbuffered):
+    """A stdout whose reader closed before the CLI writes is an output error:
+    exit 2 and one `error:` line, with no traceback and no failed flush at
+    exit, whether stdout is buffered (the text fails at `_emit`'s flush) or
+    not (it fails at the write)."""
+    argv = {"analyze": ["--estimand-file", fixture_path("chain7.estimand")],
+            "simulate": ["--rows", "20000"]}[cmd]
+    src = os.path.dirname(os.path.dirname(pihte.__file__))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)  # no reader is left, so every write to the pipe fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pihte.cli", cmd, "--graph",
+                               fixture_path("chain7.graph"), *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the output was closed before it was written\n"
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -27,9 +27,9 @@ from pihte.model import base_name
 from pihte.suite import make_instance
 
 
-def hg(*scopes, domains=None):
+def hg(*scopes):
     edges = tuple((f"f{i}", tuple(s)) for i, s in enumerate(scopes))
-    return Hypergraph(edges, domains or {})
+    return Hypergraph(edges)
 
 
 # -- GYO -------------------------------------------------------------------
@@ -149,7 +149,7 @@ def random_hypergraph(rng):
     leftovers = [v for v in nodes if v not in covered]
     if leftovers:
         edges.append((f"f{len(edges)}", tuple(leftovers)))
-    return Hypergraph(tuple(edges), {})
+    return Hypergraph(tuple(edges))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -232,7 +232,7 @@ def test_supplied_level_without_outputs_keeps_its_cover_width():
 
 def test_cover_unreachable_variable():
     td = tree_decomposition(hg(("A", "B")), ["A", "B"])
-    bad = Hypergraph((("f0", ("A",)),), {})
+    bad = Hypergraph((("f0", ("A",)),))
     with pytest.raises(UncoverableCluster):
         hypertree_cover(td, bad)
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -374,20 +375,21 @@ def planned_cases(fixture_path):
 
 
 def test_planned_bindings_equal_binding_by_names(fixture_path):
-    """Every bound term of every level, bound through the plan's resolved
-    `Binding`, equals the term bound from its names alone on a fresh copy of
-    the data (its own group memo): the same `Variable` objects, names, row
-    dtype and rows, and values bit for bit; with and without a `do` slice
-    on the root's first free variable."""
+    """Every bound term of every level, bound through the plan level's
+    `Variable`s as `execute` binds it, equals the term bound from its names
+    alone on a fresh copy of the data (its own group memo): the same
+    `Variable` objects, names, row dtype and rows, and values bit for bit;
+    with and without a `do` slice on the root's first free variable."""
     for case, hier, data in planned_cases(fixture_path):
         p = plan(hier, data.domains)
         fresh = Dataset(data.columns, data.cells, data.domains)
         first = p.levels[hier.root].level.free_vars[0]
         for do in ({}, {first: min(1, data.domains[first.rstrip("'")] - 1)}):
             for lp in p.levels.values():
-                assert len(lp.bindings) == len(lp.level.factors), case
-                for term, binding in zip(lp.level.factors, lp.bindings):
-                    got = empirical_prob(data, binding).restrict(do)
+                assert lp.variables.keys() == set(lp.hypergraph.nodes), case
+                for term in lp.level.factors:
+                    got = empirical_prob(data, lp.variables.__getitem__, term.left, term.right,
+                                         term.scope).restrict(do)
                     want = bind(fresh, term.left, term.right).restrict(do)
                     assert all(a is b for a, b in zip(got.scope, want.scope)), (case, term)
                     assert len(got.scope) == len(want.scope)
@@ -395,6 +397,33 @@ def test_planned_bindings_equal_binding_by_names(fixture_path):
                     assert got.rows.dtype == want.rows.dtype, (case, term)
                     assert np.array_equal(got.rows, want.rows), (case, term)
                     assert got.values.tobytes() == want.values.tobytes(), (case, term)
+
+
+@pytest.mark.parametrize("stem", ["chain99", "napkin"])
+def test_only_execute_binds_and_once_per_term(fixture_path, monkeypatch, capsys, stem):
+    """`analyze` binds no term: the widths and bounds are the hypergraph's
+    alone. One `execute` calls `empirical_prob` once per bound term of each
+    level, through that level's `Variable`s and with the term's own scope."""
+    import pihte.engine as engine_module
+
+    calls = []
+    real = engine_module.empirical_prob
+    monkeypatch.setattr(engine_module, "empirical_prob",
+                        lambda *args: calls.append(args) or real(*args))
+    graph, estimand = fixture_path(f"{stem}.graph"), fixture_path(f"{stem}.estimand")
+    assert main(["analyze", "--graph", graph, "--estimand-file", estimand]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"]
+    assert calls == []
+
+    data = sample_dataset(random_cbn(load_graph(graph), dist="dirichlet", alpha=1.0, seed=3),
+                          800, seed=4)
+    with open(estimand, encoding="utf-8") as fh:
+        p = plan(flatten(parse(fh.read())), data.domains)
+    execute(p, data)
+    got = Counter((d is data, id(variable.__self__), left, right, id(names))
+                  for d, variable, left, right, names in calls)
+    assert got == Counter((True, id(lp.variables), t.left, t.right, id(t.scope))
+                          for lp in p.levels.values() for t in lp.level.factors)
 
 
 def test_a_column_whose_domain_differs_from_the_plan_is_an_input_error(

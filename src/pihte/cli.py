@@ -11,6 +11,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import engine, simulate, suite
 from .decomposition import load_decomposition
 from .errors import (
@@ -233,16 +235,35 @@ def _random_cbn(args, graph):
         raise ValueError(f"--alpha {args.alpha} under --dist {args.dist}: {exc}") from None
 
 
+def _csv_text(data) -> str:
+    """The dataset as `csv.writer` writes it: the header, then each row's
+    cells joined by "," and ended by "\\r\\n". Each block of rows is one
+    byte matrix with `width + 1` slots per cell, for the digits of the
+    largest cell and a ","; unused leading digits and the last cell's ","
+    stay 0 and are dropped."""
+    head = io.StringIO()
+    csv.writer(head).writerow(data.columns)
+    text = [head.getvalue()]
+    width = len(str(data.cells.max(initial=0)))
+    step, block = width + 1, 1 << 14  # rows per matrix; its size does not grow with the rows
+    for start in range(0, data.n_rows, block):
+        cells = data.cells[start:start + block]
+        lines = np.zeros((len(cells), cells.shape[1] * step + 2), dtype=np.uint8)
+        for d in range(width):  # 0 before a cell's leading digit; a 0 cell shows its last
+            place = 10 ** (width - 1 - d)
+            lines[:, d:-2:step] = (cells // place % 10 + ord("0")) * (cells.clip(1) >= place)
+        lines[:, width:-3:step] = ord(",")
+        lines[:, -2:] = (ord("\r"), ord("\n"))
+        text.append(str(lines[lines != 0].data, "ascii"))
+    return "".join(text)
+
+
 def cmd_simulate(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
     cbn = _random_cbn(args, load_graph(args.graph))
     data = simulate.sample_dataset(cbn, n=args.rows, seed=args.seed + 1)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(data.columns)
-    writer.writerows(data.rows)
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv_text(data), args.out)
     if args.cbn_out:
         with open(args.cbn_out, "w", encoding="utf-8") as fh:
             fh.write(cbn.to_json())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import heapq
 import operator
 import re
 import warnings
@@ -214,27 +215,33 @@ class CausalGraph:
     def names(self):
         return tuple(v.name for v in self.variables)
 
+    @functools.cached_property
+    def _parents(self):
+        found = {n: [] for n in self._by_name}
+        for a, b in self.directed_edges:
+            found[b].append(a)
+        return {n: tuple(sorted(ps, key=name_key)) for n, ps in found.items()}
+
     def parents(self, name: str):
-        """The parents of `name` in `name_key` order."""
-        return tuple(sorted((a for a, b in self.directed_edges if b == name), key=name_key))
+        """The parents of `name` in `name_key` order (a map built on first call)."""
+        return self._parents[name]
 
     def topological_order(self):
+        """Kahn's order, taking the ready name first in `name_key` order."""
         order = []
         children = {v.name: [] for v in self.variables}
         indeg = {v.name: 0 for v in self.variables}
         for a, b in self.directed_edges:
             children[a].append(b)
             indeg[b] += 1
-        pending = sorted((n for n, d in indeg.items() if d == 0), key=name_key)
-        while pending:
-            n = pending.pop(0)
+        ready = sorted((name_key(n), n) for n, d in indeg.items() if d == 0)  # a heap
+        while ready:
+            n = heapq.heappop(ready)[1]
             order.append(n)
-            ready = []
             for c in children[n]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
-            pending = sorted(pending + ready, key=name_key)
+                    heapq.heappush(ready, (name_key(c), c))
         return tuple(order)
 
 
@@ -243,7 +250,7 @@ class Dataset:
     (`cells`, one row per sample), range-checked once and kept in the
     `code_dtype` of the largest domain. Immutable: the cells are a copy of
     the rows, unless `copy=False` hands over an array in that dtype that no
-    one else holds (`load_dataset`'s)."""
+    one else holds (`load_dataset`'s and `sample_dataset`'s)."""
 
     def __init__(self, columns, rows, domains, copy=True):
         self.columns = tuple(columns)

@@ -7,14 +7,13 @@ the observed variables.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CausalGraph, Dataset, Variable, group_rows, name_key
+from .model import CausalGraph, Dataset, Grouping, Variable, code_dtype, name_key
 from .factor import SparseFactor, marginalize, product, unit_factor
 
 LATENT_DOMAIN = 2
@@ -26,19 +25,19 @@ def expand_bidirected(graph: CausalGraph):
     """Replace each bidirected edge with a fresh binary latent common parent.
 
     Returns (expanded graph, tuple of latent names). Latents are named
-    U_<a>_<b> after their endpoints.
+    U_<a>_<b> after their endpoints, with `_` appended until the name is free.
     """
-    variables = list(graph.variables)
     directed = list(graph.directed_edges)
+    taken = set(graph.names)
     latents = []
     for a, b in graph.bidirected_edges:
         name = f"U_{a}_{b}"
-        while any(v.name == name for v in variables):
+        while name in taken:
             name += "_"
-        variables.append(Variable(name, LATENT_DOMAIN))
-        directed.append((name, a))
-        directed.append((name, b))
+        taken.add(name)
+        directed += [(name, a), (name, b)]
         latents.append(name)
+    variables = graph.variables + tuple(Variable(n, LATENT_DOMAIN) for n in latents)
     return CausalGraph(variables, directed, ()), tuple(latents)
 
 
@@ -69,62 +68,68 @@ class CBN:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _cond_dist(rng, k, dist, alpha):
-    if dist == "mixture":  # a fair coin picks one of the other two families
-        dist = "deterministic" if rng.random() < 0.5 else "dirichlet"
+def _check_cpt(name, table):
+    """A negative entry or a row sum off 1 by over 1e-8 (NaN too) is a ValueError."""
+    if not (table.min() >= 0 and np.abs(table.sum(axis=-1) - 1.0).max() <= 1e-8):
+        raise ValueError(f"the CPT of {name!r} has a negative entry or a row not summing to 1")
+
+
+def _draw_cpt(rng, pshape, k, dist, alpha):
+    """A CPT over `k` values, one row per parent configuration (`pshape`, the
+    parents' domain sizes) in C order, each family's rows drawn in one call."""
+    if dist == "mixture":  # a fair coin per row picks one of the other two families
+        rows = [_draw_cpt(rng, (), k, "deterministic" if rng.random() < 0.5 else "dirichlet", alpha)
+                for _ in np.ndindex(pshape)]
+        return np.array(rows).reshape(pshape + (k,))
     if dist == "dirichlet":
-        return rng.dirichlet(np.full(k, alpha))
-    if dist == "deterministic":
-        out = np.zeros(k)
-        out[rng.integers(k)] = 1.0
-        return out
-    raise ValueError(f"unknown distribution family {dist!r}")
+        return rng.dirichlet(np.full(k, alpha), size=pshape)
+    if dist != "deterministic":
+        raise ValueError(f"unknown distribution family {dist!r}")
+    return (rng.integers(k, size=pshape)[..., None] == np.arange(k)).astype(float)
 
 
 def random_cbn(graph: CausalGraph, dist="dirichlet", alpha=1.0, seed=0) -> CBN:
-    """Expand bidirected edges and draw every CPT from the given family; a CPT
-    row that does not sum to 1 (an overflowed Dirichlet draw) is a ValueError."""
+    """Expand bidirected edges and draw every CPT from the given family, in
+    `name_key` order; a CPT that `_check_cpt` rejects is a ValueError."""
     expanded, latents = expand_bidirected(graph)
     rng = np.random.default_rng(seed)
     cpts = {}
     for name in sorted(expanded.names, key=name_key):
-        k = expanded.domain_size(name)
-        parents = expanded.parents(name)
-        pshape = tuple(expanded.domain_size(p) for p in parents)
-        table = np.empty(pshape + (k,), dtype=float)
-        for idx in itertools.product(*(range(s) for s in pshape)):
-            table[idx] = _cond_dist(rng, k, dist, alpha)
-        if not (np.abs(table.sum(axis=-1) - 1.0) <= 1e-8).all():  # NaN fails too
-            raise ValueError(f"the CPT of {name!r} has a row that does not sum to 1")
-        cpts[name] = table
+        pshape = tuple(expanded.domain_size(p) for p in expanded.parents(name))
+        cpts[name] = _draw_cpt(rng, pshape, expanded.domain_size(name), dist, alpha)
+        _check_cpt(name, cpts[name])
     return CBN(expanded, latents, cpts)
 
 
 def sample_dataset(cbn: CBN, n: int, seed=0) -> Dataset:
     """Ancestral sampling; returns a Dataset over the observed columns only.
-    Each variable is drawn once per configuration of its parents, in the
-    order of their `model.group_rows` record, whose `first` and `sizes`
-    give each group's cells and its number of rows."""
+    Each variable's `n` uniforms, drawn in one call, are dealt to its parent
+    configurations in lexicographic order, each to its rows in row order. A
+    row's value counts its CPT row's cumulative sums, divided by the last,
+    that are <= its uniform: what one `Generator.choice` per configuration
+    draws, down to `choice`'s ValueError on a CPT `_check_cpt` rejects."""
     rng = np.random.default_rng(seed)
-    samples = {}
-    for name in cbn.graph.topological_order():
-        parents = cbn.graph.parents(name)
-        table = cbn.cpts[name]
-        k = cbn.graph.domain_size(name)
-        if not parents:
-            samples[name] = rng.choice(k, size=n, p=table)
-            continue
-        pcols = np.stack([samples[p] for p in parents], axis=1)
-        g = group_rows(pcols, range(len(parents)), [cbn.graph.domain_size(p) for p in parents])
-        groups = np.split(np.argsort(g.ids, kind="stable"), np.cumsum(g.sizes)[:-1])
-        out = np.empty(n, dtype=np.int64)
-        for cfg, group in zip(pcols[g.first].tolist(), groups):  # each group's rows in row order
-            out[group] = rng.choice(k, size=len(group), p=table[tuple(cfg)])
-        samples[name] = out
+    graph = cbn.graph
     cols = tuple(sorted(cbn.observed, key=name_key))
-    rows = np.stack([samples[c] for c in cols], axis=1)
-    domains = {c: cbn.graph.domain_size(c) for c in cols}
-    return Dataset(cols, rows, domains)
+    domains = {c: graph.domain_size(c) for c in cols}
+    names = cols + tuple(cbn.latents)
+    draws = np.empty((len(names), n), code_dtype(max(map(graph.domain_size, names), default=1) - 1))
+    drawn = dict(zip(names, draws))  # each variable's row of `draws`
+    for name in graph.topological_order():
+        table = cbn.cpts[name]
+        _check_cpt(name, table)
+        cdf = table.reshape(-1, table.shape[-1]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        config = np.zeros(n, dtype=np.int64)
+        for p, size in zip(graph.parents(name), table.shape):
+            config = config * size + drawn[p]
+        g = Grouping(config, len(cdf))  # narrow ids: 16 bits or less sort by radix
+        u = rng.random(n)
+        value = np.zeros(n, dtype=draws.dtype)  # in configuration order
+        for column in cdf.T:
+            value += np.repeat(column, g.sizes) <= u
+        drawn[name][np.argsort(g.ids, kind="stable")] = value
+    return Dataset(cols, np.ascontiguousarray(draws[:len(cols)].T), domains, copy=False)
 
 
 def interventional_truth(cbn: CBN, do: dict, outcome) -> SparseFactor:

@@ -133,6 +133,46 @@ def test_parents_come_in_name_order():
     g = CausalGraph([Variable(n, 2) for n in names], [(n, "X") for n in names[:4]])
     assert g.parents("X") == ("B", "V0'", "V2", "V10")
     assert g.parents("V2") == ()
+    with pytest.raises(KeyError):
+        g.parents("Z")
+
+
+def resorted_topological_order(graph):
+    """Kahn's order as it was written: the pending names sorted again by
+    `name_key` after each pop."""
+    children = {n: [] for n in graph.names}
+    indeg = dict.fromkeys(graph.names, 0)
+    for a, b in graph.directed_edges:
+        children[a].append(b)
+        indeg[b] += 1
+    pending = sorted((n for n, d in indeg.items() if d == 0), key=model.name_key)
+    order = []
+    while pending:
+        n = pending.pop(0)
+        order.append(n)
+        ready = []
+        for c in children[n]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+        pending = sorted(pending + ready, key=model.name_key)
+    return tuple(order)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_topological_order_is_the_resorted_order(data):
+    names = data.draw(st.lists(st.sampled_from(
+        ["V0", "V01", "V1", "V2", "V10", "V0'", "V1''", "B", "X", "U_V0_V2", "a2b"]),
+        unique=True, min_size=1))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, len(names) - 1),
+                                         st.integers(0, len(names) - 1))))
+    g = CausalGraph([Variable(n, 2) for n in names],
+                    [(names[i], names[j]) for i, j in edges if i < j])
+    assert g.topological_order() == resorted_topological_order(g)
+    for name in names:
+        assert g.parents(name) == tuple(sorted(
+            (a for a, b in g.directed_edges if b == name), key=model.name_key))
 
 
 def test_graph_cycle_rejected():

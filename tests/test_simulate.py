@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -5,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import bind
+from pihte.cli import _csv_text, main
 from pihte.estimand import dense_expr_eval, parse, prob_terms
 from pihte.factor import SparseFactor
-from pihte.model import CausalGraph, Variable, load_graph, name_key
+from pihte.model import CausalGraph, Dataset, Variable, load_graph, name_key
 from pihte.simulate import (
     DISTS,
     expand_bidirected,
@@ -95,16 +98,93 @@ def unique_rows_sample(cbn, n, seed):
     return {c: samples[c].tolist() for c in cbn.observed}
 
 
+FIXTURE_GRAPHS = ["chain7", "chain99", "cone_cloud", "napkin"]
+
+
 @pytest.mark.parametrize("dist", DISTS)
-@pytest.mark.parametrize("name", ["chain7", "chain99", "cone_cloud", "napkin"])
+@pytest.mark.parametrize("name", FIXTURE_GRAPHS)
 def test_sample_dataset_draws_as_unique_rows_did(fixture_path, name, dist):
     graph = load_graph(fixture_path(f"{name}.graph"))
-    for seed in (0, 1):
+    for seed, n in itertools.product((0, 1), (300, 3200)):
         cbn = random_cbn(graph, dist=dist, alpha=1.5, seed=seed)
-        data = sample_dataset(cbn, 300, seed=seed + 1)
-        want = unique_rows_sample(cbn, 300, seed + 1)
+        data = sample_dataset(cbn, n, seed=seed + 1)
+        want = unique_rows_sample(cbn, n, seed + 1)
         assert data.columns == tuple(sorted(want, key=name_key))
         assert {c: data.cells[:, i].tolist() for i, c in enumerate(data.columns)} == want
+
+
+def per_row_cpts(graph, dist, alpha, seed):
+    """`random_cbn` as it was written: one draw per CPT row, in C order, of
+    each variable in `name_key` order, with parents found by scanning the
+    edges."""
+    expanded, _ = expand_bidirected(graph)
+    rng = np.random.default_rng(seed)
+
+    def cond_dist(k):
+        family = dist
+        if family == "mixture":
+            family = "deterministic" if rng.random() < 0.5 else "dirichlet"
+        if family == "dirichlet":
+            return rng.dirichlet(np.full(k, alpha))
+        out = np.zeros(k)
+        out[rng.integers(k)] = 1.0
+        return out
+
+    cpts = {}
+    for name in sorted(expanded.names, key=name_key):
+        parents = sorted((a for a, b in expanded.directed_edges if b == name), key=name_key)
+        pshape = tuple(expanded.domain_size(p) for p in parents)
+        k = expanded.domain_size(name)
+        table = np.empty(pshape + (k,))
+        for idx in itertools.product(*map(range, pshape)):
+            table[idx] = cond_dist(k)
+        cpts[name] = table
+    return cpts
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.5, 10])  # numpy draws Dirichlet another way below 0.1
+@pytest.mark.parametrize("dist", DISTS)
+@pytest.mark.parametrize("name", FIXTURE_GRAPHS)
+def test_random_cbn_draws_as_one_draw_per_row_did(fixture_path, name, dist, alpha):
+    graph = load_graph(fixture_path(f"{name}.graph"))
+    cpts = random_cbn(graph, dist=dist, alpha=alpha, seed=3).cpts
+    want = per_row_cpts(graph, dist, alpha, 3)
+    assert list(cpts) == list(want)
+    for name, table in want.items():
+        assert cpts[name].dtype == table.dtype and np.array_equal(cpts[name], table), name
+
+
+@pytest.mark.parametrize("row", [[-0.1, 0.6, 0.5], [0.5, 0.3, 0.3]])
+def test_sample_dataset_rejects_a_negative_or_unnormalised_cpt_row(row):
+    cbn = random_cbn(chain(2, k=3), seed=16)
+    cbn.cpts["V1"][1] = row
+    with pytest.raises(ValueError, match="V1"):
+        sample_dataset(cbn, 50, seed=17)
+
+
+def csv_writer_text(data):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(data.columns)
+    writer.writerows(data.rows)
+    return buf.getvalue()
+
+
+def test_simulate_writes_what_csv_writer_writes(tmp_path):
+    """Cells of one, two and three digits (domains of 3, 12 and 1,000), over
+    more rows than one block of `_csv_text` holds."""
+    graph = tmp_path / "g.graph"
+    graph.write_text("var A 12\nvar B 3\nvar C 1000\nA -> B\nA -> C\nB -> C\n")
+    out = tmp_path / "d.csv"
+    assert main(["simulate", "--graph", str(graph), "--rows", "20000", "--seed", "5",
+                 "--out", str(out)]) == 0
+    data = sample_dataset(random_cbn(load_graph(str(graph)), seed=5), 20000, seed=6)
+    assert [len(str(top)) for top in data.cells.max(axis=0).tolist()] == [2, 1, 3]
+    want = csv_writer_text(data)
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want
+    empty = Dataset((), np.empty((3, 0), dtype=int), {})
+    assert _csv_text(empty) == csv_writer_text(empty) == "\r\n" * 4
 
 
 def test_deterministic_latent_free_chain_is_point_mass():

@@ -67,13 +67,19 @@ def _parse_do(text):
     return out
 
 
-def _emit(text: str, out_path):
+def _emit(text, out_path):
+    """Write `text`, one string or an iterator of strings each written as it
+    is made, to `out_path`, or to stdout, where it ends with a newline."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
         # flushed here, so that a closed stdout fails inside `main`, not at exit
-        print(text, end="" if text.endswith("\n") else "\n", flush=True)
+        print(end="" if last.endswith("\n") else "\n", flush=True)
 
 
 def _load_data(args, graph):
@@ -235,15 +241,15 @@ def _random_cbn(args, graph):
         raise ValueError(f"--alpha {args.alpha} under --dist {args.dist}: {exc}") from None
 
 
-def _csv_text(data) -> str:
-    """The dataset as `csv.writer` writes it: the header, then each row's
-    cells joined by "," and ended by "\\r\\n". Each block of rows is one
-    byte matrix with `width + 1` slots per cell, for the digits of the
-    largest cell and a ","; unused leading digits and the last cell's ","
-    stay 0 and are dropped."""
+def _csv_blocks(data):
+    """The dataset as `csv.writer` writes it, yielded as the header, then one
+    string per block of rows: each row's cells joined by "," and ended by
+    "\\r\\n". Each block is one byte matrix with `width + 1` slots per
+    cell, for the digits of the largest cell and a ","; unused leading digits
+    and the last cell's "," stay 0 and are dropped."""
     head = io.StringIO()
     csv.writer(head).writerow(data.columns)
-    text = [head.getvalue()]
+    yield head.getvalue()
     width = len(str(data.cells.max(initial=0)))
     step, block = width + 1, 1 << 14  # rows per matrix; its size does not grow with the rows
     for start in range(0, data.n_rows, block):
@@ -254,8 +260,7 @@ def _csv_text(data) -> str:
             lines[:, d:-2:step] = (cells // place % 10 + ord("0")) * (cells.clip(1) >= place)
         lines[:, width:-3:step] = ord(",")
         lines[:, -2:] = (ord("\r"), ord("\n"))
-        text.append(str(lines[lines != 0].data, "ascii"))
-    return "".join(text)
+        yield str(lines[lines != 0].data, "ascii")
 
 
 def cmd_simulate(args) -> int:
@@ -263,7 +268,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
     cbn = _random_cbn(args, load_graph(args.graph))
     data = simulate.sample_dataset(cbn, n=args.rows, seed=args.seed + 1)
-    _emit(_csv_text(data), args.out)
+    _emit(_csv_blocks(data), args.out)
     if args.cbn_out:
         with open(args.cbn_out, "w", encoding="utf-8") as fh:
             fh.write(cbn.to_json())

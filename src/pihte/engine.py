@@ -2,13 +2,13 @@
 
 Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
-computed), the width statistics, the CTE schedule and its shared `Variable`s.
-`execute` then binds each term to a frequency table of a dataset through them
-(`model.empirical_prob`; primed names read their base column), checks that
-each child denominator output covers the support of the level's terms,
-injects it inverted as an ordinary factor, and runs the schedule, which alone
-says which tables meet where and what each message sums out. One plan serves
-any number of datasets.
+computed), the width statistics and its shared `Variable`s; its CTE schedules
+are built when `execute` first reads them, so `analyze` builds none. `execute`
+binds each term to a frequency table of a dataset (`model.empirical_prob`;
+primed names read their base column), checks that each child denominator
+output covers the support of the level's terms, injects it inverted as an
+ordinary factor, and runs the schedule, which alone says which tables meet
+where and what each message sums out. One plan serves any number of datasets.
 
 Bound terms, their all-ones copies for the support check and every table
 made from them that stays rows of the data carry provenance (see `factor`):
@@ -24,6 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -314,17 +315,40 @@ def run_metrics(report: EvalReport):
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """One level's structure, fixed by the estimand before any data is read."""
+    """One level's structure, fixed by the estimand before any data is read;
+    its schedules, `steps` and `support`, are built on first read."""
 
     level: FlatLevel
+    hier: Hierarchy = field(repr=False, compare=False)  # the level's own, for its children
     hypergraph: Hypergraph
     variables: dict  # name -> its shared model.Variable, for every name of the level
     td: TreeDecomposition
-    steps: tuple  # the CTE schedule, leaves to root
-    support: tuple  # per child output, check_support's schedule and its context's, if needed
     hw_no_outputs: object  # int or None when outputs are needed for coverage
     is_hypertree: bool
     supplied: bool  # td was given by the caller, not computed by decompose
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The CTE schedule, leaves to root."""
+        free = self.level.free_vars
+        return schedule(self.td, dict(self.hypergraph.edges), free, select_root(self.td, free))
+
+    @cached_property
+    def support(self) -> tuple:
+        """Per child output, check_support's schedule and its context's, if needed."""
+        level, td, hier = self.level, self.td, self.hier
+        # a level below the root is checked in a context over its free variables
+        carried = set() if level.level_id == hier.root else set(level.free_vars)
+        bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
+        support = []
+        for child_id, scope in level.child_outputs:
+            child = hier.level(child_id)
+            root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
+            outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
+            reach = (schedule(td, outside, carried.union(child.free_vars), root)
+                     if child.child_outputs else None)
+            support.append((schedule(td, bound, carried.union(scope), root), reach))
+        return tuple(support)
 
     def widths(self):
         """The structural statistics `analyze` and `execute` both report."""
@@ -357,7 +381,7 @@ class Plan:
 
 
 def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
-    """Build each level's hypergraph, decomposition, CTE schedule and `Variable`s once.
+    """Build each level's hypergraph, decomposition and `Variable`s once.
 
     `domains` maps variable names to domain sizes; a primed name reads its
     base name. `decompositions` maps a level id to a supplied
@@ -390,25 +414,12 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
         # with no g-edge to exclude, the level's cover is already an f-edge cover
         hw_no_outputs = (cover_width_excluding_outputs(td, hg) if level.child_outputs
                          else td.hyperwidth)
-        # a level below the root is checked in a context over its free variables
-        carried = set() if level.level_id == hier.root else set(level.free_vars)
-        bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
-        support = []
-        for child_id, scope in level.child_outputs:
-            child = hier.level(child_id)
-            root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
-            outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
-            reach = (schedule(td, outside, carried.union(child.free_vars), root)
-                     if child.child_outputs else None)
-            support.append((schedule(td, bound, carried.union(scope), root), reach))
         levels[level.level_id] = LevelPlan(
             level=level,
+            hier=hier,
             hypergraph=hg,
             variables=variables,
             td=td,
-            steps=schedule(td, dict(hg.edges), level.free_vars,
-                           select_root(td, level.free_vars)),
-            support=tuple(support),
             hw_no_outputs=hw_no_outputs,
             is_hypertree=is_hypertree,
             supplied=level.level_id in decompositions,

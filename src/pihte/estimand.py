@@ -120,30 +120,26 @@ def prob_terms(expr):
 # recursion limit of 1000.
 MAX_NESTING = 100
 
-# The first character that starts no token: one outside the grammar's
-# alphabet, or a digit that no name character precedes. (Written as one
-# character class and a look-behind, so the search skips blanks, letters and
-# punctuation without trying the pattern there.)
+# The first character that starts no token, which `parse` looks for once
+# parsing has failed: one outside the grammar's alphabet, or a digit that no
+# name character precedes. (One character class and a look-behind, so the
+# search skips blanks, letters and punctuation without trying the pattern.)
 _BAD_RE = re.compile(r"[^\sA-Za-z_()\[\]|,/](?<![A-Za-z0-9_][0-9])")
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/]))")
-# A name list and the blanks after it; the part from its first blank on
-# is the second group.
-_LIST_RE = re.compile(r"[A-Za-z0-9_,]*([A-Za-z0-9_,\s]*)")
+# A token after blanks, or the end of the text (no group).
+_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/])|\Z)")
+# A name list: names joined by commas, none starting with a digit, then (the
+# second group) the rest of the list and its blanks, from a blank or bad piece on.
+_LIST_RE = re.compile(r"[A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*([A-Za-z0-9_,\s]*)")
 _KEYWORDS = frozenset(("P", "sum"))
 
 
 class _Parser:
     """Recursive descent over tokens read lazily, one at a time; `tok` is the
     current one, (kind, text, position), and `end` the offset just past it.
-    A text with a character that starts no token is rejected before any
-    parsing, so the first such character wins over every later error."""
+    Text that starts no token raises where it is met; `parse` then names the
+    first character of the whole text that starts no token instead."""
 
     def __init__(self, text: str):
-        bad = _BAD_RE.search(text)
-        if bad is not None:
-            if bad.group() == "'":
-                raise EstimandSyntaxError("apostrophes are reserved for the renamer", bad.start())
-            raise EstimandSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
         self.text = text
         self.depth = 0
         self.scan(0)
@@ -151,10 +147,12 @@ class _Parser:
     def scan(self, at):
         """Make the token at offset `at`, after blanks, the current one."""
         m = _TOKEN_RE.match(self.text, at)
-        if m is None:  # only blanks are left
+        if m is None:  # `parse` then names the text's first character that starts no token
+            raise EstimandSyntaxError("no token starts here", at)
+        kind = m.lastgroup
+        if kind is None:  # only blanks are left
             self.tok, self.end = (None, None, len(self.text)), len(self.text)
         else:
-            kind = m.lastgroup
             self.tok, self.end = (kind, m.group(kind), m.start(kind)), m.end()
 
     def next(self):
@@ -250,8 +248,9 @@ class _Parser:
         if kind == "ident":
             m = _LIST_RE.match(self.text, start)
             names = m.group().split(",")
-            if m.group(1):
-                names = [p[0] if len(p) == 1 else "" for p in map(str.split, names)]
+            if m.group(1):  # blanks, or a piece that is not one name (empty, digit-led)
+                names = [p[0] if len(p) == 1 and not p[0][0].isdigit() else ""
+                         for p in map(str.split, names)]
             names = tuple(names)
             seen = set(names)
             if ("" not in seen and seen.isdisjoint(_KEYWORDS) and seen.isdisjoint(other_side)
@@ -276,8 +275,18 @@ class _Parser:
 
 
 def parse(text: str):
-    """Parse estimand text into an AST."""
-    return _Parser(text).parse()
+    """Parse estimand text into an AST. When parsing fails, the text's first
+    character that starts no token, if it has one, is the error instead,
+    wherever it is: `P(A|A) $` reports the `$`."""
+    try:
+        return _Parser(text).parse()
+    except (EstimandSyntaxError, DuplicateBoundVar):
+        bad = _BAD_RE.search(text)
+        if bad is None:
+            raise
+    if bad.group() == "'":
+        raise EstimandSyntaxError("apostrophes are reserved for the renamer", bad.start())
+    raise EstimandSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
 
 
 # -- flattening ------------------------------------------------------------

@@ -426,6 +426,86 @@ def test_only_execute_binds_and_once_per_term(fixture_path, monkeypatch, capsys,
                           for lp in p.levels.values() for t in lp.level.factors)
 
 
+@pytest.fixture
+def schedule_calls(monkeypatch):
+    """Every call to `engine.schedule` from now on, as its arguments."""
+    import pihte.engine as engine_module
+
+    calls = []
+    monkeypatch.setattr(engine_module, "schedule",
+                        lambda *args: calls.append(args) or schedule(*args))
+    return calls
+
+
+# a ratio whose denominator holds a ratio of its own, so that the root's
+# check also schedules the context of its child's checks
+NESTED_RATIO = "P(V2|V1) / (P(V1|V0) / (P(V0)))"
+
+
+def direct_schedules(hier, lp):
+    """A level's CTE schedule and its support checks' schedules, built
+    straight from the hierarchy, as `plan` built them before they were lazy."""
+    level, td = lp.level, lp.td
+    steps = schedule(td, dict(lp.hypergraph.edges), level.free_vars,
+                     select_root(td, level.free_vars))
+    carried = set() if level.level_id == hier.root else set(level.free_vars)
+    bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
+    support = []
+    for child_id, scope in level.child_outputs:
+        child = hier.level(child_id)
+        root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
+        outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
+        reach = (schedule(td, outside, carried.union(child.free_vars), root)
+                 if child.child_outputs else None)
+        support.append((schedule(td, bound, carried.union(scope), root), reach))
+    return steps, tuple(support)
+
+
+def test_analyze_builds_no_schedule(fixture_path, schedule_calls, capsys):
+    assert main(["analyze", "--graph", fixture_path("chain99.graph"),
+                 "--estimand-file", fixture_path("chain99.estimand")]) == 0
+    assert json.loads(capsys.readouterr().out)["max_hw"] == 1
+    assert schedule_calls == []
+
+
+def test_estimate_schedules_each_level_and_each_check_once(
+        fixture_path, schedule_calls, capsys, tmp_path):
+    """napkin: two levels and the root's check of its child, which holds no
+    ratio. The nested ratio: three levels, the root's check of a child with
+    checks of its own (its schedule and its context's) and that child's."""
+    data = tmp_path / "napkin.csv"
+    assert main(["simulate", "--graph", fixture_path("napkin.graph"), "--seed", "3",
+                 "--rows", "400", "--out", str(data)]) == 0
+    assert main(["estimate", "--graph", fixture_path("napkin.graph"), "--estimand-file",
+                 fixture_path("napkin.estimand"), "--data", str(data)]) == 0
+    assert len(schedule_calls) == 2 + 1
+    schedule_calls.clear()
+    pi_hte(flatten(parse(NESTED_RATIO)), small_data())
+    assert len(schedule_calls) == 3 + 2 + 1
+
+
+def test_one_plan_run_twice_schedules_once(fixture_path, schedule_calls, capsys):
+    """The `bench` path: one plan executed on a dataset per size."""
+    assert main(["bench", "--graph", fixture_path("napkin.graph"), "--estimand-file",
+                 fixture_path("napkin.estimand"), "--sizes", "200,300"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+    assert len(schedule_calls) == 3
+    hier = flatten(parse(NESTED_RATIO))
+    p = plan(hier, {"V0": 2, "V1": 2, "V2": 2})
+    schedule_calls.clear()
+    execute(p, small_data(0))
+    execute(p, small_data(1))
+    assert len(schedule_calls) == 6
+
+
+def test_lazy_schedules_equal_schedules_built_directly(fixture_path):
+    cases = [(stem, hier, data.domains) for stem, hier, data in planned_cases(fixture_path)]
+    cases.append(("nested ratio", flatten(parse(NESTED_RATIO)), {"V0": 2, "V1": 2, "V2": 3}))
+    for case, hier, domains in cases:
+        for lp in plan(hier, domains).levels.values():
+            assert (lp.steps, lp.support) == direct_schedules(hier, lp), case
+
+
 def test_a_column_whose_domain_differs_from_the_plan_is_an_input_error(
         monkeypatch, capsys, tmp_path):
     """The plan's `Variable`s stand for the data's only when each bound

@@ -8,6 +8,7 @@ from conftest import bind
 from pihte.engine import brute_force_eval
 from pihte.errors import DivisionByZero, DuplicateBoundVar, EstimandSyntaxError, UnusedBoundVar
 from pihte.estimand import (
+    _BAD_RE,
     ProbTerm,
     Product,
     Ratio,
@@ -15,6 +16,7 @@ from pihte.estimand import (
     dense_expr_eval,
     flatten,
     free_vars,
+    _Parser,
     parse,
     prob_terms,
 )
@@ -389,3 +391,64 @@ def write(expr, blank):
 def test_written_ast_parses_back_equal(expr, data):
     text = write(expr, lambda: data.draw(BLANKS))
     assert parse(text) == expr
+
+
+# -- the parser against a scan-first reference -----------------------------
+
+
+def scan_first_parse(text):
+    """Parse with the search for a character that starts no token made
+    first: the first such character is the error wherever it is, and only a
+    text with none is parsed."""
+    bad = _BAD_RE.search(text)
+    if bad is not None:
+        if bad.group() == "'":
+            raise EstimandSyntaxError("apostrophes are reserved for the renamer", bad.start())
+        raise EstimandSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    return _Parser(text).parse()
+
+
+def outcome(parser, text):
+    """The AST `parser` makes of `text`, or its error's class and message,
+    which starts with the position."""
+    try:
+        return parser(text)
+    except (EstimandSyntaxError, DuplicateBoundVar) as exc:
+        return type(exc), str(exc)
+
+
+# grammar tokens, names that run into digits, blanks and characters that
+# start no token; joined with nothing between them, so "A" "1" reads "A1"
+# and "," "1" a digit that no name character precedes
+PIECES = st.sampled_from(["P", "sum", "(", ")", "[", "]", "|", ",", "/", "A", "B", "C1", "_x",
+                          "0", "1", " ", "\x1c", "\xa0", "'", "$", "\u00b2", "\u00e9"])
+STRAYS = st.sampled_from(["0", "1", ",", " ", "\x1c", "\xa0", "'", "$", "\u00b2", "\u00e9"])
+
+
+@pytest.mark.parametrize("text", [
+    "P(A,0B|C)", "P(A, 1B)", "P(A|B,1C) sum[B](P(B|C))",
+    # an earlier error, then a character that starts no token: the character wins
+    "P(A|A) $", "sum[A,A](P(A)) 1",
+])
+def test_parse_matches_scanning_first_on_known_cases(text):
+    assert outcome(parse, text) == outcome(scan_first_parse, text)
+    assert isinstance(outcome(parse, text), tuple)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(PIECES, max_size=24).map("".join))
+def test_parse_matches_scanning_first_on_token_soup(text):
+    assert outcome(parse, text) == outcome(scan_first_parse, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ASTS, st.data())
+def test_parse_matches_scanning_first_on_a_written_ast_with_strays(expr, data):
+    # a well-formed text with characters put in or written over, so that
+    # they land deep in name lists and after long valid prefixes
+    text = write(expr, lambda: data.draw(BLANKS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 1))
+        text = text[:at] + data.draw(STRAYS) + text[at + cut:]
+    assert outcome(parse, text) == outcome(scan_first_parse, text)

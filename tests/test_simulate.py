@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bind
-from pihte.cli import _csv_text, main
+from pihte.cli import _csv_blocks, main
 from pihte.estimand import dense_expr_eval, parse, prob_terms
 from pihte.factor import SparseFactor
 from pihte.model import CausalGraph, Dataset, Variable, load_graph, name_key
@@ -172,7 +172,7 @@ def csv_writer_text(data):
 
 def test_simulate_writes_what_csv_writer_writes(tmp_path):
     """Cells of one, two and three digits (domains of 3, 12 and 1,000), over
-    more rows than one block of `_csv_text` holds."""
+    more rows than one block of `_csv_blocks` holds."""
     graph = tmp_path / "g.graph"
     graph.write_text("var A 12\nvar B 3\nvar C 1000\nA -> B\nA -> C\nB -> C\n")
     out = tmp_path / "d.csv"
@@ -184,7 +184,7 @@ def test_simulate_writes_what_csv_writer_writes(tmp_path):
     with open(out, encoding="utf-8", newline="") as fh:
         assert fh.read() == want
     empty = Dataset((), np.empty((3, 0), dtype=int), {})
-    assert _csv_text(empty) == csv_writer_text(empty) == "\r\n" * 4
+    assert "".join(_csv_blocks(empty)) == csv_writer_text(empty) == "\r\n" * 4
 
 
 def test_deterministic_latent_free_chain_is_point_mass():

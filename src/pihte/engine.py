@@ -10,6 +10,12 @@ output covers the support of the level's terms, injects it inverted as an
 ordinary factor, and runs the schedule, which alone says which tables meet
 where and what each message sums out. One plan serves any number of datasets.
 
+A check cannot raise where one bound term holds the child output's whole
+scope: the plan marks that output proved and builds it no schedule, and
+`execute` checks it only if a level under it lost an entry to underflow.
+The all-ones copies of a level's bound terms are made only when one of its
+checks or contexts runs.
+
 Bound terms, their all-ones copies for the support check and every table
 made from them that stays rows of the data carry provenance (see `factor`):
 their joins, marginals and `factor.matches` work on `Dataset.group` ids. On
@@ -202,6 +208,7 @@ class LevelStats:
     max_table_cells: int = field(default=1, repr=False)  # the largest table's dense size
     total_entries: int = 0
     wall_time: float = 0.0
+    dropped: int = field(default=0, repr=False)  # entries its tables lost to underflow
 
     def record(self, f: sf.SparseFactor):
         """Charge `f` to this level, hold it to `cap`, and return it."""
@@ -210,6 +217,7 @@ class LevelStats:
             self.max_table_entries = t
             self.max_table_cells = math.prod(v.domain_size for v in f.scope)
         self.total_entries += t
+        self.dropped += f.underflow_dropped
         return self.hold(f)
 
     def hold(self, f: sf.SparseFactor):
@@ -335,20 +343,38 @@ class LevelPlan:
 
     @cached_property
     def support(self) -> tuple:
-        """Per child output, check_support's schedule and its context's, if needed."""
+        """Per child output, check_support's schedule (None where a bound
+        term holds the output's whole scope) and its context's, if needed.
+
+        Each bound term is positive exactly on the (`do`-sliced) rows'
+        projection onto its scope, and a child output built with no
+        underflow drop is positive on at least the rows' projection onto
+        its own, so a term that holds that scope proves the check cannot
+        raise; `_eval_level` runs it anyway when an underflow voids that."""
         level, td, hier = self.level, self.td, self.hier
-        # a level below the root is checked in a context over its free variables
-        carried = set() if level.level_id == hier.root else set(level.free_vars)
-        bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
         support = []
         for child_id, scope in level.child_outputs:
             child = hier.level(child_id)
-            root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
-            outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
-            reach = (schedule(td, outside, carried.union(child.free_vars), root)
-                     if child.child_outputs else None)
-            support.append((schedule(td, bound, carried.union(scope), root), reach))
+            reach = None
+            if child.child_outputs:
+                outside = {f"f{i}": t.scope for i, t in enumerate(level.factors)
+                           if i not in child.numerator}
+                reach = self.check_schedule(child_id, child.free_vars, outside)
+            proved = any(set(t.scope).issuperset(scope) for t in level.factors)
+            support.append((None if proved else self.check_schedule(child_id, scope), reach))
         return tuple(support)
+
+    def check_schedule(self, child_id, keep, terms=None) -> tuple:
+        """The schedule of `terms` (by default every bound term) rooted at
+        the cluster that holds the output of `child_id`, keeping `keep` and,
+        below the root, the level's free variables, which a check's context
+        spans."""
+        level, td = self.level, self.td
+        if terms is None:
+            terms = {f"f{i}": t.scope for i, t in enumerate(level.factors)}
+        carried = set() if level.level_id == self.hier.root else set(level.free_vars)
+        root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
+        return schedule(td, terms, carried.union(keep), root)
 
     def widths(self):
         """The structural statistics `analyze` and `execute` both report."""
@@ -491,29 +517,41 @@ def execute(p: Plan, data, do=None) -> EvalReport:
     )
 
 
+def _ones(terms):
+    """All-ones copies of a level's bound terms, for `_support`."""
+    return {fid: sf.with_values(f, np.ones(f.tightness)) for fid, f in terms.items()}
+
+
 def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     """One level's output table, its child levels evaluated first; each
     level's LevelStats is appended to `level_stats`. (A module function, not
     a closure in `execute`: a recursive closure is a reference cycle, which
     would keep the run's tables and dataset alive until the garbage
-    collector runs.) Each child output is checked by `check_support`
-    before it is inverted; a child with checks of its own gets its context."""
+    collector runs.) A child output the plan does not prove, or under which
+    a level lost an entry to underflow, is checked by `check_support` before
+    it is inverted; a child with ratios of its own gets its context."""
     lp = p.levels[level_id]
     t0 = time.monotonic()
     stats = LevelStats(level_id, **lp.widths(), cap=cap,
                        k=max(v.domain_size for v in lp.variables.values()))
 
-    factors = {}
+    terms = {}
     for i, t in enumerate(lp.level.factors):
         bound = empirical_prob(data, lp.variables.__getitem__, t.left, t.right, t.scope)
-        factors[f"f{i}"] = stats.record(bound.restrict(do))
-    ones = {fid: sf.with_values(f, np.ones(f.tightness))
-            for fid, f in factors.items()} if lp.support else {}
-    for (child_id, _), (check, reach) in zip(lp.level.child_outputs, lp.support):
-        inner = None if reach is None else _support(
-            reach, ones, context, p.hier.level(child_id).free_vars, stats.hold)
+        terms[f"f{i}"] = stats.record(bound.restrict(do))
+    factors, ones = dict(terms), None  # ones: built when a check or a context first runs
+    for (child_id, scope), (check, reach) in zip(lp.level.child_outputs, lp.support):
+        inner = None
+        if reach is not None:
+            ones = ones or _ones(terms)
+            inner = _support(reach, ones, context, p.hier.level(child_id).free_vars, stats.hold)
+        mark = len(level_stats)
         child = _eval_level(p, child_id, data, do, cap, level_stats, inner)
-        check_support(check, ones, context, child, do, stats.hold)
+        if check is None and any(lv.dropped for lv in level_stats[mark:]):
+            check = lp.check_schedule(child_id, scope)  # an underflow voids the proof
+        if check is not None:
+            ones = ones or _ones(terms)
+            check_support(check, ones, context, child, do, stats.hold)
         factors[f"g{child_id}"] = stats.record(sf.invert(child))
     stats.t = max(f.tightness for f in factors.values())
 

@@ -11,6 +11,7 @@ from pihte import engine
 from pihte.cli import main
 from pihte.engine import brute_force_eval
 from pihte.errors import DivisionByZero
+from pihte.estimand import flatten, parse
 from pihte.factor import unit_factor
 from pihte.suite import make_instance
 
@@ -559,6 +560,22 @@ def test_support_tables_are_held_to_the_cap(capsys, tmp_path, monkeypatch, cap, 
     code, out, _ = run(capsys, "estimate", "--graph", str(tmp_path / "ab.graph"),
                        "--data", str(tmp_path / "ab.csv"), "--estimand", "P(A) P(B) / P(A,B)")
     assert code == want and not out
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "oracle"])
+def test_an_underflow_inside_a_proved_child_falls_back_to_the_check(capsys, tmp_path, cmd):
+    # P(A,B) holds the denominator's scope {A}, so its support is proved, but
+    # P(A=1) = 0.001 to the 110th power underflows: the child drops A=1, the
+    # check runs after all and exits 3, and brute force divides by zero too
+    (tmp_path / "ab.graph").write_text("var A 2\nvar B 2\n")
+    (tmp_path / "ab.csv").write_text("A,B\n1,0\n" + "0,0\n0,1\n" * 499 + "0,1\n")
+    estimand = "P(A,B) / (" + " ".join(["P(A)"] * 110) + ")"
+    p = engine.plan(flatten(parse(estimand)), {"A": 2, "B": 2})
+    assert p.levels[0].support == ((None, None),)  # proved, so no schedule is built
+    code, out, err = run(capsys, cmd, "--graph", str(tmp_path / "ab.graph"),
+                         "--data", str(tmp_path / "ab.csv"), "--estimand", estimand)
+    assert code == 3 and not out
+    assert "entry {'A': 1} has no denominator support" in err
 
 
 ABCD_GRAPH = "var A 2\nvar B 2\nvar C 2\nvar D 2\n"

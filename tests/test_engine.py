@@ -23,6 +23,7 @@ from pihte.engine import (
     LevelStats,
     _renormalize,
     brute_force_eval,
+    check_support,
     cte,
     execute,
     pi_hte,
@@ -438,13 +439,16 @@ def schedule_calls(monkeypatch):
 
 
 # a ratio whose denominator holds a ratio of its own, so that the root's
-# check also schedules the context of its child's checks
+# check also schedules the context of its child's checks. No root term holds
+# its child's output {V0, V1}, so the root's check runs; P(V1|V0) holds
+# level 1's child output {V0}, so that check is proved
 NESTED_RATIO = "P(V2|V1) / (P(V1|V0) / (P(V0)))"
 
 
 def direct_schedules(hier, lp):
     """A level's CTE schedule and its support checks' schedules, built
-    straight from the hierarchy, as `plan` built them before they were lazy."""
+    straight from the hierarchy, as `plan` built them before they were lazy;
+    a check whose output's scope one bound term holds is proved (None)."""
     level, td = lp.level, lp.td
     steps = schedule(td, dict(lp.hypergraph.edges), level.free_vars,
                      select_root(td, level.free_vars))
@@ -457,7 +461,9 @@ def direct_schedules(hier, lp):
         outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
         reach = (schedule(td, outside, carried.union(child.free_vars), root)
                  if child.child_outputs else None)
-        support.append((schedule(td, bound, carried.union(scope), root), reach))
+        proved = any(set(s) >= set(scope) for s in bound.values())
+        support.append((None if proved else schedule(td, bound, carried.union(scope), root),
+                        reach))
     return steps, tuple(support)
 
 
@@ -470,18 +476,19 @@ def test_analyze_builds_no_schedule(fixture_path, schedule_calls, capsys):
 
 def test_estimate_schedules_each_level_and_each_check_once(
         fixture_path, schedule_calls, capsys, tmp_path):
-    """napkin: two levels and the root's check of its child, which holds no
-    ratio. The nested ratio: three levels, the root's check of a child with
-    checks of its own (its schedule and its context's) and that child's."""
+    """napkin: two levels, and no check, since P(X,Y|R,W) holds the child's
+    output {R, X}. The nested ratio: three levels, the root's check of a
+    child with checks of its own, and that child's context; the child's own
+    check is proved."""
     data = tmp_path / "napkin.csv"
     assert main(["simulate", "--graph", fixture_path("napkin.graph"), "--seed", "3",
                  "--rows", "400", "--out", str(data)]) == 0
     assert main(["estimate", "--graph", fixture_path("napkin.graph"), "--estimand-file",
                  fixture_path("napkin.estimand"), "--data", str(data)]) == 0
-    assert len(schedule_calls) == 2 + 1
+    assert len(schedule_calls) == 2
     schedule_calls.clear()
     pi_hte(flatten(parse(NESTED_RATIO)), small_data())
-    assert len(schedule_calls) == 3 + 2 + 1
+    assert len(schedule_calls) == 3 + 1 + 1
 
 
 def test_one_plan_run_twice_schedules_once(fixture_path, schedule_calls, capsys):
@@ -489,13 +496,13 @@ def test_one_plan_run_twice_schedules_once(fixture_path, schedule_calls, capsys)
     assert main(["bench", "--graph", fixture_path("napkin.graph"), "--estimand-file",
                  fixture_path("napkin.estimand"), "--sizes", "200,300"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2
-    assert len(schedule_calls) == 3
+    assert len(schedule_calls) == 2
     hier = flatten(parse(NESTED_RATIO))
     p = plan(hier, {"V0": 2, "V1": 2, "V2": 2})
     schedule_calls.clear()
     execute(p, small_data(0))
     execute(p, small_data(1))
-    assert len(schedule_calls) == 6
+    assert len(schedule_calls) == 5
 
 
 def test_lazy_schedules_equal_schedules_built_directly(fixture_path):
@@ -504,6 +511,29 @@ def test_lazy_schedules_equal_schedules_built_directly(fixture_path):
     for case, hier, domains in cases:
         for lp in plan(hier, domains).levels.values():
             assert (lp.steps, lp.support) == direct_schedules(hier, lp), case
+
+
+def test_check_support_runs_only_where_no_bound_term_holds_the_output(
+        fixture_path, monkeypatch):
+    """P(A) P(B) / P(A,B): neither term holds {A, B}, so the check runs. The
+    nested ratio: the root's check runs, its child's is proved. napkin: the
+    one check is proved, and no check runs."""
+    import pihte.engine as engine_module
+
+    calls = []
+    monkeypatch.setattr(engine_module, "check_support",
+                        lambda *args: calls.append(args) or check_support(*args))
+    data = Dataset(("A", "B"), [(0, 0), (0, 1), (1, 0), (1, 1)], {"A": 2, "B": 2})
+    pi_hte(flatten(parse("P(A) P(B) / P(A,B)")), data)
+    assert len(calls) == 1
+    calls.clear()
+    pi_hte(flatten(parse(NESTED_RATIO)), small_data())
+    assert [args[3].names for args in calls] == [("V0", "V1")]
+    calls.clear()
+    graph = load_graph(fixture_path("napkin.graph"))
+    napkin = sample_dataset(random_cbn(graph, seed=3), 400, seed=4)
+    pi_hte(flatten(parse(open(fixture_path("napkin.estimand")).read())), napkin)
+    assert calls == []
 
 
 def test_a_column_whose_domain_differs_from_the_plan_is_an_input_error(
@@ -694,6 +724,72 @@ def test_ratio_estimands_match_brute_force():
             rescued += whole and not divides_by_zero(expr, data, do=do)
     assert 1000 < raised < 2000  # both outcomes are well represented
     assert rescued > 10  # slices that evaluate where the whole estimand raises
+
+
+def force_proved_checks(p):
+    """Give each child output that `p` proves the check schedule the proof
+    skips, so that `execute` checks every output; returns those schedules."""
+    forced = []
+    for lp in p.levels.values():
+        support = []
+        for (child_id, scope), (check, reach) in zip(lp.level.child_outputs, lp.support):
+            if check is None:
+                check = lp.check_schedule(child_id, scope)
+                forced.append(check)
+            support.append((check, reach))
+        lp.__dict__["support"] = tuple(support)  # where the cached_property keeps it
+    return forced
+
+
+def test_proved_support_checks_never_raise(monkeypatch):
+    """For every child output the plan proves, `check_support` run anyway,
+    with its schedule and its context, does not raise: on suite instances
+    0-299 under restarts 0 and 2, whose every ratio is proved, and on the
+    estimands of test_ratio_estimands_match_brute_force with its slices."""
+    import pihte.engine as engine_module
+
+    raised = []
+
+    def checked(steps, *args):
+        try:
+            check_support(steps, *args)
+        except DivisionInconsistency:
+            raised.append(steps)
+            raise
+
+    monkeypatch.setattr(engine_module, "check_support", checked)
+
+    def proved_and_run(hier, data, restarts=0, do=None):
+        p = plan(hier, data.domains, restarts=restarts)
+        forced = force_proved_checks(p)
+        raised.clear()
+        try:
+            execute(p, data, do)
+        except DivisionInconsistency:
+            pass
+        assert not any(r is f for r in raised for f in forced), (hier, restarts, do)
+        return len(forced)
+
+    ratios = 0
+    for seed in range(300):
+        inst = make_instance(seed)
+        hier = flatten(parse(inst.estimand))
+        for restarts in (0, 2):
+            proved = proved_and_run(hier, inst.data, restarts)
+            assert proved == len(hier.levels) - 1, (seed, inst.estimand)  # each ratio proved
+        ratios += "/" in inst.estimand
+    assert ratios > 80
+
+    rng, slicer = random.Random(0), random.Random(1)
+    proved = 0
+    for i in range(2000):
+        expr, rows = ratio_instance(rng)
+        data = Dataset(RATIO_VARS, rows, {v: 2 for v in RATIO_VARS})
+        proved += proved_and_run(flatten(expr), data)
+        free = sorted(expr.free)
+        if i % 10 == 5 and free:
+            proved_and_run(flatten(expr), data, do={slicer.choice(free): slicer.randrange(2)})
+    assert proved > 1000
 
 
 # -- brute force -----------------------------------------------------------

@@ -421,7 +421,7 @@ def load_decomposition(path) -> TreeDecomposition:
                 clusters[cid] = Cluster(
                     chi=frozenset(fields["chi"]),
                     psi=frozenset(fields["psi"]),
-                    cover=tuple(fields.get("cover", ())),
+                    cover=tuple(dict.fromkeys(fields.get("cover", ()))),  # a set, in written order
                 )
             elif line.startswith("edge"):
                 parts = line.split()

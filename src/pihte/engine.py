@@ -2,19 +2,20 @@
 
 Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
-computed), the width statistics and its shared `Variable`s; its CTE schedules
-are built when `execute` first reads them, so `analyze` builds none. `execute`
+computed), the width statistics and its shared `Variable`s; its CTE schedule
+is built when `execute` first reads it, so `analyze` builds none. `execute`
 binds each term to a frequency table of a dataset (`model.empirical_prob`;
 primed names read their base column), checks that each child denominator
 output covers the support of the level's terms, injects it inverted as an
 ordinary factor, and runs the schedule, which alone says which tables meet
 where and what each message sums out. One plan serves any number of datasets.
 
-A check cannot raise where one bound term holds the child output's whole
-scope: the plan marks that output proved and builds it no schedule, and
-`execute` checks it only if a level under it lost an entry to underflow.
-The all-ones copies of a level's bound terms are made only when one of its
-checks or contexts runs.
+`execute` alone decides which child outputs get a support check, by one
+rule: an output is checked unless `_proved` holds for it (one bound term of
+its level holds its whole scope) and no level under it lost an entry to
+underflow. Each check's schedule, and its context's, is built where it runs;
+so `bench` builds each level's `steps` once per plan, and its checks once per
+run. A check makes its own all-ones copies of the terms it reads.
 
 Bound terms, their all-ones copies for the support check and every table
 made from them that stays rows of the data carry provenance (see `factor`):
@@ -147,10 +148,31 @@ def cte(steps, factors, record):
     return messages[steps[-1].cluster]
 
 
-def _support(steps, ones, context, keep, hold):
-    """The support of the join of `context`, if any, and the tables `steps`
-    meets in `ones` (all-ones copies of bound terms, so no underflow can hide
-    an entry), projected onto `keep`. `hold` is handed every table made."""
+def _proved(scopes, scope) -> bool:
+    """Whether one of `scopes` (a level's bound terms') holds `scope` (a
+    child output's) whole, so that a check of that output cannot raise:
+    each bound term is positive exactly on the (`do`-sliced) rows'
+    projection onto its scope, and a child output built with no underflow
+    drop is positive on at least the rows' projection onto its own."""
+    return any(set(s).issuperset(scope) for s in scopes)
+
+
+def _check_schedule(lp, carried, child_id, keep, terms) -> tuple:
+    """The schedule of `terms` (factor id -> scope) rooted at the cluster of
+    `lp` that holds the output of `child_id`, keeping `keep` and `carried`
+    (below the root, the level's free variables, which a check's context
+    spans)."""
+    root = next(cid for cid, c in lp.td.clusters.items() if f"g{child_id}" in c.psi)
+    return schedule(lp.td, terms, carried.union(keep), root)
+
+
+def _support(steps, terms, context, keep, hold):
+    """The support of the join of `context`, if any, and the bound terms
+    `steps` meets in `terms`, projected onto `keep`. The join runs over
+    all-ones copies of those terms, so no underflow can hide an entry.
+    `hold` is handed every table made."""
+    ones = {f: sf.with_values(terms[f], np.ones(terms[f].tightness))
+            for step in steps for f in step.factors}
     s = cte(steps, ones, hold)
     if context is not None:
         s = hold(sf.product(s, context))
@@ -158,13 +180,13 @@ def _support(steps, ones, context, keep, hold):
     return hold(sf.marginalize(s, drop)) if drop else s
 
 
-def check_support(steps, ones, context, g, do, hold):
+def check_support(steps, terms, context, g, do, hold):
     """Raise DivisionInconsistency where the child output `g` is zero under
     a nonzero numerator: a semi-join of the level's bound terms onto g
     (Yannakakis, VLDB 1981) in the Boolean semiring of FAQ (Abo Khamis, Ngo
     & Rudra, PODS 2016).
 
-    `steps` schedules the level's bound terms alone, keeping g's scope.
+    `steps` schedules the level's bound terms in `terms` alone, keeping g's scope.
     Below the root, `context` holds the assignments of the level's free
     variables where the terms outside its ratio's numerator are nonzero (in
     their own context): elsewhere the product holding the ratio is zero
@@ -172,7 +194,7 @@ def check_support(steps, ones, context, g, do, hold):
     g per assignment of g's variables that the support lacks (`do` fixes
     some); the error names the first row that does not, and where g lacks it.
     """
-    support = _support(steps, ones, context, g.names, hold)
+    support = _support(steps, terms, context, g.names, hold)
     lo, hi, _, g_only = sf.matches(support, g)
     ranges = [(do[v.name],) if v.name in do else range(v.domain_size)
               for v in (g.scope[j] for j in g_only)]
@@ -324,10 +346,9 @@ def run_metrics(report: EvalReport):
 @dataclass(frozen=True)
 class LevelPlan:
     """One level's structure, fixed by the estimand before any data is read;
-    its schedules, `steps` and `support`, are built on first read."""
+    its CTE schedule, `steps`, is built on first read."""
 
     level: FlatLevel
-    hier: Hierarchy = field(repr=False, compare=False)  # the level's own, for its children
     hypergraph: Hypergraph
     variables: dict  # name -> its shared model.Variable, for every name of the level
     td: TreeDecomposition
@@ -340,41 +361,6 @@ class LevelPlan:
         """The CTE schedule, leaves to root."""
         free = self.level.free_vars
         return schedule(self.td, dict(self.hypergraph.edges), free, select_root(self.td, free))
-
-    @cached_property
-    def support(self) -> tuple:
-        """Per child output, check_support's schedule (None where a bound
-        term holds the output's whole scope) and its context's, if needed.
-
-        Each bound term is positive exactly on the (`do`-sliced) rows'
-        projection onto its scope, and a child output built with no
-        underflow drop is positive on at least the rows' projection onto
-        its own, so a term that holds that scope proves the check cannot
-        raise; `_eval_level` runs it anyway when an underflow voids that."""
-        level, td, hier = self.level, self.td, self.hier
-        support = []
-        for child_id, scope in level.child_outputs:
-            child = hier.level(child_id)
-            reach = None
-            if child.child_outputs:
-                outside = {f"f{i}": t.scope for i, t in enumerate(level.factors)
-                           if i not in child.numerator}
-                reach = self.check_schedule(child_id, child.free_vars, outside)
-            proved = any(set(t.scope).issuperset(scope) for t in level.factors)
-            support.append((None if proved else self.check_schedule(child_id, scope), reach))
-        return tuple(support)
-
-    def check_schedule(self, child_id, keep, terms=None) -> tuple:
-        """The schedule of `terms` (by default every bound term) rooted at
-        the cluster that holds the output of `child_id`, keeping `keep` and,
-        below the root, the level's free variables, which a check's context
-        spans."""
-        level, td = self.level, self.td
-        if terms is None:
-            terms = {f"f{i}": t.scope for i, t in enumerate(level.factors)}
-        carried = set() if level.level_id == self.hier.root else set(level.free_vars)
-        root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
-        return schedule(td, terms, carried.union(keep), root)
 
     def widths(self):
         """The structural statistics `analyze` and `execute` both report."""
@@ -442,7 +428,6 @@ def plan(hier, domains, seed=0, restarts=0, decompositions=None) -> Plan:
                          else td.hyperwidth)
         levels[level.level_id] = LevelPlan(
             level=level,
-            hier=hier,
             hypergraph=hg,
             variables=variables,
             td=td,
@@ -517,41 +502,39 @@ def execute(p: Plan, data, do=None) -> EvalReport:
     )
 
 
-def _ones(terms):
-    """All-ones copies of a level's bound terms, for `_support`."""
-    return {fid: sf.with_values(f, np.ones(f.tightness)) for fid, f in terms.items()}
-
-
 def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     """One level's output table, its child levels evaluated first; each
     level's LevelStats is appended to `level_stats`. (A module function, not
     a closure in `execute`: a recursive closure is a reference cycle, which
     would keep the run's tables and dataset alive until the garbage
-    collector runs.) A child output the plan does not prove, or under which
-    a level lost an entry to underflow, is checked by `check_support` before
-    it is inverted; a child with ratios of its own gets its context."""
+    collector runs.) A child output is checked by `check_support` before it
+    is inverted unless `_proved` holds for it and no level under it lost an
+    entry to underflow; a child with ratios of its own gets its context."""
     lp = p.levels[level_id]
     t0 = time.monotonic()
     stats = LevelStats(level_id, **lp.widths(), cap=cap,
                        k=max(v.domain_size for v in lp.variables.values()))
 
-    terms = {}
+    terms, scopes = {}, {}
     for i, t in enumerate(lp.level.factors):
         bound = empirical_prob(data, lp.variables.__getitem__, t.left, t.right, t.scope)
         terms[f"f{i}"] = stats.record(bound.restrict(do))
-    factors, ones = dict(terms), None  # ones: built when a check or a context first runs
-    for (child_id, scope), (check, reach) in zip(lp.level.child_outputs, lp.support):
+        scopes[f"f{i}"] = t.scope
+    factors = dict(terms)
+    carried = set() if level_id == p.hier.root else set(lp.level.free_vars)
+    for child_id, scope in lp.level.child_outputs:
+        child_level = p.hier.level(child_id)
         inner = None
-        if reach is not None:
-            ones = ones or _ones(terms)
-            inner = _support(reach, ones, context, p.hier.level(child_id).free_vars, stats.hold)
+        if child_level.child_outputs:
+            outside = {f: s for i, (f, s) in enumerate(scopes.items())
+                       if i not in child_level.numerator}
+            reach = _check_schedule(lp, carried, child_id, child_level.free_vars, outside)
+            inner = _support(reach, terms, context, child_level.free_vars, stats.hold)
         mark = len(level_stats)
         child = _eval_level(p, child_id, data, do, cap, level_stats, inner)
-        if check is None and any(lv.dropped for lv in level_stats[mark:]):
-            check = lp.check_schedule(child_id, scope)  # an underflow voids the proof
-        if check is not None:
-            ones = ones or _ones(terms)
-            check_support(check, ones, context, child, do, stats.hold)
+        if not _proved(scopes.values(), scope) or any(lv.dropped for lv in level_stats[mark:]):
+            check = _check_schedule(lp, carried, child_id, scope, scopes)
+            check_support(check, terms, context, child, do, stats.hold)
         factors[f"g{child_id}"] = stats.record(sf.invert(child))
     stats.t = max(f.tightness for f in factors.values())
 
@@ -616,7 +599,7 @@ def brute_force_eval(expr, data, dense_limit=10**6, do=None) -> sf.SparseFactor:
 def predicted_bounds(level_stats, t, k, n):
     """Numeric treewidth/hyperwidth bounds plus the hierarchy exponent.
 
-    Values too large for a float are reported in log10 only.
+    Values past 10^300 are None; those with a log10 are still reported in it.
     """
     levels = []
     for lv in level_stats:
@@ -624,7 +607,7 @@ def predicted_bounds(level_stats, t, k, n):
         tw_table_log10 = (w + 1) * math.log10(k) if k > 1 else 0.0
         tw_time_log10 = tw_table_log10 + math.log10(max(n, 1))
         log_t = math.log(t) if t > 1 else 0.0
-        hw_time = max(float(n), n * hw * log_t * float(t) ** hw)
+        fits = hw * math.log10(max(t, 1)) < 300  # t^hw, so hw_time too, fits a float
         levels.append(
             {
                 "level": lv["level_id"],
@@ -633,8 +616,8 @@ def predicted_bounds(level_stats, t, k, n):
                 "tw_table_log10": tw_table_log10,
                 "tw_time_log10": tw_time_log10,
                 "tw_time": 10.0 ** tw_time_log10 if tw_time_log10 < 300 else None,
-                "hw_time": hw_time,
-                "hw_space": float(t) ** hw,
+                "hw_time": max(float(n), n * hw * log_t * float(t) ** hw) if fits else None,
+                "hw_space": float(t) ** hw if fits else None,
             }
         )
     sum_hw = sum(lv["hw"] for lv in level_stats)

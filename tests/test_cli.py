@@ -11,7 +11,6 @@ from pihte import engine
 from pihte.cli import main
 from pihte.engine import brute_force_eval
 from pihte.errors import DivisionByZero
-from pihte.estimand import flatten, parse
 from pihte.factor import unit_factor
 from pihte.suite import make_instance
 
@@ -570,8 +569,6 @@ def test_an_underflow_inside_a_proved_child_falls_back_to_the_check(capsys, tmp_
     (tmp_path / "ab.graph").write_text("var A 2\nvar B 2\n")
     (tmp_path / "ab.csv").write_text("A,B\n1,0\n" + "0,0\n0,1\n" * 499 + "0,1\n")
     estimand = "P(A,B) / (" + " ".join(["P(A)"] * 110) + ")"
-    p = engine.plan(flatten(parse(estimand)), {"A": 2, "B": 2})
-    assert p.levels[0].support == ((None, None),)  # proved, so no schedule is built
     code, out, err = run(capsys, cmd, "--graph", str(tmp_path / "ab.graph"),
                          "--data", str(tmp_path / "ab.csv"), "--estimand", estimand)
     assert code == 3 and not out
@@ -730,6 +727,24 @@ def test_analyze_bounds_come_from_the_plan(capsys, napkin, tmp_path):
     a, e = json.loads(analyzed)["bounds"], json.loads(estimated)["bounds"]
     assert a["k"] == e["k"] == 3
     assert a["tw_bound_log10"] == e["tw_bound_log10"]
+
+
+def test_analyze_reports_bounds_past_a_float_as_null(capsys, tmp_path):
+    # one cluster covered by all 110 f-edges of a 111-variable binary chain:
+    # hw is 110, and t^hw at 1,000 rows is 10^330, past the float range
+    names = ",".join(f"V{i}" for i in range(111))
+    edges = ",".join(f"f{i}" for i in range(110))
+    (tmp_path / "g.graph").write_text("".join(f"var V{i} 2\n" for i in range(111)))
+    (tmp_path / "d.csv").write_text(names + "\n" + ("0," * 110 + "0\n") * 1000)
+    (tmp_path / "x.td").write_text(f"cluster 0: chi={{{names}}} psi={{{edges}}} cover={{{edges}}}\n")
+    terms = " ".join(f"P(V{i}|V{i - 1})" for i in range(1, 111))
+    code, out, err = run(capsys, "analyze", "--graph", str(tmp_path / "g.graph"),
+                         "--estimand", f"sum[{names[3:]}]({terms})",
+                         "--decomposition", str(tmp_path / "x.td"),
+                         "--data", str(tmp_path / "d.csv"))
+    assert code == 0 and "Traceback" not in err
+    level = json.loads(out)["bounds"]["levels"][0]
+    assert (level["hw"], level["hw_space"], level["hw_time"]) == (110, None, None)
 
 
 def test_header_only_data_exit2(capsys, napkin, tmp_path):

@@ -321,6 +321,18 @@ def test_load_decomposition_repeated_cluster(tmp_path):
         load_decomposition(p)
 
 
+def test_load_decomposition_reads_cover_as_a_set_in_written_order(tmp_path):
+    # cover={f0, f0} on sum[A](P(A,B)) is a one-edge cover: hw 1, not 2
+    p = tmp_path / "twice.td"
+    p.write_text("cluster 0: chi={A,B} psi={f0} cover={f0, f0}\n")
+    td = load_decomposition(p)
+    assert td.clusters[0].cover == ("f0",)
+    lp = plan(flatten(parse("sum[A](P(A,B))")), dict.fromkeys("AB", 2), decompositions={0: td})
+    assert lp.levels[0].td.hyperwidth == 1
+    p.write_text("cluster 0: chi={A,B,C} psi={f0,f1} cover={f1, f0, f1}\n")
+    assert load_decomposition(p).clusters[0].cover == ("f1", "f0")
+
+
 def test_load_decomposition_parse_error(tmp_path):
     p = tmp_path / "bad.td"
     p.write_text("cluster zero: chi={A}\n")

@@ -445,26 +445,12 @@ def schedule_calls(monkeypatch):
 NESTED_RATIO = "P(V2|V1) / (P(V1|V0) / (P(V0)))"
 
 
-def direct_schedules(hier, lp):
-    """A level's CTE schedule and its support checks' schedules, built
-    straight from the hierarchy, as `plan` built them before they were lazy;
-    a check whose output's scope one bound term holds is proved (None)."""
+def direct_steps(lp):
+    """A level's CTE schedule built straight from its plan, as `plan` built
+    it before it was lazy."""
     level, td = lp.level, lp.td
-    steps = schedule(td, dict(lp.hypergraph.edges), level.free_vars,
-                     select_root(td, level.free_vars))
-    carried = set() if level.level_id == hier.root else set(level.free_vars)
-    bound = {f"f{i}": term.scope for i, term in enumerate(level.factors)}
-    support = []
-    for child_id, scope in level.child_outputs:
-        child = hier.level(child_id)
-        root = next(cid for cid, c in td.clusters.items() if f"g{child_id}" in c.psi)
-        outside = {f: s for i, (f, s) in enumerate(bound.items()) if i not in child.numerator}
-        reach = (schedule(td, outside, carried.union(child.free_vars), root)
-                 if child.child_outputs else None)
-        proved = any(set(s) >= set(scope) for s in bound.values())
-        support.append((None if proved else schedule(td, bound, carried.union(scope), root),
-                        reach))
-    return steps, tuple(support)
+    return schedule(td, dict(lp.hypergraph.edges), level.free_vars,
+                    select_root(td, level.free_vars))
 
 
 def test_analyze_builds_no_schedule(fixture_path, schedule_calls, capsys):
@@ -492,7 +478,8 @@ def test_estimate_schedules_each_level_and_each_check_once(
 
 
 def test_one_plan_run_twice_schedules_once(fixture_path, schedule_calls, capsys):
-    """The `bench` path: one plan executed on a dataset per size."""
+    """The `bench` path: one plan executed on a dataset per size builds each
+    level's steps once, and its checks and contexts once per run."""
     assert main(["bench", "--graph", fixture_path("napkin.graph"), "--estimand-file",
                  fixture_path("napkin.estimand"), "--sizes", "200,300"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2
@@ -502,7 +489,7 @@ def test_one_plan_run_twice_schedules_once(fixture_path, schedule_calls, capsys)
     schedule_calls.clear()
     execute(p, small_data(0))
     execute(p, small_data(1))
-    assert len(schedule_calls) == 5
+    assert len(schedule_calls) == 3 + 2 * 2
 
 
 def test_lazy_schedules_equal_schedules_built_directly(fixture_path):
@@ -510,7 +497,7 @@ def test_lazy_schedules_equal_schedules_built_directly(fixture_path):
     cases.append(("nested ratio", flatten(parse(NESTED_RATIO)), {"V0": 2, "V1": 2, "V2": 3}))
     for case, hier, domains in cases:
         for lp in plan(hier, domains).levels.values():
-            assert (lp.steps, lp.support) == direct_schedules(hier, lp), case
+            assert lp.steps == direct_steps(lp), case
 
 
 def test_check_support_runs_only_where_no_bound_term_holds_the_output(
@@ -726,70 +713,44 @@ def test_ratio_estimands_match_brute_force():
     assert rescued > 10  # slices that evaluate where the whole estimand raises
 
 
-def force_proved_checks(p):
-    """Give each child output that `p` proves the check schedule the proof
-    skips, so that `execute` checks every output; returns those schedules."""
-    forced = []
-    for lp in p.levels.values():
-        support = []
-        for (child_id, scope), (check, reach) in zip(lp.level.child_outputs, lp.support):
-            if check is None:
-                check = lp.check_schedule(child_id, scope)
-                forced.append(check)
-            support.append((check, reach))
-        lp.__dict__["support"] = tuple(support)  # where the cached_property keeps it
-    return forced
-
-
 def test_proved_support_checks_never_raise(monkeypatch):
-    """For every child output the plan proves, `check_support` run anyway,
-    with its schedule and its context, does not raise: on suite instances
-    0-299 under restarts 0 and 2, whose every ratio is proved, and on the
-    estimands of test_ratio_estimands_match_brute_force with its slices."""
+    """With `_proved` always false, so that every child output is checked,
+    every untimed report and every DivisionInconsistency message equals the
+    run with the proof on, and `check_support` runs more often: on suite
+    instances 0-299 under restarts 0 and 2, whose every ratio is proved, and
+    on the estimands of test_ratio_estimands_match_brute_force with its
+    slices."""
     import pihte.engine as engine_module
 
-    raised = []
+    calls = []
+    monkeypatch.setattr(engine_module, "check_support",
+                        lambda *args: calls.append(args) or check_support(*args))
 
-    def checked(steps, *args):
+    def outcome(hier, data, restarts, do):
         try:
-            check_support(steps, *args)
-        except DivisionInconsistency:
-            raised.append(steps)
-            raise
+            return untimed(pi_hte(hier, data, restarts=restarts, do=do))
+        except DivisionInconsistency as e:
+            return str(e)
 
-    monkeypatch.setattr(engine_module, "check_support", checked)
-
-    def proved_and_run(hier, data, restarts=0, do=None):
-        p = plan(hier, data.domains, restarts=restarts)
-        forced = force_proved_checks(p)
-        raised.clear()
-        try:
-            execute(p, data, do)
-        except DivisionInconsistency:
-            pass
-        assert not any(r is f for r in raised for f in forced), (hier, restarts, do)
-        return len(forced)
-
-    ratios = 0
-    for seed in range(300):
-        inst = make_instance(seed)
-        hier = flatten(parse(inst.estimand))
-        for restarts in (0, 2):
-            proved = proved_and_run(hier, inst.data, restarts)
-            assert proved == len(hier.levels) - 1, (seed, inst.estimand)  # each ratio proved
-        ratios += "/" in inst.estimand
-    assert ratios > 80
-
+    insts = [make_instance(seed) for seed in range(300)]
+    assert sum("/" in inst.estimand for inst in insts) > 80
+    cases = [(flatten(parse(inst.estimand)), inst.data, r, None) for inst in insts for r in (0, 2)]
+    proof_on = [outcome(*case) for case in cases]
+    assert calls == []  # every ratio of the suite is proved
     rng, slicer = random.Random(0), random.Random(1)
-    proved = 0
     for i in range(2000):
         expr, rows = ratio_instance(rng)
         data = Dataset(RATIO_VARS, rows, {v: 2 for v in RATIO_VARS})
-        proved += proved_and_run(flatten(expr), data)
+        cases.append((flatten(expr), data, 0, None))
         free = sorted(expr.free)
         if i % 10 == 5 and free:
-            proved_and_run(flatten(expr), data, do={slicer.choice(free): slicer.randrange(2)})
-    assert proved > 1000
+            cases.append((flatten(expr), data, 0, {slicer.choice(free): slicer.randrange(2)}))
+    proof_on += [outcome(*case) for case in cases[len(proof_on):]]
+    checks_on = len(calls)
+    monkeypatch.setattr(engine_module, "_proved", lambda scopes, scope: False)
+    for case, want in zip(cases, proof_on):
+        assert outcome(*case) == want, case
+    assert len(calls) - checks_on > checks_on
 
 
 # -- brute force -----------------------------------------------------------

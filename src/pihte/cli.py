@@ -179,8 +179,9 @@ def cmd_oracle(args) -> int:
     if args.dense_limit < 1:
         raise ValueError(f"--dense-limit must be >= 1, got {args.dense_limit}")
     if args.suite is not None:
-        for option, given in (("--do", args.do), ("--decomposition", args.decomposition)):
-            if given:
+        for option in ("--graph", "--data", "--estimand", "--estimand-file", "--do",
+                       "--decomposition"):
+            if getattr(args, option[2:].replace("-", "_")):
                 raise ValueError(f"{option} does not apply to --suite: "
                                  "each instance has its own estimand")
         cases = (suite.make_instance(args.seed + i) for i in range(args.suite))

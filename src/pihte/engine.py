@@ -2,20 +2,19 @@
 
 Evaluation has two steps. `plan` fixes the structure of each hierarchy level
 from the estimand alone: its hypergraph, a tree decomposition (supplied or
-computed), the width statistics and its shared `Variable`s; its CTE schedule
-is built when `execute` first reads it, so `analyze` builds none. `execute`
-binds each term to a frequency table of a dataset (`model.empirical_prob`;
-primed names read their base column), checks that each child denominator
-output covers the support of the level's terms, injects it inverted as an
-ordinary factor, and runs the schedule, which alone says which tables meet
+computed), the width statistics and its shared `Variable`s. `execute` binds
+each term to a frequency table of a dataset (`model.empirical_prob`; primed
+names read their base column), checks that each child denominator output
+covers the support of the level's terms, injects it inverted as an ordinary
+factor, and runs the level's CTE schedule, which alone says which tables meet
 where and what each message sums out. One plan serves any number of datasets.
 
-`execute` alone decides which child outputs get a support check, by one
-rule: an output is checked unless `_proved` holds for it (one bound term of
-its level holds its whole scope) and no level under it lost an entry to
-underflow. Each check's schedule, and its context's, is built where it runs;
-so `bench` builds each level's `steps` once per plan, and its checks once per
-run. A check makes its own all-ones copies of the terms it reads.
+Each `execute` schedules what it runs, where it runs it: each level's CTE,
+each support check and each nested ratio's context; `analyze` builds no
+schedule. `execute` alone decides which child outputs get a support check,
+by one rule: an output is checked unless `_proved` holds for it (one bound
+term of its level holds its whole scope) and no level under it lost an entry
+to underflow. A check makes its own all-ones copies of the terms it reads.
 
 Bound terms, their all-ones copies for the support check and every table
 made from them that stays rows of the data carry provenance (see `factor`):
@@ -31,7 +30,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -157,15 +155,6 @@ def _proved(scopes, scope) -> bool:
     return any(set(s).issuperset(scope) for s in scopes)
 
 
-def _check_schedule(lp, carried, child_id, keep, terms) -> tuple:
-    """The schedule of `terms` (factor id -> scope) rooted at the cluster of
-    `lp` that holds the output of `child_id`, keeping `keep` and `carried`
-    (below the root, the level's free variables, which a check's context
-    spans)."""
-    root = next(cid for cid, c in lp.td.clusters.items() if f"g{child_id}" in c.psi)
-    return schedule(lp.td, terms, carried.union(keep), root)
-
-
 def _support(steps, terms, context, keep, hold):
     """The support of the join of `context`, if any, and the bound terms
     `steps` meets in `terms`, projected onto `keep`. The join runs over
@@ -217,12 +206,7 @@ class LevelStats:
     made for it, each charged through `record`, which holds it to `cap`."""
 
     level_id: int
-    n_vars: int
-    n_factors: int
-    w: int
-    hw: int
-    hw_no_outputs: object  # int or None when outputs are needed for coverage
-    is_hypertree: bool
+    widths: dict  # LevelPlan.widths(), reported as fields of their own
     k: int
     cap: object = field(default=None, repr=False)  # PIHTE_MAX_ENTRIES, or None
     t: int = 0
@@ -249,8 +233,11 @@ class LevelStats:
         return f
 
     def as_dict(self):
-        """The reported fields: all but `cap` and `max_table_cells`."""
-        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.repr}
+        """The reported fields, `widths` spread among them: all but `cap`
+        and `max_table_cells`."""
+        out = {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.repr}
+        out.update(out.pop("widths"))
+        return out
 
 
 def _table_json(f: sf.SparseFactor) -> str:
@@ -345,8 +332,7 @@ def run_metrics(report: EvalReport):
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """One level's structure, fixed by the estimand before any data is read;
-    its CTE schedule, `steps`, is built on first read."""
+    """One level's structure, fixed by the estimand before any data is read."""
 
     level: FlatLevel
     hypergraph: Hypergraph
@@ -355,12 +341,6 @@ class LevelPlan:
     hw_no_outputs: object  # int or None when outputs are needed for coverage
     is_hypertree: bool
     supplied: bool  # td was given by the caller, not computed by decompose
-
-    @cached_property
-    def steps(self) -> tuple:
-        """The CTE schedule, leaves to root."""
-        free = self.level.free_vars
-        return schedule(self.td, dict(self.hypergraph.edges), free, select_root(self.td, free))
 
     def widths(self):
         """The structural statistics `analyze` and `execute` both report."""
@@ -509,36 +489,42 @@ def _eval_level(p: Plan, level_id, data, do, cap, level_stats, context=None):
     would keep the run's tables and dataset alive until the garbage
     collector runs.) A child output is checked by `check_support` before it
     is inverted unless `_proved` holds for it and no level under it lost an
-    entry to underflow; a child with ratios of its own gets its context."""
+    entry to underflow; a child with ratios of its own gets its context.
+    Both are scheduled to the cluster that holds the child's output."""
     lp = p.levels[level_id]
+    level, td, edges = lp.level, lp.td, lp.hypergraph.edges
     t0 = time.monotonic()
-    stats = LevelStats(level_id, **lp.widths(), cap=cap,
+    stats = LevelStats(level_id, lp.widths(), cap=cap,
                        k=max(v.domain_size for v in lp.variables.values()))
 
-    terms, scopes = {}, {}
-    for i, t in enumerate(lp.level.factors):
+    # `build_hypergraph` writes the terms' edges first, then the child outputs'
+    scopes = dict(edges[:len(level.factors)])
+    terms = {}
+    for f, t in zip(scopes, level.factors):
         bound = empirical_prob(data, lp.variables.__getitem__, t.left, t.right, t.scope)
-        terms[f"f{i}"] = stats.record(bound.restrict(do))
-        scopes[f"f{i}"] = t.scope
+        terms[f] = stats.record(bound.restrict(do))
     factors = dict(terms)
-    carried = set() if level_id == p.hier.root else set(lp.level.free_vars)
-    for child_id, scope in lp.level.child_outputs:
+    # below the root, a check keeps the level's free variables, which its context spans
+    carried = set() if level_id == p.hier.root else set(level.free_vars)
+    for (g, _), (child_id, scope) in zip(edges[len(scopes):], level.child_outputs):
         child_level = p.hier.level(child_id)
+        root = next(cid for cid, c in td.clusters.items() if g in c.psi)
         inner = None
         if child_level.child_outputs:
             outside = {f: s for i, (f, s) in enumerate(scopes.items())
                        if i not in child_level.numerator}
-            reach = _check_schedule(lp, carried, child_id, child_level.free_vars, outside)
+            reach = schedule(td, outside, carried.union(child_level.free_vars), root)
             inner = _support(reach, terms, context, child_level.free_vars, stats.hold)
         mark = len(level_stats)
         child = _eval_level(p, child_id, data, do, cap, level_stats, inner)
         if not _proved(scopes.values(), scope) or any(lv.dropped for lv in level_stats[mark:]):
-            check = _check_schedule(lp, carried, child_id, scope, scopes)
+            check = schedule(td, scopes, carried.union(scope), root)
             check_support(check, terms, context, child, do, stats.hold)
-        factors[f"g{child_id}"] = stats.record(sf.invert(child))
+        factors[g] = stats.record(sf.invert(child))
     stats.t = max(f.tightness for f in factors.values())
 
-    out = cte(lp.steps, factors, stats.record)
+    steps = schedule(td, dict(edges), level.free_vars, select_root(td, level.free_vars))
+    out = cte(steps, factors, stats.record)
     stats.wall_time = time.monotonic() - t0
     level_stats.append(stats)
     return out

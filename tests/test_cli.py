@@ -327,17 +327,16 @@ def test_missing_input_exit2(capsys, napkin, cmd, missing, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
-def test_oracle_suite_rejects_do(capsys):
-    code, out, err = run(capsys, "oracle", "--suite", "2", "--do", "V0=9")
-    assert code == 2
-    assert "--do" in err and not out
-
-
-def test_oracle_suite_rejects_decomposition(capsys, fixture_path):
-    code, out, err = run(capsys, "oracle", "--suite", "2",
-                         "--decomposition", fixture_path("cone_cloud.td"))
+@pytest.mark.parametrize("option, value", [
+    ("--graph", "g.graph"), ("--data", "d.csv"), ("--estimand", "P(A)"),
+    ("--estimand-file", "e.estimand"), ("--do", "V0=9"), ("--decomposition", "c.td"),
+])
+def test_oracle_suite_rejects_the_options_of_one_instance(capsys, option, value):
+    """Each suite instance draws its own graph, data and estimand, so an
+    option that would fix one is an input error, read before any file."""
+    code, out, err = run(capsys, "oracle", "--suite", "2", option, value)
     assert code == 2 and not out
-    assert err.count("\n") == 1 and "--decomposition" in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} does not apply to --suite")
 
 
 @pytest.mark.parametrize("argv, option", [

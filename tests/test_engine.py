@@ -160,8 +160,9 @@ def test_plan_rejects_psi_naming_an_unknown_factor(capsys, tmp_path):
 
 
 def one_level_stats(cap=None):
-    return LevelStats(0, n_vars=1, n_factors=1, w=0, hw=1, hw_no_outputs=1,
-                      is_hypertree=True, k=4, cap=cap)
+    widths = {"n_vars": 1, "n_factors": 1, "w": 0, "hw": 1, "hw_no_outputs": 1,
+              "is_hypertree": True}
+    return LevelStats(0, widths, k=4, cap=cap)
 
 
 def test_tracker_cap():
@@ -319,7 +320,7 @@ def test_level_stats_reported():
     rep = pi_hte(flatten(parse("sum[V1](P(V1|V0) P(V2|V1))")), data)
     assert len(rep.levels) == 1
     lv = rep.levels[0]
-    assert lv.hw == 1 and lv.is_hypertree
+    assert lv.widths["hw"] == 1 and lv.widths["is_hypertree"]
     assert lv.t <= data.n_rows
     assert rep.max_table_entries >= lv.max_table_entries
 
@@ -445,14 +446,6 @@ def schedule_calls(monkeypatch):
 NESTED_RATIO = "P(V2|V1) / (P(V1|V0) / (P(V0)))"
 
 
-def direct_steps(lp):
-    """A level's CTE schedule built straight from its plan, as `plan` built
-    it before it was lazy."""
-    level, td = lp.level, lp.td
-    return schedule(td, dict(lp.hypergraph.edges), level.free_vars,
-                    select_root(td, level.free_vars))
-
-
 def test_analyze_builds_no_schedule(fixture_path, schedule_calls, capsys):
     assert main(["analyze", "--graph", fixture_path("chain99.graph"),
                  "--estimand-file", fixture_path("chain99.estimand")]) == 0
@@ -477,27 +470,20 @@ def test_estimate_schedules_each_level_and_each_check_once(
     assert len(schedule_calls) == 3 + 1 + 1
 
 
-def test_one_plan_run_twice_schedules_once(fixture_path, schedule_calls, capsys):
-    """The `bench` path: one plan executed on a dataset per size builds each
-    level's steps once, and its checks and contexts once per run."""
+def test_each_run_schedules_its_own_levels_checks_and_contexts(
+        fixture_path, schedule_calls, capsys):
+    """The `bench` path: one plan executed on a dataset per size schedules
+    each level, and each check and context, once per run."""
     assert main(["bench", "--graph", fixture_path("napkin.graph"), "--estimand-file",
                  fixture_path("napkin.estimand"), "--sizes", "200,300"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2
-    assert len(schedule_calls) == 2
+    assert len(schedule_calls) == 2 * 2
     hier = flatten(parse(NESTED_RATIO))
     p = plan(hier, {"V0": 2, "V1": 2, "V2": 2})
     schedule_calls.clear()
     execute(p, small_data(0))
     execute(p, small_data(1))
-    assert len(schedule_calls) == 3 + 2 * 2
-
-
-def test_lazy_schedules_equal_schedules_built_directly(fixture_path):
-    cases = [(stem, hier, data.domains) for stem, hier, data in planned_cases(fixture_path)]
-    cases.append(("nested ratio", flatten(parse(NESTED_RATIO)), {"V0": 2, "V1": 2, "V2": 3}))
-    for case, hier, domains in cases:
-        for lp in plan(hier, domains).levels.values():
-            assert lp.steps == direct_steps(lp), case
+    assert len(schedule_calls) == 2 * (3 + 2)
 
 
 def test_check_support_runs_only_where_no_bound_term_holds_the_output(

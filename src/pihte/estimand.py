@@ -120,72 +120,73 @@ def prob_terms(expr):
 # recursion limit of 1000.
 MAX_NESTING = 100
 
-# The first character that starts no token, which `parse` looks for once
-# parsing has failed: one outside the grammar's alphabet, or a digit that no
-# name character precedes. (One character class and a look-behind, so the
-# search skips blanks, letters and punctuation without trying the pattern.)
+# The first character that starts no token: one outside the grammar's
+# alphabet, or a digit that no name character precedes. (One character class
+# and a look-behind, so the search skips blanks, letters and punctuation
+# without trying the pattern.)
 _BAD_RE = re.compile(r"[^\sA-Za-z_()\[\]|,/](?<![A-Za-z0-9_][0-9])")
-# A token after blanks, or the end of the text (no group).
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[()\[\]|,/])|\Z)")
-# A name list: names joined by commas, none starting with a digit, then (the
-# second group) the rest of the list and its blanks, from a blank or bad piece on.
-_LIST_RE = re.compile(r"[A-Za-z0-9_]*(?:,[A-Za-z_][A-Za-z0-9_]*)*([A-Za-z0-9_,\s]*)")
+# A token: a name list right after `P(`, `[` or `|`, a name, or a punctuation
+# character. The parser passes those three only to read a name list, so a
+# list is one token there: its names, its commas and any blanks around the
+# commas (a run without blanks is read first, which is faster). Blanks and
+# characters that start no token fall between the matches.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"(?:(?<=P\()|(?<=[\[|])){_NAME}(?:,{_NAME})*(?:\s*,\s*{_NAME})*|{_NAME}"
+                       r"|[()\[\]|,/]")
 _KEYWORDS = frozenset(("P", "sum"))
 
 
 class _Parser:
-    """Recursive descent over tokens read lazily, one at a time; `tok` is the
-    current one, (kind, text, position), and `end` the offset just past it.
-    Text that starts no token raises where it is met; `parse` then names the
-    first character of the whole text that starts no token instead."""
+    """Recursive descent over the text's tokens, read with one `findall`:
+    `i` indexes the current one, and None ends the list. A token's offset is
+    looked up only when an error names it. The tokens skip any character
+    that starts none, so only a text without one is parsed (see `parse`)."""
 
     def __init__(self, text: str):
         self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [None]
+        self.i = 0
         self.depth = 0
-        self.scan(0)
 
-    def scan(self, at):
-        """Make the token at offset `at`, after blanks, the current one."""
-        m = _TOKEN_RE.match(self.text, at)
-        if m is None:  # `parse` then names the text's first character that starts no token
-            raise EstimandSyntaxError("no token starts here", at)
-        kind = m.lastgroup
-        if kind is None:  # only blanks are left
-            self.tok, self.end = (None, None, len(self.text)), len(self.text)
-        else:
-            self.tok, self.end = (kind, m.group(kind), m.start(kind)), m.end()
-
-    def next(self):
-        tok = self.tok
-        self.scan(self.end)
-        return tok
+    def at(self, k, j=0):
+        """The offset of token `k` or, in the name list that starts there,
+        of its `j`-th name (a list walked name by name has a comma token
+        after each name)."""
+        if self.tokens[k] is None:
+            return len(self.text)
+        while j > self.tokens[k].count(","):
+            j -= self.tokens[k].count(",") + 1
+            k += 2
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), k, None))
+        pieces = m.group().split(",")[:j + 1]
+        return m.start() + len(",".join(pieces)) - len(pieces[-1].lstrip())
 
     def expect(self, value):
-        kind, val, at = self.next()
-        if val != value:
-            raise EstimandSyntaxError(f"expected {value!r}, found {val!r}", at)
+        tok = self.tokens[self.i]
+        if tok != value:
+            raise EstimandSyntaxError(f"expected {value!r}, found {tok!r}", self.at(self.i))
+        self.i += 1
 
     def parse(self):
         expr = self.expr()
-        kind, val, at = self.tok
-        if kind is not None:
-            raise EstimandSyntaxError(f"trailing input {val!r}", at)
+        tok = self.tokens[self.i]
+        if tok is not None:
+            raise EstimandSyntaxError(f"trailing input {tok!r}", self.at(self.i))
         return expr
 
     def expr(self):
         num = self.product()
-        if self.tok[1] == "/":
-            self.next()
+        if self.tokens[self.i] == "/":
+            self.i += 1
             return Ratio(num, self.factor())
         return num
 
     def group(self):
         """`( expr )`, at most MAX_NESTING deep."""
-        at = self.tok[2]
         self.expect("(")
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise EstimandSyntaxError(f"nesting deeper than {MAX_NESTING}", at)
+            raise EstimandSyntaxError(f"nesting deeper than {MAX_NESTING}", self.at(self.i - 1))
         inner = self.expr()
         self.expect(")")
         self.depth -= 1
@@ -193,36 +194,36 @@ class _Parser:
 
     def product(self):
         factors = [self.factor()]
-        while self.tok[1] in ("P", "sum", "("):  # a punctuation token is never P or sum
+        while self.tokens[self.i] in ("P", "sum", "("):
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self):
-        kind, val, at = self.tok
-        if val == "(":
+        tok = self.tokens[self.i]
+        if tok == "(":
             return self.group()
-        if kind == "ident" and val == "P":
+        if tok == "P":
             return self.prob()
-        if kind == "ident" and val == "sum":
+        if tok == "sum":
             return self.sum()
-        raise EstimandSyntaxError(f"expected a factor, found {val!r}", at)
+        raise EstimandSyntaxError(f"expected a factor, found {tok!r}", self.at(self.i))
 
     def prob(self):
-        self.next()  # 'P'
+        self.i += 1  # 'P'
         self.expect("(")
         left = self.varlist(distinct=True)
         right = ()
-        if self.tok[1] == "|":
-            self.next()
+        if self.tokens[self.i] == "|":
+            self.i += 1
             right = self.varlist(distinct=True, other_side=set(left))
         self.expect(")")
         return ProbTerm(left, right)
 
     def sum(self):
         """`sum[names](expr)`; each name bound once and used in the body."""
-        self.next()  # 'sum'
+        self.i += 1  # 'sum'
         self.expect("[")
-        first = self.tok[2]
+        first = self.i
         bound = self.varlist()
         if len(set(bound)) != len(bound):
             raise DuplicateBoundVar(f"duplicate bound variable in sum{list(bound)}")
@@ -231,62 +232,59 @@ class _Parser:
         try:
             return Sum(bound, child)
         except UnusedBoundVar as exc:
-            self.scan(first)
-            for _ in range(2 * bound.index(exc.name)):  # to the name, past its commas
-                self.next()
-            raise UnusedBoundVar(exc.name, self.tok[2]) from None
+            raise UnusedBoundVar(exc.name, self.at(first, bound.index(exc.name))) from None
 
     def varlist(self, distinct=False, other_side=()):
         """Comma-separated names; with `distinct`, each at most once and none
         from `other_side` (the left of a term's '|').
 
-        The whole list is read with one match, split at its commas and
-        checked as sets. Only when a check fails, or a piece between commas
-        is not one name, is it walked token by token to name the first
-        offending token and its position."""
-        kind, _, start = self.tok
-        if kind == "ident":
-            m = _LIST_RE.match(self.text, start)
-            names = m.group().split(",")
-            if m.group(1):  # blanks, or a piece that is not one name (empty, digit-led)
-                names = [p[0] if len(p) == 1 and not p[0][0].isdigit() else ""
-                         for p in map(str.split, names)]
-            names = tuple(names)
-            seen = set(names)
-            if ("" not in seen and seen.isdisjoint(_KEYWORDS) and seen.isdisjoint(other_side)
-                    and (not distinct or len(seen) == len(names))):
-                self.scan(m.end())
-                return names
-        names, seen = [], set()
+        A list that starts right after `P(`, `[` or `|` is one token, split
+        at its commas and checked as sets; one that starts after a blank is
+        read a name and a comma at a time. Only when a check fails are the
+        names walked in order, to name the first offending one and where it
+        is."""
+        first, names, seen = self.i, [], set()
         while True:
-            kind, val, at = self.next()
-            if kind != "ident" or val in _KEYWORDS:
-                raise EstimandSyntaxError(f"expected a variable name, found {val!r}", at)
-            if distinct and val in seen:
-                raise EstimandSyntaxError(f"variable {val!r} repeated on one side of '|'", at)
-            if val in other_side:
-                raise EstimandSyntaxError(f"variable {val!r} on both sides of '|'", at)
-            names.append(val)
-            seen.add(val)
-            if self.tok[1] == ",":
-                self.next()
-            else:
+            tok = self.tokens[self.i]
+            if tok is None or tok in "()[]|,/":  # no name token is a substring of these
+                raise EstimandSyntaxError(f"expected a variable name, found {tok!r}",
+                                          self.at(self.i))
+            part = "".join(tok.split()).split(",")
+            names += part
+            seen.update(part)
+            if (not seen.isdisjoint(_KEYWORDS) or not seen.isdisjoint(other_side)
+                    or distinct and len(seen) < len(names)):
+                break
+            self.i += 1
+            if self.tokens[self.i] != ",":
                 return tuple(names)
+            self.i += 1
+        seen = set()
+        for j, name in enumerate(names):  # the first name that fails a check
+            if name in _KEYWORDS:
+                message = f"expected a variable name, found {name!r}"
+            elif distinct and name in seen:
+                message = f"variable {name!r} repeated on one side of '|'"
+            elif name in other_side:
+                message = f"variable {name!r} on both sides of '|'"
+            else:
+                seen.add(name)
+                continue
+            raise EstimandSyntaxError(message, self.at(first, j))
 
 
 def parse(text: str):
-    """Parse estimand text into an AST. When parsing fails, the text's first
-    character that starts no token, if it has one, is the error instead,
-    wherever it is: `P(A|A) $` reports the `$`."""
-    try:
-        return _Parser(text).parse()
-    except (EstimandSyntaxError, DuplicateBoundVar):
+    """Parse estimand text into an AST. The text's first character that
+    starts no token, if it has one, is the error, wherever it is: `P(A|A) $`
+    reports the `$`. It is looked for only when the tokens hold fewer
+    non-blank characters than the text."""
+    parser = _Parser(text)
+    if len("".join("".join(parser.tokens[:-1]).split())) < len("".join(text.split())):
         bad = _BAD_RE.search(text)
-        if bad is None:
-            raise
-    if bad.group() == "'":
-        raise EstimandSyntaxError("apostrophes are reserved for the renamer", bad.start())
-    raise EstimandSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+        if bad.group() == "'":
+            raise EstimandSyntaxError("apostrophes are reserved for the renamer", bad.start())
+        raise EstimandSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    return parser.parse()
 
 
 # -- flattening ------------------------------------------------------------

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 import pihte
-from pihte import engine
+from pihte import engine, suite
 from pihte.cli import main
 from pihte.engine import brute_force_eval
 from pihte.errors import DivisionByZero
 from pihte.factor import unit_factor
+from pihte.model import load_dataset, load_graph
 from pihte.suite import make_instance
 
 
@@ -197,6 +198,24 @@ def test_bad_decomposition_exit2(capsys, napkin, tmp_path):
     code, _, _ = run(capsys, "estimate", "--graph", graph, "--data", data,
                      "--estimand-file", estimand, "--decomposition", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("td, error", [
+    ("cluster 0: chi={A,B} cover={f0}\n", "x.td:1: cluster needs chi={...} and psi={...}"),
+    ("cluster 0: chi={A,B} psi={f0,f1} cover={f0}\nedge 0 5\n",
+     "tree: edge (0,5) references a missing cluster; tree: cluster graph is not a tree"),
+    ("cluster 0: chi={A,B} psi={f0,f1} cover={f9}\n",
+     "condition 4: cluster 0 cover uses unknown f9; "
+     "condition 4: cluster 0 cover misses ['A', 'B']"),
+])
+def test_supplied_decomposition_input_error_exit2(capsys, tmp_path, monkeypatch, td, error):
+    # the level's terms are f0 = P(A|B) and f1 = P(B)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.graph").write_text("var A 2\nvar B 2\n")
+    (tmp_path / "x.td").write_text(td)
+    code, out, err = run(capsys, "analyze", "--graph", "g.graph",
+                         "--estimand", "sum[B](P(A|B) P(B))", "--decomposition", "x.td")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -621,8 +640,9 @@ def test_numerator_without_the_denominator_variable_exit3(capsys, tmp_path, cmd,
     assert "entry {'B': 2} has no denominator support" in err
 
 
-def test_oracle_agrees_when_both_sides_raise(capsys, tmp_path, monkeypatch):
-    # brute force runs after the engine raises, and raises too
+@pytest.fixture
+def brute_force_raised(monkeypatch):
+    """The DivisionByZero errors that brute force raises from here on."""
     seen = []
 
     def brute_force(*args):
@@ -633,10 +653,31 @@ def test_oracle_agrees_when_both_sides_raise(capsys, tmp_path, monkeypatch):
             raise
 
     monkeypatch.setattr(engine, "brute_force_eval", brute_force)
+    return seen
+
+
+def test_oracle_agrees_when_both_sides_raise(capsys, tmp_path, brute_force_raised):
+    # brute force runs after the engine raises, and raises too
     code, out, err = run_ab3(capsys, tmp_path, "oracle", "P(A) / (P(B))")
     assert code == 3 and not out
     assert "entry {'B': 2} has no denominator support" in err
-    assert len(seen) == 1
+    assert len(brute_force_raised) == 1
+
+
+def test_oracle_suite_agrees_when_both_sides_raise(capsys, tmp_path, monkeypatch,
+                                                   brute_force_raised):
+    # the suite counts the instance as agreeing and goes on; B=1 is never
+    # observed, so P(B) is zero there
+    (tmp_path / "ab.graph").write_text("var A 2\nvar B 2\n")
+    (tmp_path / "ab.csv").write_text("A,B\n0,0\n1,0\n")
+    graph = load_graph(tmp_path / "ab.graph")
+    case = suite.Instance(0, graph, load_dataset(tmp_path / "ab.csv", graph), "P(A) / (P(B))")
+    monkeypatch.setattr(suite, "make_instance", lambda seed: case)
+    code, out, _ = run(capsys, "oracle", "--suite", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["failures"], report["instances"]) == ([], 1)
+    assert len(brute_force_raised) == 1
 
 
 def test_oracle_mismatch_when_only_the_engine_raises(capsys, tmp_path, monkeypatch):

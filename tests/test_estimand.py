@@ -81,6 +81,13 @@ def test_overlapping_sides_rejected():
         parse("P(A|A)")
 
 
+def test_term_built_in_code_rejects_a_name_on_both_sides():
+    # no text reaches this check: the parser names the repeat where it is
+    with pytest.raises(EstimandSyntaxError) as exc:
+        ProbTerm(("A",), ("A",))
+    assert str(exc.value) == "at position 0: variables on both sides of '|': ['A']"
+
+
 @pytest.mark.parametrize("text, position, name", [
     ("P(X,X)", 4, "X"),
     ("P(X|R,R)", 6, "R"),
@@ -296,7 +303,10 @@ def test_product_value_does_not_depend_on_child_order():
 # -- the parser, against its own grammar and its earlier messages -----------
 
 # Each text with the error class, position and message the token-by-token
-# parser gave, which reading a name list in one match must keep.
+# parser gave, which reading each name list as one token must keep. The
+# cases after the blank line have a comma list next to `P`, `sum`, `(` or
+# `|`; only one right after `P(`, `[` or `|` is read as a name list, so a
+# lexer that joined comma lists anywhere would get some of them wrong.
 PARSE_ERRORS = [
     ("P(A,)", EstimandSyntaxError, 4, "expected a variable name, found ')'"),
     ("sum[A,]", EstimandSyntaxError, 6, "expected a variable name, found ']'"),
@@ -323,6 +333,14 @@ PARSE_ERRORS = [
     ("sum[A, B](P(A))", UnusedBoundVar, 7, "sum over 'B' that its body never uses"),
     ("sum[B,A](P(A) sum[C](P(C|A)))", UnusedBoundVar, 4,
      "sum over 'B' that its body never uses"),
+
+    ("P,P(A)", EstimandSyntaxError, 1, "expected '(', found ','"),
+    ("A,B", EstimandSyntaxError, 0, "expected a factor, found 'A'"),
+    ("P(A) P,B", EstimandSyntaxError, 6, "expected '(', found ','"),
+    ("sum,A", EstimandSyntaxError, 3, "expected '[', found ','"),
+    ("(P,A)", EstimandSyntaxError, 2, "expected '(', found ','"),
+    ("P(P,A)", EstimandSyntaxError, 2, "expected a variable name, found 'P'"),
+    ("P(A|B,C) |C,D", EstimandSyntaxError, 9, "trailing input '|'"),
 ]
 
 

@@ -125,14 +125,14 @@ MAX_NESTING = 100
 # and a look-behind, so the search skips blanks, letters and punctuation
 # without trying the pattern.)
 _BAD_RE = re.compile(r"[^\sA-Za-z_()\[\]|,/](?<![A-Za-z0-9_][0-9])")
-# A token: a name list right after `P(`, `[` or `|`, a name, or a punctuation
+# A token: a name list after `P(`, `[` or `|`, a name, or a punctuation
 # character. The parser passes those three only to read a name list, so a
-# list is one token there: its names, its commas and any blanks around the
-# commas (a run without blanks is read first, which is faster). Blanks and
-# characters that start no token fall between the matches.
+# list is one token there: any blanks before it, its names, its commas and
+# any blanks around the commas (a run without blanks is read first, which is
+# faster). Blanks and characters that start no token fall between the matches.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(rf"(?:(?<=P\()|(?<=[\[|])){_NAME}(?:,{_NAME})*(?:\s*,\s*{_NAME})*|{_NAME}"
-                       r"|[()\[\]|,/]")
+_TOKEN_RE = re.compile(rf"(?:(?<=P\()|(?<=[\[|]))\s*{_NAME}(?:,{_NAME})*(?:\s*,\s*{_NAME})*"
+                       rf"|{_NAME}|[()\[\]|,/]")
 _KEYWORDS = frozenset(("P", "sum"))
 
 
@@ -238,8 +238,8 @@ class _Parser:
         """Comma-separated names; with `distinct`, each at most once and none
         from `other_side` (the left of a term's '|').
 
-        A list that starts right after `P(`, `[` or `|` is one token, split
-        at its commas and checked as sets; one that starts after a blank is
+        A list after `P(`, `[` or `|` is one token, split at its commas and
+        checked as sets; one after `P (` (a blank before the parenthesis) is
         read a name and a comma at a time. Only when a check fails are the
         names walked in order, to name the first offending one and where it
         is."""

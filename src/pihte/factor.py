@@ -13,9 +13,10 @@ Ngo & Rudra, PODS 2016) as array kernels over sortable `int64` row keys: the
 else `keys` (mixed-radix numbers up to 2**63, the rows' dense ids past it).
 Every grouping runs through `model.group_rows`, whose `model.Grouping` holds
 each group's `first` row and `sizes`. Every join finds its partners in one
-place, `matches`, a binary search whose runs a product expands, `join_size`
-counts and the engine's support check and renormalization read; a marginal
-sums each group of its kept columns. The algebra knows nothing of ratios.
+place, `matches`, an index by group id or a binary search, whose runs a
+product expands, `join_size` counts and the engine's support check and
+renormalization read; a marginal sums each group of its kept columns. The
+algebra knows nothing of ratios.
 
 A table bound from a dataset (`model.empirical_prob`) carries provenance: the
 `model.Dataset` as `data` and one source row per entry as `rows`; its names
@@ -26,11 +27,12 @@ scope and `names` tuples); a general join of two such tables gets it back
 when every entry it makes is a row of the data. Such a table is row
 references plus values, the factorised representation of Olteanu & Zavodny
 (TODS 2015): `codes` gathers a code matrix from the rows' cells only when
-read. Between such tables of one dataset no key is encoded: a semi-join
-gathers each partner by the `Dataset.group` id of the wider table's source
-row, a marginal groups by those ids, and `matches` searches them. Other
-tables and joins across datasets take `keys` and `group_rows`, reading
-columns through `SparseFactor.take`, which builds no code matrix.
+read. Between such tables of one dataset no key is encoded: `matches`
+indexes the narrower table by the `Dataset.group` id of the wider one's
+source rows when its names lie inside the wider's, and searches those ids
+otherwise, and a marginal groups by them. Other tables and joins across
+datasets take `keys` and `group_rows`, reading columns through
+`SparseFactor.take`, which builds no code matrix.
 """
 
 from __future__ import annotations
@@ -228,12 +230,25 @@ def matches(f: SparseFactor, g: SparseFactor):
     shared variables, in g's canonical order: for f's row i, g's rows
     `g_rows[lo[i]:hi[i]]`, or `lo[i]:hi[i]` when `g_rows` is None; `g_only`
     lists g's other columns, and a shared name whose domains differ raises
-    ScopeConflict. Tables with provenance from one dataset are keyed by the
-    `Dataset.group` ids of their source rows on the shared columns, other
-    pairs by one `keys` call at g's shared domains; g's keys are sorted by
-    one stable argsort (`g_rows`) unless its shared columns lead its scope.
-    Two binary searches bound each run; with nothing shared, each f row
-    meets all of g."""
+    ScopeConflict. The package's one partner search (Yannakakis, VLDB 1981).
+    When both tables carry provenance from one dataset and g's names lie
+    inside f's, g holds at most one row per `Dataset.group` group of its
+    columns and an index finds it: `lo` is the group id of each f row's
+    source row or, when g lacks some groups (after `restrict` or an
+    underflow), g's row in that group by the `first` of the `Grouping` of g's
+    rows, -1 where g has none; `hi` is `lo + 1` where g has one, in a dtype
+    that holds the group count. Other pairs are keyed by the group ids of
+    their shared columns (one dataset) or by one `keys` call at g's shared
+    domains; g's keys are sorted by one stable argsort (`g_rows`) unless its
+    shared columns lead its scope, and two binary searches bound each run.
+    With nothing shared, each f row meets all of g."""
+    if f.data is not None and g.data is f.data and set(g.names).issubset(f.names):
+        groups = f.data.group(_columns(g.names))
+        lo = groups.ids[f.rows]
+        if len(g.values) == groups.count:  # row i of g is group i; 255 + 1 wraps in uint8
+            return lo, np.add(lo, 1, dtype=code_dtype(groups.count)), None, []
+        lo = Grouping(groups.ids[g.rows], groups.count).first[lo]  # g's row in it, or -1
+        return lo, lo + (lo >= 0), None, []
     f_pos = {n: i for i, n in enumerate(f.names)}
     f_shared, g_shared, g_only, sizes = [], [], [], []
     for j, v in enumerate(g.scope):
@@ -276,20 +291,14 @@ def product(f: SparseFactor, g: SparseFactor) -> SparseFactor:
     other and is repeated once per partner; the other's columns follow, sorted
     in only when out of name order. When the other adds no column, the output
     is the probe rows with a partner, in order, with the probe's provenance.
-    Partners are gathered between tables with provenance from one dataset
-    (`_partners`), else found by `matches` (Yannakakis, VLDB 1981); a join of
-    two such tables gets provenance back where `_source_rows` finds each
+    One `matches` call finds the partners; a join of two tables with
+    provenance from one dataset gets it back where `_source_rows` finds each
     entry a row of the data."""
     if len(g.scope) > len(f.scope):
         f, g = g, f
-    if f.data is not None and g.data is f.data and set(g.names).issubset(f.names):
-        lo = _partners(f, g)
-        hit, g_only = lo >= 0, ()
-    else:
-        lo, hi, g_rows, g_only = matches(f, g)
-        hit = hi > lo
+    lo, hi, g_rows, g_only = matches(f, g)
     if not g_only:  # one partner at most, and f's scope is the output's
-        codes, values, rows = f._codes, f.values, f.rows
+        codes, values, rows, hit = f._codes, f.values, f.rows, hi > lo
         if not hit.all():
             codes, values, lo, rows = _select(codes, hit), values[hit], lo[hit], _select(rows, hit)
         return _trusted_product(f.scope, codes, values * g.values[lo], f.data, rows, f.names)
@@ -331,21 +340,6 @@ def _columns(names):
     Memoised for the last 1,024 scopes: the same scopes meet again in every
     query, and chain99 has about 150."""
     return tuple([base_name(n) for n in names])
-
-
-def _partners(f: SparseFactor, g: SparseFactor):
-    """For each row of f, the row of g that agrees with it on g's names, or
-    -1, when both carry provenance from one dataset and g's names lie inside
-    f's: the entry of g holding the `Dataset.group` group of f's source row on
-    g's columns. When g holds every group its row is the group id; else the
-    `first` of the `Grouping` of g's rows leads there (-1 where g lacks it,
-    after `restrict` or an underflow). Indexing by group id beats `matches`'s
-    sort and binary search over the same ids."""
-    groups = f.data.group(_columns(g.names))
-    lo = groups.ids[f.rows]
-    if len(g.values) < groups.count:
-        lo = Grouping(groups.ids[g.rows], groups.count).first[lo]
-    return lo
 
 
 def _source_rows(f: SparseFactor, g: SparseFactor, g_only, f_rows, extra):

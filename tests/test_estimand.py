@@ -341,7 +341,23 @@ PARSE_ERRORS = [
     ("(P,A)", EstimandSyntaxError, 2, "expected '(', found ','"),
     ("P(P,A)", EstimandSyntaxError, 2, "expected a variable name, found 'P'"),
     ("P(A|B,C) |C,D", EstimandSyntaxError, 9, "trailing input '|'"),
+    # a list after `P (` is read a name and a comma at a time, and the
+    # position of a bad name past the first walks those tokens
+    ("P (A,B,A)", EstimandSyntaxError, 7, "variable 'A' repeated on one side of '|'"),
+    ("P (A, B,sum)", EstimandSyntaxError, 8, "expected a variable name, found 'sum'"),
+    ("P (A,B|C,B)", EstimandSyntaxError, 9, "variable 'B' on both sides of '|'"),
+    ("P (A|B, A)", EstimandSyntaxError, 8, "variable 'A' on both sides of '|'"),
+    # a list after `P(`, `[` or `|` and blanks is one token
+    ("P( A,B,A)", EstimandSyntaxError, 7, "variable 'A' repeated on one side of '|'"),
+    ("P(A| B, A)", EstimandSyntaxError, 8, "variable 'A' on both sides of '|'"),
+    ("sum[\t A, B](P(A))", UnusedBoundVar, 9, "sum over 'B' that its body never uses"),
 ]
+
+
+def test_a_name_list_after_blanks_is_one_token():
+    assert _Parser("P( A, B |\tC)sum[ D](").tokens == [
+        "P", "(", " A, B", "|", "\tC", ")", "sum", "[", " D", "]", "(", None]
+    assert _Parser("P (A,B)").tokens == ["P", "(", "A", ",", "B", ")", None]
 
 
 @pytest.mark.parametrize("text, cls, position, message", PARSE_ERRORS)

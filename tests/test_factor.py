@@ -378,12 +378,18 @@ def test_matches_agree_with_a_dict_reference(drawn):
     assert (matches(f, g)[2] is not None) == (layout == "scattered")
 
 
+def runs(f, g):
+    """`matches(f, g)` as lists: each f row's partner rows of g, in g's
+    canonical order, and g's other columns."""
+    lo, hi, g_rows, g_only = matches(f, g)
+    return [list(range(a, b)) if g_rows is None else g_rows[a:b].tolist()
+            for a, b in zip(lo.tolist(), hi.tolist())], g_only
+
+
 def assert_runs(f, g):
     """`matches(f, g)` gives each f row the g rows that agree with it on
     the shared names, in g's order, and lists g's other columns."""
-    lo, hi, g_rows, g_only = matches(f, g)
-    got = [list(range(a, b)) if g_rows is None else g_rows[a:b].tolist()
-           for a, b in zip(lo.tolist(), hi.tolist())]
+    got, g_only = runs(f, g)
     g_keys = [k for k, _ in g.items()]
     want = []
     for key, _ in f.items():
@@ -677,7 +683,7 @@ def term_names(draw, within=None):
 @st.composite
 def provenance_pairs(draw):
     """Two bound terms over one random dataset; the second's names often
-    lie inside the first's, so the product takes the gather."""
+    lie inside the first's, so `matches` takes its index by group id."""
     domains = {c: draw(st.integers(2, 3)) for c in "ABCD"}
     rows = draw(st.lists(st.tuples(*(st.integers(0, domains[c] - 1) for c in "ABCD")),
                          min_size=1, max_size=30))
@@ -716,6 +722,35 @@ def test_contained_product_gathers_partners_where_the_narrower_lacks_groups():
     h = product(narrow, wide)
     assert_same_as_stripped(h, product(strip(wide), strip(narrow)))
     assert h.data is data and dict(h.items()) == {(0, 1): 1 / 3 * 0.5, (1, 1): 2 / 3 * 0.5}
+
+
+@settings(max_examples=300, deadline=None)
+@given(provenance_pairs())
+def test_matches_with_provenance_gives_the_runs_of_the_code_matrices(pair):
+    """The one partner search: tables with provenance, contained (indexed
+    by group id, whether the narrower holds every group or lacks some after
+    `restrict`) or not (searched by group id), meet the partners that copies
+    without provenance meet by `keys`."""
+    f, g = pair
+    for x, y in ((f, g), (g, f)):
+        assert runs(x, y) == runs(strip(x), strip(y))
+    assert_runs(f, g)
+
+
+@pytest.mark.parametrize("lacking", [False, True])
+def test_contained_matches_past_the_last_one_byte_group_id(lacking):
+    """Over exactly 256 groups the ids are `uint8`, and the run of the f
+    row in group 255 ends at 256: `lo + 1` must not wrap to 0."""
+    rows = [(a, a % 3) for a in range(256)] + [(255, 1), (7, 2)]
+    data = Dataset(("A", "B"), rows, {"A": 256, "B": 3})
+    assert data.group(("A",)).ids.dtype == np.uint8 and data.group(("A",)).count == 256
+    f, g = bind(data, ("B",), ("A",)), bind(data, ("A",))
+    if lacking:  # g lacks group 0
+        g = SparseFactor.trusted(g.scope, None, g.values[1:], data=data, rows=g.rows[1:])
+    hi = matches(f, g)[1]
+    assert int(hi.max()) == (255 if lacking else 256)
+    assert runs(f, g) == runs(strip(f), strip(g))
+    assert join_size(f, g) == product(f, g).tightness == f.tightness - lacking
 
 
 def test_restrict_keeps_provenance_and_an_empty_assignment_returns_self():
@@ -761,8 +796,8 @@ def test_general_join_keeps_no_provenance_unless_each_entry_is_a_row(rows, left,
 def test_tables_of_two_datasets_are_never_gathered_together():
     domains = {"A": 2, "B": 2}
     one = Dataset(("A", "B"), [(0, 0), (1, 1), (0, 1)], domains)
-    # two lacks A=0, and its A=1 row is row 2, where one holds A=0: a
-    # gather by one's group ids would pair every entry wrongly
+    # two lacks A=0, and its A=1 row is row 2, where one holds A=0: an
+    # index by one's group ids would pair every entry wrongly
     two = Dataset(("A", "B"), [(1, 0), (1, 1), (1, 0)], domains)
     wide, narrow = bind(one, ("A", "B")), bind(two, ("A",))
     for x, y in ((wide, narrow), (narrow, wide)):

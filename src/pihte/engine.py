@@ -7,7 +7,10 @@ each term to a frequency table of a dataset (`model.empirical_prob`; primed
 names read their base column), checks that each child denominator output
 covers the support of the level's terms, injects it inverted as an ordinary
 factor, and runs the level's CTE schedule, which alone says which tables meet
-where and what each message sums out. One plan serves any number of datasets.
+where and what each message sums out. A schedule folds each cluster whose
+`chi` lies inside its only child's into that child's step, so a chain of
+nested clusters sums out once (chain99: 51 steps for 99 clusters, two of
+them with a sum). One plan serves any number of datasets.
 
 Each `execute` schedules what it runs, where it runs it: each level's CTE,
 each support check and each nested ratio's context; `analyze` builds no
@@ -61,11 +64,12 @@ MAX_ENTRIES_ENV = "PIHTE_MAX_ENTRIES"
 
 @dataclass(frozen=True)
 class Step:
-    """One cluster's turn in cluster-tree elimination."""
+    """One turn of cluster-tree elimination: a cluster and every ancestor
+    folded into it (see `schedule`)."""
 
     cluster: int
     factors: tuple  # factor ids in name order; cte orders the products by size
-    children: tuple  # child cluster ids in id order, whose messages it multiplies in
+    children: tuple  # its child steps' cluster ids in id order, whose messages it multiplies in
     drop: frozenset  # the variables its message sums out
 
 
@@ -73,8 +77,18 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
     """The steps of one-way message passing to `root`, leaves first; `scopes`
     maps factor ids to their variables, and a factor id of a `psi` that it
     lacks is left out. A message keeps its edge separator and every output
-    variable it holds, so outputs straddling clusters meet at the root."""
+    variable it holds, so outputs straddling clusters meet at the root.
+
+    A cluster whose `chi` lies inside the `chi` of its only child is folded
+    into that child's step, and folds chain from the root down: the step
+    multiplies the folded clusters' factors too, and its message goes to the
+    highest folded cluster's parent, keeping what that parent's `chi` holds
+    (all outputs at the root). So a chain of nested clusters sums out once.
+    Each folded factor lies inside the child's `chi` and no sibling message
+    meets it, so no table grows. A step's children are the steps that run
+    its cluster's children, in id order."""
     free = frozenset(free_vars)
+    chi = {u: c.chi for u, c in td.clusters.items()}
     adj = td.adjacency()
     parent = {root: None}
     order = [root]
@@ -83,18 +97,30 @@ def schedule(td: TreeDecomposition, scopes, free_vars, root) -> tuple:
             if v not in parent:
                 parent[v] = u
                 order.append(v)
+    kids = {u: [v for v in adj[u] if v != parent[u]] for u in order}
 
-    held = {}  # cluster -> the variables of its message
+    runs = {}  # cluster -> the cluster whose step multiplies its factors
+    up = {}  # step cluster -> the parent of the highest cluster it runs
+    psi = {}  # step cluster -> the factor ids of every cluster it runs
+    for u in reversed(order):
+        only = kids[u][0] if len(kids[u]) == 1 else None
+        s = runs[only] if only is not None and chi[u] <= chi[only] else u
+        runs[u] = s
+        up[s] = parent[u]  # walking up, the last cluster folded in is the highest
+        psi[s] = psi.get(s, frozenset()) | td.clusters[u].psi
+
+    held = {}  # step cluster -> the variables of its message
     steps = []
     for u in reversed(order):
-        factors = tuple(sorted(td.clusters[u].psi & scopes.keys(), key=name_key))
-        children = tuple(v for v in adj[u] if v != parent[u])
+        if runs[u] != u:
+            continue
+        factors = tuple(sorted(psi[u] & scopes.keys(), key=name_key))
+        children = tuple(sorted(runs[v] for v in kids[u]))
         names = held.pop(children[0]) if children else set()  # the first child's, extended
         names.update(*(scopes[f] for f in factors), *(held.pop(v) for v in children[1:]))
-        up = td.clusters[parent[u]].chi if parent[u] is not None else frozenset()
         # names lie in u's chi or are outputs, so a name is kept exactly
-        # when it is an output or u's parent holds it too
-        drop = frozenset(names.difference(free, up))
+        # when it is an output or the step's parent cluster holds it too
+        drop = frozenset(names.difference(free, chi[up[u]] if up[u] is not None else ()))
         names -= drop
         held[u] = names
         steps.append(Step(u, factors, children, drop))
@@ -585,7 +611,7 @@ def brute_force_eval(expr, data, dense_limit=10**6, do=None) -> sf.SparseFactor:
 def predicted_bounds(level_stats, t, k, n):
     """Numeric treewidth/hyperwidth bounds plus the hierarchy exponent.
 
-    Values past 10^300 are None; those with a log10 are still reported in it.
+    Values past 10^300 are None, and each is still reported in its log10.
     """
     levels = []
     for lv in level_stats:
@@ -593,7 +619,11 @@ def predicted_bounds(level_stats, t, k, n):
         tw_table_log10 = (w + 1) * math.log10(k) if k > 1 else 0.0
         tw_time_log10 = tw_table_log10 + math.log10(max(n, 1))
         log_t = math.log(t) if t > 1 else 0.0
-        fits = hw * math.log10(max(t, 1)) < 300  # t^hw, so hw_time too, fits a float
+        hw_space_log10 = hw * math.log10(max(t, 1))
+        hw_log_t = hw * log_t  # hw_time = n * max(1, hw * ln(t) * t^hw)
+        hw_time_log10 = math.log10(max(n, 1)) + (
+            max(0.0, math.log10(hw_log_t) + hw_space_log10) if hw_log_t > 0 else 0.0)
+        fits = hw_space_log10 < 300  # t^hw, so hw_time too, fits a float
         levels.append(
             {
                 "level": lv["level_id"],
@@ -602,6 +632,8 @@ def predicted_bounds(level_stats, t, k, n):
                 "tw_table_log10": tw_table_log10,
                 "tw_time_log10": tw_time_log10,
                 "tw_time": 10.0 ** tw_time_log10 if tw_time_log10 < 300 else None,
+                "hw_space_log10": hw_space_log10,
+                "hw_time_log10": hw_time_log10,
                 "hw_time": max(float(n), n * hw * log_t * float(t) ** hw) if fits else None,
                 "hw_space": float(t) ** hw if fits else None,
             }

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -785,6 +786,10 @@ def test_analyze_reports_bounds_past_a_float_as_null(capsys, tmp_path):
     assert code == 0 and "Traceback" not in err
     level = json.loads(out)["bounds"]["levels"][0]
     assert (level["hw"], level["hw_space"], level["hw_time"]) == (110, None, None)
+    # each still reported in its log10: t^hw, and n * hw * ln(t) * t^hw with n = 111
+    assert level["hw_space_log10"] == pytest.approx(330.0, rel=1e-12)
+    assert level["hw_time_log10"] == pytest.approx(
+        math.log10(111 * 110 * math.log(1000)) + 330, rel=1e-12)
 
 
 def test_header_only_data_exit2(capsys, napkin, tmp_path):

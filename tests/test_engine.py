@@ -21,6 +21,7 @@ from pihte.decomposition import (
 )
 from pihte.engine import (
     LevelStats,
+    Step,
     _renormalize,
     brute_force_eval,
     check_support,
@@ -133,6 +134,70 @@ def test_cte_scalar_factors():
     three = SparseFactor((), {(): 3.0})
     out = run_cte(td, {"f0": two, "f1": three}, set())
     assert out.dense_eval({}) == 6.0
+
+
+def test_a_path_of_nested_clusters_is_one_step():
+    """{V0} - {V0, V1} - {V0, V1, V2}: the root lies inside its only child,
+    which lies inside its only child, so both fold into the deepest
+    cluster's step, whose message sums out every variable but the output,
+    once."""
+    data = small_data(seed=5)
+    factors = {"f0": bind(data, ("V0",)), "f1": bind(data, ("V1",), ("V0",)),
+               "f2": bind(data, ("V2",), ("V0", "V1"))}
+    td = TreeDecomposition(
+        clusters={i: Cluster(chi=frozenset(f.names), psi=frozenset({fid}), cover=(fid,))
+                  for i, (fid, f) in enumerate(factors.items())},
+        edges=[(0, 1), (1, 2)],
+    )
+    scopes = {fid: f.names for fid, f in factors.items()}
+    assert schedule(td, scopes, {"V0"}, 0) == (
+        Step(2, ("f0", "f1", "f2"), (), frozenset({"V1", "V2"})),)
+    out = run_cte(td, factors, {"V0"}, root=0)
+    for v0 in range(2):
+        want = math.fsum(math.prod(f.dense_eval({"V0": v0, "V1": v1, "V2": v2})
+                                   for f in factors.values())
+                         for v1, v2 in itertools.product(range(2), range(2)))
+        assert out.dense_eval({"V0": v0}) == pytest.approx(want, rel=1e-12)
+    # from the other end no cluster lies inside its child, so nothing folds
+    assert [s.cluster for s in schedule(td, scopes, {"V2"}, 2)] == [0, 1, 2]
+
+
+def test_a_root_inside_one_of_three_children_does_not_fold():
+    """Suite instance 289, sum[V3](P(V1) P(V3|V1) P(V2) P(V0)): the root {V1}
+    lies inside its child {V1, V3}, but has two more children, whose
+    messages over V2 and V0 would meet {V1, V3} before V3 is summed out.
+    Each cluster keeps its step, and the peak stays 12."""
+    case = make_instance(289)
+    p = plan(flatten(parse(case.estimand)), case.data.domains)
+    lp = p.levels[0]
+    steps = schedule(lp.td, dict(lp.hypergraph.edges), lp.level.free_vars, 0)
+    assert [(s.cluster, s.children, s.drop) for s in steps] == [
+        (3, (), frozenset()), (2, (), frozenset()), (1, (), frozenset({"V3"})),
+        (0, (1, 2, 3), frozenset())]
+    assert execute(p, case.data).max_table_entries == 12
+
+
+def test_a_support_check_whose_root_folds_into_its_child_still_raises():
+    """sum[C](P(A,C) P(B|C)) / P(A,B), with g1 alone in cluster {A, B} and
+    both terms in its only child {A, B, C}: the check's root folds into that
+    child. Rows (0,0,0) and (1,1,0) put every (A, B) in the numerator's
+    support but only (0,0) and (1,1) in the denominator's, so the check
+    names (0,1), the first support row without a partner."""
+    hier = flatten(parse("sum[C](P(A,C) P(B|C)) / P(A,B)"))
+    td = TreeDecomposition(
+        clusters={0: Cluster(chi=frozenset("AB"), psi=frozenset({"g1"}), cover=("g1",)),
+                  1: Cluster(chi=frozenset("ABC"), psi=frozenset({"f0", "f1"}),
+                             cover=("f0", "f1"))},
+        edges=[(0, 1)],
+    )
+    scopes = {"f0": ("A", "C"), "f1": ("B", "C")}
+    assert schedule(td, scopes, {"A", "B"}, 0) == (
+        Step(1, ("f0", "f1"), (), frozenset({"C"})),)
+    data = Dataset(("A", "B", "C"), [(0, 0, 0), (1, 1, 0)], {"A": 2, "B": 2, "C": 2})
+    p = plan(hier, data.domains, decompositions={0: td})
+    with pytest.raises(DivisionInconsistency,
+                       match=r"^entry \{'A': 0, 'B': 1\} has no denominator support$"):
+        execute(p, data)
 
 
 def test_plan_rejects_psi_naming_an_unknown_factor(capsys, tmp_path):

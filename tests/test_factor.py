@@ -894,7 +894,7 @@ def test_chain99_builds_no_code_matrix_before_its_result_is_read(fixture_path, m
     data = sample_dataset(random_cbn(graph, dist="dirichlet", alpha=1.0, seed=3), 800, seed=4)
     with open(fixture_path("chain99.estimand"), encoding="utf-8") as fh:
         report = engine.pi_hte(flatten(parse(fh.read())), data)
-    assert len(made) == 99 + 98 + 50
+    assert len(made) == 99 + 98 + 2
     assert all(t.data is data and t._codes is None for t in made)
     assert_provenance_holds(report.result)
 

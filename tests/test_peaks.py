@@ -3,10 +3,10 @@
 `peaks.json` holds each level's `max_table_entries` for suite instances
 0-299 under restarts 0 and 2, and for the four fixtures at fixed sizes
 (data from `random_cbn(..., dist="dirichlet", alpha=1.0, seed=3)` and
-`sample_dataset(..., seed=4)`), as recorded before CTE steps were merged.
-A change to scheduling, join order or aggregation may lower a peak, never
-raise one. Regenerate the file with `PYTHONPATH=src python tests/test_peaks.py`,
-only on purpose.
+`sample_dataset(..., seed=4)`), as recorded before nested clusters were
+folded into one CTE step. A change to scheduling, join order or aggregation
+may lower a peak, never raise one. Regenerate the file with
+`PYTHONPATH=src python tests/test_peaks.py`, only on purpose.
 """
 
 import json
